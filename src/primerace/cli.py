@@ -81,14 +81,16 @@ class RunConfig:
     resume: bool = False
     finite_size: bool = True
 
-    def validate(self) -> None:
+    def validate(self, command: str) -> None:
+        """Reject impossible settings; race classes only where command races them."""
         if self.q < 3:
             raise UsageError(f"modulus must be at least 3, got {self.q}")
-        if math.gcd(self.a, self.q) != 1 or math.gcd(self.b, self.q) != 1:
-            raise UsageError(
-                f"race classes must be units mod {self.q}, got a={self.a} b={self.b}")
-        if self.a % self.q == self.b % self.q:
-            raise UsageError(f"race needs two distinct classes, got a=b={self.a}")
+        if command in _RACES:
+            if math.gcd(self.a, self.q) != 1 or math.gcd(self.b, self.q) != 1:
+                raise UsageError(
+                    f"race classes must be units mod {self.q}, got a={self.a} b={self.b}")
+            if self.a % self.q == self.b % self.q:
+                raise UsageError(f"race needs two distinct classes, got a=b={self.a}")
         if self.x_max < 100:
             raise UsageError(f"xmax must be at least 100, got {self.x_max}")
         if not (0 < self.h <= 0.1):
@@ -261,7 +263,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         cfg.k_values = tuple(int(k) for k in cfg.k_values)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from None
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 
@@ -669,6 +671,7 @@ _PLANNED = {
 }
 
 _NEEDS_CHECKPOINTS = {"bias", "euler", "delta", "moments", "mean"}
+_RACES = {"bias", "delta", "moments", "mean"}  # subcommands that use a and b
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ working set inside L2-ish cache territory while amortizing setup cost.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "stream_segments",
     "stream_primes",
     "prime_powers",
+    "ordered_map",
 ]
 
 DEFAULT_SEGMENT_ODDS = 1 << 20
@@ -104,6 +107,25 @@ def _validate_range(lo: int, hi: int, segment_odds: int) -> None:
         raise ValueError(f"inverted range [{lo}, {hi})")
 
 
+def ordered_map(fn, jobs: Sequence[tuple], threads: int) -> Iterator:
+    """Map fn over argument tuples on a worker pool, yielding results in job order.
+
+    At most threads + 2 jobs are in flight, so memory stays bounded however
+    long the job list is.
+    """
+    if threads <= 1 or len(jobs) <= 1:
+        for job in jobs:
+            yield fn(*job)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        it = iter(jobs)
+        pending = deque(pool.submit(fn, *job) for job in islice(it, threads + 2))
+        while pending:
+            fut = pending.popleft()
+            pending.extend(pool.submit(fn, *job) for job in islice(it, 1))
+            yield fut.result()
+
+
 def stream_segments(
     lo: int,
     hi: int,
@@ -120,25 +142,11 @@ def stream_segments(
     if hi == lo:
         return
     base = simple_sieve(math.isqrt(hi - 1))
-    bounds = list(segment_bounds(lo, hi, segment_odds))
-    if threads <= 1 or len(bounds) == 1:
-        for a, b in bounds:
-            yield a, b, sieve_segment(a, b, base)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = threads + 2
-        pending = []
-        it = iter(bounds)
-        for a, b in it:
-            pending.append((a, b, pool.submit(sieve_segment, a, b, base)))
-            if len(pending) >= window:
-                break
-        while pending:
-            a, b, fut = pending.pop(0)
-            yield a, b, fut.result()
-            for na, nb in it:
-                pending.append((na, nb, pool.submit(sieve_segment, na, nb, base)))
-                break
+
+    def job(a: int, b: int) -> tuple[int, int, np.ndarray]:
+        return a, b, sieve_segment(a, b, base)
+
+    yield from ordered_map(job, list(segment_bounds(lo, hi, segment_odds)), threads)
 
 
 def stream_primes(

@@ -6,21 +6,22 @@ psi-style sums that also see proper prime powers) and per-character sums
 (chi(p)/sqrt(p), chi(p^2)/p, and -log(1 - chi(p)/sqrt(p)) for the partial
 Euler product on the critical line).
 
-Accumulators use error-free expansion summation (Shewchuk partials): every
-reported total is the correctly rounded double of the exact sum of its
-inputs.  Because exact addition is associative, a resumed run, a merge of
-partials split on a segment boundary, and a worker pool of any size all
-reproduce the single-threaded totals bit for bit.
+Segments are cut into chunks at grid points, each chunk is reduced with
+np.sum, and one TallyPartial folds the per-chunk values by error-free
+summation (Shewchuk partials): every total is the correctly rounded exact
+sum of those per-chunk values.  Chunks depend on the segment width, so for
+a fixed segment_odds any worker pool and any resumed run reproduce the
+totals bit for bit; a merge does so only at a split on a segment boundary.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .characters import (
 )
 from .sieve import (
     DEFAULT_SEGMENT_ODDS,
-    PrimeEvent,
+    ordered_map,
     prime_powers,
     segment_bounds,
     sieve_segment,
@@ -143,9 +144,6 @@ class ExactComplexSum:
     def value(self) -> complex:
         return complex(self.re.value(), self.im.value())
 
-    def copy(self) -> "ExactComplexSum":
-        return ExactComplexSum(self.re.copy(), self.im.copy())
-
     def to_hex(self) -> list[list[str]]:
         return [self.re.to_hex(), self.im.to_hex()]
 
@@ -212,7 +210,6 @@ class _Layout:
             self.slot[a] = i
         nonprincipal = chars[1:]
         self.nchar = len(nonprincipal)
-        self.char_indices = tuple(chi.index for chi in nonprincipal)
         self.char_labels = tuple(chi.label for chi in nonprincipal)
         # chi(p mod q) and chi(p^2 mod q) lookups, zero off the units
         self.chi_tab = np.stack([chi.values for chi in nonprincipal]) if self.nchar else np.zeros((0, q), np.complex128)
@@ -226,7 +223,6 @@ class _Layout:
         for j, chi in enumerate(nonprincipal):
             for i, a in enumerate(self.units):
                 self.z_class[j, i] = chi.values[a]
-        self.z_is_real = np.abs(self.z_class.imag).max(initial=0.0) == 0.0
 
 
 @dataclass(eq=False)
@@ -487,143 +483,116 @@ class TallyResult:
 
 
 # ---------------------------------------------------------------------------
-# the reducer
+# the exact tally state
 
 
-class _Accumulator:
-    def __init__(self, grid: CheckpointGrid, layout: _Layout, powers: Sequence[tuple[int, int, int]], collect):
-        self.grid = grid
-        self.layout = layout
-        self.grid_x = grid.x
-        self.counts = [0] * layout.nclass
-        self.acc = {name: [ExactSum() for _ in range(layout.nclass)] for name in _CLASS_FIELDS}
-        self.char_acc = {name: [ExactComplexSum() for _ in range(layout.nchar)] for name in _CHAR_FIELDS}
-        pw = [(v, layout.slot[v % layout.q], math.log(p)) for v, p, _k in powers]
-        self.pw_val = [v for v, _s, _l in pw]
-        self.pw_slot = [int(s) for _v, s, _l in pw]
-        self.pw_log = [l for _v, _s, l in pw]
-        self.pw_ptr = 0
-        self.next_j = 0
-        self.row_offset = 0  # checkpoints persisted by an earlier process
-        self.expected_lo: int | None = None
-        self.collect = tuple(sorted(collect))
-        self.jump_parts: dict[int, list[np.ndarray]] = {a: [] for a in self.collect}
-        self.checkpoints: list[TallyCheckpoint] = []
+@dataclass(eq=False)
+class TallyPartial:
+    """Exact sums over the primes (and prime powers) in one range [lo, hi).
 
-    # -- state round trip (resume support)
+    The one holder of exact tally state: accumulate, range_partial, merge
+    and resume all fold, merge and serialise through it.  sums maps each
+    summed TallyCheckpoint field to one ExactSum per class (invsqrt, theta,
+    psi, invp) or one ExactComplexSum per character (char_*).
+    """
 
-    def state_dict(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "class": {
-                name: [e.to_hex() for e in sums] for name, sums in self.acc.items()
-            },
-            "char": {
-                name: [e.to_hex() for e in sums] for name, sums in self.char_acc.items()
-            },
-            "pw_ptr": self.pw_ptr,
-            "next_j": self.next_j,
-            "expected_lo": self.expected_lo,
-        }
+    q: int
+    lo: int
+    hi: int
+    units: tuple[int, ...]
+    char_labels: tuple[str, ...]
+    counts: list[int]
+    sums: dict[str, list]
 
-    def load_state(self, state: dict) -> None:
-        self.counts = [int(c) for c in state["counts"]]
-        for name in _CLASS_FIELDS:
-            self.acc[name] = [ExactSum.from_hex(h) for h in state["class"][name]]
-        for name in _CHAR_FIELDS:
-            self.char_acc[name] = [ExactComplexSum.from_hex(h) for h in state["char"][name]]
-        self.pw_ptr = int(state["pw_ptr"])
-        self.next_j = int(state["next_j"])
-        self.expected_lo = state["expected_lo"]
+    @classmethod
+    def empty(cls, q: int, at: int = 2, *, layout: _Layout | None = None) -> "TallyPartial":
+        layout = layout or _Layout(q)
+        sums = {n: [ExactSum() for _ in layout.units] for n in _CLASS_FIELDS}
+        sums.update({"char_" + n: [ExactComplexSum() for _ in layout.char_labels] for n in _CHAR_FIELDS})
+        return cls(q, at, at, layout.units, layout.char_labels, [0] * layout.nclass, sums)
 
-    # -- folding
-
-    def _fold_chunk(self, part: _SegmentPartial, c: int) -> None:
-        for i in range(self.layout.nclass):
-            n = int(part.counts[c, i])
+    def fold(self, part: _SegmentPartial, c: int) -> None:
+        """Add chunk c of a segment; its chunk 0 must start where this range ends."""
+        if c == 0:
+            if part.lo != self.hi:
+                raise TallyOrderError(
+                    f"segment [{part.lo}, {part.hi}) arrived out of order; expected lo={self.hi}"
+                )
+            self.hi = part.hi
+        sums = self.sums
+        for i, n in enumerate(part.counts[c].tolist()):
             if n:
                 self.counts[i] += n
-                self.acc["invsqrt"][i].add(part.invsqrt[c, i])
-                self.acc["theta"][i].add(part.theta[c, i])
-                self.acc["psi"][i].add(part.theta[c, i])
-                self.acc["invp"][i].add(part.invp[c, i])
-        for j in range(self.layout.nchar):
-            self.char_acc["invsqrt"][j].add(complex(part.char_invsqrt[c, j]))
-            self.char_acc["mertens"][j].add(complex(part.char_mertens[c, j]))
-            self.char_acc["eulerlog"][j].add(complex(part.char_eulerlog[c, j]))
+                sums["invsqrt"][i].add(part.invsqrt[c, i])
+                sums["theta"][i].add(part.theta[c, i])
+                sums["psi"][i].add(part.theta[c, i])
+                sums["invp"][i].add(part.invp[c, i])
+        for name in _CHAR_FIELDS:
+            col = getattr(part, "char_" + name)[c].tolist()
+            for e, z in zip(sums["char_" + name], col):
+                e.add(z)
 
-    def _fold_powers_upto(self, x: float) -> None:
-        while self.pw_ptr < len(self.pw_val) and self.pw_val[self.pw_ptr] <= x:
-            slot = self.pw_slot[self.pw_ptr]
+    def fold_powers(self, powers: Sequence[tuple[int, int, float]], start: int, x: float) -> int:
+        """Add log p to psi for powers[start:] up to x; return the next index."""
+        psi = self.sums["psi"]
+        while start < len(powers) and powers[start][0] <= x:
+            _v, slot, lg = powers[start]
             if slot >= 0:
-                self.acc["psi"][slot].add(self.pw_log[self.pw_ptr])
-            self.pw_ptr += 1
+                psi[slot].add(lg)
+            start += 1
+        return start
 
-    def _snapshot(self, j: int) -> None:
-        lay = self.layout
-        ck = TallyCheckpoint(
-            q=lay.q,
-            x=float(self.grid_x[j]),
-            y=float(LOG2 + self.grid.h * j),
-            units=lay.units,
-            char_labels=lay.char_labels,
-            counts=np.array(self.counts, dtype=np.int64),
-            invsqrt=np.array([e.value() for e in self.acc["invsqrt"]]),
-            theta=np.array([e.value() for e in self.acc["theta"]]),
-            psi=np.array([e.value() for e in self.acc["psi"]]),
-            invp=np.array([e.value() for e in self.acc["invp"]]),
-            char_invsqrt=np.array([e.value() for e in self.char_acc["invsqrt"]], dtype=np.complex128),
-            char_mertens=np.array([e.value() for e in self.char_acc["mertens"]], dtype=np.complex128),
-            char_eulerlog=np.array([e.value() for e in self.char_acc["eulerlog"]], dtype=np.complex128),
-        )
-        self.checkpoints.append(ck)
+    def merge(self, other: "TallyPartial") -> "TallyPartial":
+        """Add the sums of the adjacent range just above this one, in place."""
+        self.hi = other.hi
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        for name, sums in self.sums.items():
+            for e, f in zip(sums, other.sums[name]):
+                e.merge(f)
+        return self
 
-    def boundary_count(self, lo: int, hi: int) -> int:
-        """How many still-unemitted grid points fall inside [lo, hi)."""
-        j_hi = int(np.searchsorted(self.grid_x, hi, side="left"))
-        return max(0, j_hi - self.next_j)
+    def totals(self) -> dict[str, np.ndarray]:
+        out: dict[str, np.ndarray] = {"counts": np.array(self.counts, dtype=np.int64)}
+        for name, sums in self.sums.items():
+            dtype = np.complex128 if name.startswith("char_") else np.float64
+            out[name] = np.array([e.value() for e in sums], dtype=dtype)
+        return out
 
-    def feed(self, part: _SegmentPartial) -> None:
-        if self.expected_lo is not None and part.lo != self.expected_lo:
-            raise TallyOrderError(
-                f"segment [{part.lo}, {part.hi}) arrived out of order; expected lo={self.expected_lo}"
-            )
-        nb = part.nchunks - 1
-        for c in range(part.nchunks):
-            self._fold_chunk(part, c)
-            if c < nb:
-                j = self.next_j
-                if j >= self.grid.n:
-                    raise TallyOrderError("more chunk boundaries than grid points")
-                xj = float(self.grid_x[j])
-                self._fold_powers_upto(xj)
-                self._snapshot(j)
-                self.next_j += 1
-        for a in self.collect:
-            self.jump_parts[a].append(part.jumps.get(a, np.empty(0, dtype=np.int64)))
-        self.expected_lo = part.hi
+    def copy(self) -> "TallyPartial":
+        return deepcopy(self)
+
+    def to_state(self) -> dict:
+        """The exact sums as the sidecar's JSON "state" (format 1)."""
+        return {
+            "counts": list(self.counts),
+            "class": {n: [e.to_hex() for e in self.sums[n]] for n in _CLASS_FIELDS},
+            "char": {n: [e.to_hex() for e in self.sums["char_" + n]] for n in _CHAR_FIELDS},
+            "expected_lo": self.hi,
+        }
+
+    @classmethod
+    def from_state(cls, state: Mapping, q: int, *, layout: _Layout | None = None) -> "TallyPartial":
+        """Inverse of to_state, for a range that starts at 2.
+
+        Older sidecars store expected_lo None when no segment was folded yet.
+        """
+        layout = layout or _Layout(q)
+        sums = {n: [ExactSum.from_hex(h) for h in state["class"][n]] for n in _CLASS_FIELDS}
+        sums.update({"char_" + n: [ExactComplexSum.from_hex(h) for h in state["char"][n]]
+                     for n in _CHAR_FIELDS})
+        return cls(q, 2, state["expected_lo"] or 2, layout.units, layout.char_labels,
+                   [int(c) for c in state["counts"]], sums)
 
 
-def _ordered_map(fn, jobs: Sequence, threads: int) -> Iterator:
-    """Map fn over jobs with a worker pool, yielding results in job order."""
-    if threads <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            yield fn(*job)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = threads + 2
-        pending = []
-        it = iter(jobs)
-        for job in it:
-            pending.append(pool.submit(fn, *job))
-            if len(pending) >= window:
-                break
-        while pending:
-            fut = pending.pop(0)
-            for job in it:
-                pending.append(pool.submit(fn, *job))
-                break
-            yield fut.result()
+def _power_terms(layout: _Layout, lo: int, hi: int) -> list[tuple[int, int, float]]:
+    """(p^k, class slot or -1, log p) for the proper prime powers in [lo, hi), ascending."""
+    return [(v, int(layout.slot[v % layout.q]), math.log(p))
+            for v, p, _k in prime_powers(hi - 1) if v >= lo]
+
+
+def _base_primes(hi: int) -> np.ndarray:
+    """Sieving primes for every segment below hi."""
+    return simple_sieve(math.isqrt(hi - 1)) if hi > 4 else np.array([2], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -728,23 +697,6 @@ def _write_sidecar(path: Path, payload: dict) -> None:
 # drivers
 
 
-def _events_to_primes(events: Iterable[PrimeEvent], q: int) -> np.ndarray:
-    out = []
-    last = 1
-    for ev in events:
-        if ev.p <= last:
-            raise TallyOrderError(
-                f"prime event {ev.p} arrived out of order (previous was {last})"
-            )
-        if ev.p % q != ev.residue:
-            raise TallyOrderError(f"event for {ev.p} carries residue {ev.residue}, not {ev.p % q}")
-        if ev.is_unit != (math.gcd(ev.residue, q) == 1):
-            raise TallyOrderError(f"event for {ev.p} carries a wrong unit flag")
-        last = ev.p
-        out.append(ev.p)
-    return np.array(out, dtype=np.int64)
-
-
 def accumulate(
     grid: CheckpointGrid,
     q: int,
@@ -753,8 +705,6 @@ def accumulate(
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
     threads: int = 1,
     collect: Sequence[int] = (),
-    events: Iterable[PrimeEvent] | None = None,
-    powers: Sequence[tuple[int, int, int]] | None = None,
     persist: str | Path | None = None,
     resume: bool = False,
     flush_every: int = 64,
@@ -762,15 +712,15 @@ def accumulate(
 ) -> TallyResult:
     """Single pass over the primes, emitting one checkpoint per grid point.
 
-    With events supplied the stream is consumed as given (and validated: any
-    out-of-order or inconsistent event is a hard TallyOrderError); otherwise
-    the segmented sieve drives the pass, optionally with a worker pool whose
-    size never changes the output.  collect lists residue classes whose prime
-    positions are returned as sorted arrays (for exact step-function work).
-    persist writes the checkpoint CSV plus a JSON sidecar as the run goes,
-    and resume=True continues a previously interrupted persisted run;
-    max_segments stops early after that many segments (the persisted state
-    stays resumable).
+    The segmented sieve drives the pass, optionally with a worker pool whose
+    size never changes the output.  Each segment's chunks (split at grid
+    points) fold into one TallyPartial, whose totals are snapshotted at
+    every grid point.  collect lists residue classes whose prime positions
+    are returned as sorted arrays (for exact step-function work).  persist
+    writes the checkpoint CSV plus a JSON sidecar as the run goes, and
+    resume=True continues a previously interrupted persisted run from the
+    sidecar's state; max_segments stops early after that many segments (the
+    persisted state stays resumable).
     """
     layout = _Layout(q)
     if x_hi is None:
@@ -779,30 +729,19 @@ def accumulate(
         raise ValueError(
             f"grid reaches x={grid.x_max:.3f}; the sieved range must extend strictly past it, got {x_hi}"
         )
-    collect = tuple(int(a) % q for a in collect)
+    collect = tuple(sorted(int(a) % q for a in collect))
     for a in collect:
         if math.gcd(a, q) != 1:
             raise ValueError(f"collect residue {a} is not a unit mod {q}")
-    pw = powers if powers is not None else prime_powers(x_hi - 1)
-    acc = _Accumulator(grid, layout, pw, collect)
-
-    if events is not None:
-        primes = _events_to_primes(events, q)
-        boundaries = acc.grid_x[: int(np.searchsorted(acc.grid_x, x_hi, side="left"))]
-        part = _segment_partial(primes, 2, x_hi, boundaries, layout, tuple(collect))
-        acc.expected_lo = 2
-        acc.feed(part)
-        if acc.next_j != grid.n:
-            raise ValueError("event stream ended before the grid was covered")
-        series = CheckpointSeries(q, grid, layout.units, layout.char_labels, acc.checkpoints)
-        jumps = {a: np.concatenate(acc.jump_parts[a]) if acc.jump_parts[a] else np.empty(0, np.int64) for a in acc.collect}
-        return TallyResult(series=series, jumps=jumps, completed=True, x_hi=x_hi)
-
+    grid_x = grid.x
+    powers = _power_terms(layout, 2, x_hi)
     bounds = list(segment_bounds(2, x_hi, segment_odds))
     csv_path = Path(persist) if persist is not None else None
     meta_path = _sidecar_path(csv_path) if csv_path is not None else None
-    start_idx = 0
-    rows_written = 0
+    state = TallyPartial.empty(q, layout=layout)
+    next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
+    start_idx = rows_written = 0  # first segment to sieve; data rows in the CSV
+    jump_parts: dict[int, list[np.ndarray]] = {a: [] for a in collect}
 
     if resume:
         if csv_path is None:
@@ -827,62 +766,86 @@ def accumulate(
             return TallyResult(series=series, jumps=jumps, completed=True, x_hi=x_hi)
         start_idx = int(meta["next_segment_index"])
         rows_written = int(meta["rows_written"])
-        acc.load_state(meta["state"])
-        acc.row_offset = rows_written
-        _truncate_csv(csv_path, rows_written, layout)
+        state = TallyPartial.from_state(meta["state"], q, layout=layout)
+        next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
+        _truncate_csv(csv_path, rows_written)
         if collect:
             pre = _collect_only(bounds, start_idx, layout, collect)
             for a in collect:
-                acc.jump_parts[a].append(pre[a])
+                jump_parts[a].append(pre[a])
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
             fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
 
-    base = simple_sieve(math.isqrt(x_hi - 1)) if x_hi > 4 else np.array([2], dtype=np.int64)
+    row_offset = rows_written  # rows an earlier process flushed
+    checkpoints: list[TallyCheckpoint] = []  # rows from this process only
+    base = _base_primes(x_hi)
 
     def job(a: int, b: int) -> _SegmentPartial:
         primes = sieve_segment(a, b, base)
-        j_lo = int(np.searchsorted(acc.grid_x, a, side="left"))
-        j_hi = int(np.searchsorted(acc.grid_x, b, side="left"))
-        boundaries = acc.grid_x[j_lo:j_hi]
-        return _segment_partial(primes, a, b, boundaries, layout, tuple(collect))
+        j_lo = int(np.searchsorted(grid_x, a, side="left"))
+        j_hi = int(np.searchsorted(grid_x, b, side="left"))
+        return _segment_partial(primes, a, b, grid_x[j_lo:j_hi], layout, collect)
+
+    def snapshot() -> None:
+        nonlocal next_j, pw_ptr
+        pw_ptr = state.fold_powers(powers, pw_ptr, float(grid_x[next_j]))
+        checkpoints.append(TallyCheckpoint(
+            q=q, x=float(grid_x[next_j]), y=float(LOG2 + grid.h * next_j),
+            units=layout.units, char_labels=layout.char_labels, **state.totals(),
+        ))
+        next_j += 1
+
+    def flush(done_idx: int, complete: bool) -> None:
+        nonlocal rows_written
+        new_rows = checkpoints[rows_written - row_offset:]
+        if new_rows:
+            with open(csv_path, "a") as fh:
+                for ck in new_rows:
+                    fh.write(_format_row(ck) + "\n")
+            rows_written += len(new_rows)
+        next_lo = bounds[done_idx][0] if done_idx < len(bounds) else x_hi
+        payload = {
+            "format": 1, "q": q, "h": grid.h, "n": grid.n,
+            "segment_odds": segment_odds, "x_hi": x_hi, "collect": list(collect),
+            "complete": complete, "next_segment_index": done_idx,
+            "rows_written": rows_written, "last_completed_prime": next_lo - 1,
+        }
+        if not complete:
+            payload["state"] = {**state.to_state(), "next_j": next_j, "pw_ptr": pw_ptr}
+        _write_sidecar(meta_path, payload)
 
     todo = bounds[start_idx:]
     if max_segments is not None:
         todo = todo[: max(0, max_segments)]
-    if acc.expected_lo is None and todo:
-        acc.expected_lo = todo[0][0]
-
     done_idx = start_idx
     since_flush = 0
-    for part in _ordered_map(job, todo, threads):
-        acc.feed(part)
+    for part in ordered_map(job, todo, threads):
+        for c in range(part.nchunks):
+            state.fold(part, c)
+            if c < part.nchunks - 1:
+                snapshot()
+        for a in collect:
+            jump_parts[a].append(part.jumps[a])
         done_idx += 1
         since_flush += 1
         if csv_path is not None and since_flush >= flush_every:
-            rows_written = _flush(csv_path, meta_path, acc, grid, q, segment_odds, x_hi,
-                                  collect, done_idx, rows_written, bounds, complete=False)
+            flush(done_idx, complete=False)
             since_flush = 0
 
     completed = done_idx == len(bounds)
     if completed:
-        acc._fold_powers_upto(float(acc.grid_x[-1]))
-        while acc.next_j < grid.n:
+        while next_j < grid.n:
             # grid points at or beyond the final segment boundary
-            acc._fold_powers_upto(float(acc.grid_x[acc.next_j]))
-            acc._snapshot(acc.next_j)
-            acc.next_j += 1
+            snapshot()
     if csv_path is not None:
-        rows_written = _flush(csv_path, meta_path, acc, grid, q, segment_odds, x_hi,
-                              collect, done_idx, rows_written, bounds, complete=completed)
-
-    checkpoints = acc.checkpoints
-    if acc.row_offset and completed:
-        # a resumed run holds only the new rows in memory; the CSV has them all
-        checkpoints = read_series_csv(csv_path).checkpoints
+        flush(done_idx, complete=completed)
+        if row_offset and completed:
+            # a resumed run holds only the new rows in memory; the CSV has them all
+            checkpoints = read_series_csv(csv_path).checkpoints
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, checkpoints)
-    jumps = {a: (np.concatenate(acc.jump_parts[a]) if acc.jump_parts[a] else np.empty(0, np.int64))
-             for a in acc.collect}
+    jumps = {a: np.concatenate(parts) if parts else np.empty(0, np.int64)
+             for a, parts in jump_parts.items()}
     return TallyResult(series=series, jumps=jumps, completed=completed, x_hi=x_hi)
 
 
@@ -891,8 +854,7 @@ def _collect_only(bounds, upto_idx: int, layout: _Layout, collect) -> dict[int, 
     jumps = {a: [] for a in collect}
     if not collect or upto_idx == 0:
         return {a: np.empty(0, np.int64) for a in collect}
-    hi = bounds[upto_idx - 1][1]
-    base = simple_sieve(math.isqrt(hi - 1)) if hi > 4 else np.array([2], dtype=np.int64)
+    base = _base_primes(bounds[upto_idx - 1][1])
     for a0, b0 in bounds[:upto_idx]:
         primes = sieve_segment(a0, b0, base)
         r = primes % layout.q
@@ -901,7 +863,7 @@ def _collect_only(bounds, upto_idx: int, layout: _Layout, collect) -> dict[int, 
     return {a: np.concatenate(jumps[a]) if jumps[a] else np.empty(0, np.int64) for a in collect}
 
 
-def _truncate_csv(csv_path: Path, rows: int, layout: _Layout) -> None:
+def _truncate_csv(csv_path: Path, rows: int) -> None:
     """Keep the header and the first rows data lines (crash cleanup)."""
     with open(csv_path) as fh:
         lines = fh.readlines()
@@ -913,76 +875,8 @@ def _truncate_csv(csv_path: Path, rows: int, layout: _Layout) -> None:
             fh.writelines(lines[:want])
 
 
-def _flush(csv_path, meta_path, acc, grid, q, segment_odds, x_hi, collect,
-           done_idx, rows_written, bounds, *, complete) -> int:
-    new_rows = acc.checkpoints[rows_written - acc.row_offset:]
-    if new_rows:
-        with open(csv_path, "a") as fh:
-            for ck in new_rows:
-                fh.write(_format_row(ck) + "\n")
-        rows_written += len(new_rows)
-    next_lo = bounds[done_idx][0] if done_idx < len(bounds) else x_hi
-    payload = {
-        "format": 1,
-        "q": q,
-        "h": grid.h,
-        "n": grid.n,
-        "segment_odds": segment_odds,
-        "x_hi": x_hi,
-        "collect": sorted(int(a) for a in collect),
-        "complete": complete,
-        "next_segment_index": done_idx,
-        "rows_written": rows_written,
-        "last_completed_prime": next_lo - 1,
-    }
-    if not complete:
-        payload["state"] = acc.state_dict()
-    _write_sidecar(meta_path, payload)
-    return rows_written
-
-
 # ---------------------------------------------------------------------------
 # partial tallies and merge
-
-
-@dataclass(eq=False)
-class TallyPartial:
-    """Sums over the primes (and prime powers) in one contiguous range."""
-
-    q: int
-    lo: int
-    hi: int
-    units: tuple[int, ...]
-    char_labels: tuple[str, ...]
-    counts: list[int]
-    class_sums: dict[str, list[ExactSum]]
-    char_sums: dict[str, list[ExactComplexSum]]
-
-    @classmethod
-    def empty(cls, q: int, at: int = 2) -> "TallyPartial":
-        layout = _Layout(q)
-        return cls(
-            q=q, lo=at, hi=at, units=layout.units, char_labels=layout.char_labels,
-            counts=[0] * layout.nclass,
-            class_sums={n: [ExactSum() for _ in range(layout.nclass)] for n in _CLASS_FIELDS},
-            char_sums={n: [ExactComplexSum() for _ in range(layout.nchar)] for n in _CHAR_FIELDS},
-        )
-
-    def totals(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"counts": np.array(self.counts, dtype=np.int64)}
-        for name, sums in self.class_sums.items():
-            out[name] = np.array([e.value() for e in sums])
-        for name, sums in self.char_sums.items():
-            out["char_" + name] = np.array([e.value() for e in sums], dtype=np.complex128)
-        return out
-
-    def copy(self) -> "TallyPartial":
-        return TallyPartial(
-            q=self.q, lo=self.lo, hi=self.hi, units=self.units, char_labels=self.char_labels,
-            counts=list(self.counts),
-            class_sums={n: [e.copy() for e in sums] for n, sums in self.class_sums.items()},
-            char_sums={n: [e.copy() for e in sums] for n, sums in self.char_sums.items()},
-        )
 
 
 def range_partial(
@@ -999,54 +893,29 @@ def range_partial(
     if hi < lo:
         raise ValueError(f"inverted range [{lo}, {hi})")
     layout = _Layout(q)
-    out = TallyPartial.empty(q, lo)
-    out.hi = hi
+    out = TallyPartial.empty(q, lo, layout=layout)
     if hi == lo:
         return out
-    base = simple_sieve(math.isqrt(hi - 1)) if hi > 4 else np.array([2], dtype=np.int64)
-    pw = [
-        (v, int(layout.slot[v % q]), math.log(p))
-        for v, p, _k in prime_powers(hi - 1)
-        if lo <= v
-    ]
+    base = _base_primes(hi)
+    powers = _power_terms(layout, lo, hi)
     pw_ptr = 0
     none = np.empty(0, dtype=np.float64)
-
-    def fold(part: _SegmentPartial) -> None:
-        nonlocal pw_ptr
-        for i in range(layout.nclass):
-            n = int(part.counts[0, i])
-            if n:
-                out.counts[i] += n
-                out.class_sums["invsqrt"][i].add(part.invsqrt[0, i])
-                out.class_sums["theta"][i].add(part.theta[0, i])
-                out.class_sums["psi"][i].add(part.theta[0, i])
-                out.class_sums["invp"][i].add(part.invp[0, i])
-        for j in range(layout.nchar):
-            out.char_sums["invsqrt"][j].add(complex(part.char_invsqrt[0, j]))
-            out.char_sums["mertens"][j].add(complex(part.char_mertens[0, j]))
-            out.char_sums["eulerlog"][j].add(complex(part.char_eulerlog[0, j]))
-        while pw_ptr < len(pw) and pw[pw_ptr][0] < part.hi:
-            _v, slot, lg = pw[pw_ptr]
-            if slot >= 0:
-                out.class_sums["psi"][slot].add(lg)
-            pw_ptr += 1
-
-    jobs = [(a, b) for a, b in segment_bounds(lo, hi, segment_odds)]
 
     def job(a: int, b: int) -> _SegmentPartial:
         return _segment_partial(sieve_segment(a, b, base), a, b, none, layout, ())
 
-    for part in _ordered_map(job, jobs, threads):
-        fold(part)
+    for part in ordered_map(job, list(segment_bounds(lo, hi, segment_odds)), threads):
+        out.fold(part, 0)
+        pw_ptr = out.fold_powers(powers, pw_ptr, part.hi - 1)
     return out
 
 
 def merge(left: TallyPartial, right: TallyPartial) -> TallyPartial:
     """Combine partials over adjacent ranges; left must sit just below right.
 
-    Componentwise exact addition, so a merged pair over a split that falls on
-    a segment boundary reproduces the single-pass totals bit for bit.
+    Componentwise exact addition of the per-segment sums, so a merged pair
+    over a split that falls on a segment boundary of the single pass
+    reproduces its totals bit for bit.
     """
     if left.q != right.q:
         raise ValueError(f"modulus mismatch: {left.q} vs {right.q}")
@@ -1062,14 +931,4 @@ def merge(left: TallyPartial, right: TallyPartial) -> TallyPartial:
         raise ValueError(
             f"ranges are not adjacent: [{left.lo}, {left.hi}) then [{right.lo}, {right.hi})"
         )
-    out = left.copy()
-    out.hi = right.hi
-    for i in range(len(out.counts)):
-        out.counts[i] += right.counts[i]
-    for name in _CLASS_FIELDS:
-        for mine, theirs in zip(out.class_sums[name], right.class_sums[name]):
-            mine.merge(theirs)
-    for name in _CHAR_FIELDS:
-        for mine, theirs in zip(out.char_sums[name], right.char_sums[name]):
-            mine.merge(theirs)
-    return out
+    return left.copy().merge(right)

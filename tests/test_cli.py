@@ -113,6 +113,13 @@ class TestUsageExits:
         assert main(["bias", "--a", "3", "--b", "3", "--xmax", "1000"]) == 2
         assert "distinct" in capsys.readouterr().err
 
+    def test_race_classes_checked_only_where_raced(self, capsys):
+        assert main(["euler", "--q", "105", "--chi", "105.1", "--dry-run"]) == 0
+        assert main(["zeros-validate", "--q", "6", "--dry-run"]) == 0
+        capsys.readouterr()
+        assert main(["bias", "--q", "105", "--dry-run"]) == 2
+        assert "race classes must be units mod 105" in capsys.readouterr().err
+
     def test_missing_subcommand(self):
         assert main([]) == 2
 

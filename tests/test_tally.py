@@ -1,20 +1,23 @@
 """Streaming tally vs. brute-force reference sums and hand-checked values."""
+import json
 import math
-import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primerace.characters import (
     ClassFunction,
     enumerate_characters,
     race_weight,
 )
-from primerace.sieve import stream_primes
 from primerace.tally import (
     LOG2,
     CheckpointGrid,
     TallyOrderError,
+    TallyPartial,
     accumulate,
     euler_product_partial,
     char_sum,
@@ -30,6 +33,8 @@ from primerace.tally import (
 )
 
 from oracles import ReferenceTally
+
+DATA = Path(__file__).resolve().parent / "data"
 
 ALL_ARRAYS = ("counts", "invsqrt", "theta", "psi",
               "char_invsqrt", "char_mertens", "char_eulerlog")
@@ -179,41 +184,6 @@ class TestLinearity:
             assert abs(direct - via_chars) <= 1e-9 * max(1.0, abs(direct))
 
 
-class TestEventsPath:
-    def test_matches_sieve_path(self):
-        grid = CheckpointGrid.from_xmax(3_000, h=0.03)
-        x_hi = 3_001
-        via_sieve = accumulate(grid, 5, x_hi=x_hi, segment_odds=200)
-        events = stream_primes(2, x_hi, 5)
-        via_events = accumulate(grid, 5, x_hi=x_hi, events=events)
-        for a, b in zip(via_sieve.series, via_events.series):
-            assert np.array_equal(a.counts, b.counts)
-            for attr in ALL_ARRAYS[1:]:
-                ga, gb = getattr(a, attr), getattr(b, attr)
-                assert np.allclose(ga, gb, rtol=1e-12, atol=1e-13)
-
-    def test_out_of_order_events_rejected(self):
-        from primerace.sieve import PrimeEvent
-        grid = CheckpointGrid.from_xmax(10, h=0.5)
-        bad = [PrimeEvent(5, 1, True), PrimeEvent(3, 3, True), PrimeEvent(7, 3, True)]
-        with pytest.raises(TallyOrderError, match="out of order"):
-            accumulate(grid, 4, x_hi=11, events=bad)
-
-    def test_inconsistent_residue_rejected(self):
-        from primerace.sieve import PrimeEvent
-        grid = CheckpointGrid.from_xmax(10, h=0.5)
-        bad = [PrimeEvent(3, 1, True)]
-        with pytest.raises(TallyOrderError, match="residue"):
-            accumulate(grid, 4, x_hi=11, events=bad)
-
-    def test_wrong_unit_flag_rejected(self):
-        from primerace.sieve import PrimeEvent
-        grid = CheckpointGrid.from_xmax(10, h=0.5)
-        bad = [PrimeEvent(2, 2, True)]
-        with pytest.raises(TallyOrderError, match="unit"):
-            accumulate(grid, 4, x_hi=11, events=bad)
-
-
 class TestGrid:
     def test_from_xmax_covers_range(self):
         grid = CheckpointGrid.from_xmax(10_000, h=0.01)
@@ -267,7 +237,6 @@ class TestThreadInvariance:
 
 class TestMergePartials:
     def test_identity(self):
-        from primerace.tally import TallyPartial
         left = TallyPartial.empty(4)
         right = range_partial(2, 1000, 4)
         merged = merge(left, right)
@@ -322,6 +291,51 @@ class TestMergePartials:
             range_partial(1, 100, 4)
         with pytest.raises(ValueError, match="inverted"):
             range_partial(100, 50, 4)
+
+
+def assert_same_totals(a, b):
+    ta, tb = a.totals(), b.totals()
+    assert ta.keys() == tb.keys()
+    for k in ta:
+        assert np.array_equal(ta[k], tb[k]), k
+
+
+class TestTallyState:
+    """The one exact state behind accumulate, range_partial, merge and resume."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(q=st.sampled_from([4, 5, 12]),
+           segment_odds=st.integers(64, 4096),
+           hi=st.integers(1_000, 200_000),
+           data=st.data())
+    def test_merge_at_a_segment_boundary_is_bit_exact(self, q, segment_odds, hi, data):
+        span = 2 * segment_odds
+        k = data.draw(st.integers(0, (hi - 2) // span), label="k")
+        m = 2 + k * span
+        single = range_partial(2, hi, q, segment_odds=segment_odds)
+        left = range_partial(2, m, q, segment_odds=segment_odds)
+        right = range_partial(m, hi, q, segment_odds=segment_odds)
+        merged = merge(left, right)
+        assert (merged.lo, merged.hi) == (2, hi)
+        assert_same_totals(merged, single)
+        # a mid-run state survives its JSON form and keeps folding
+        state = json.loads(json.dumps(left.to_state()))
+        back = TallyPartial.from_state(state, q)
+        assert back.hi == m
+        assert back.to_state() == left.to_state()
+        assert_same_totals(back, left)
+        assert_same_totals(merge(back, right), single)
+
+    def test_state_that_does_not_meet_the_next_segment_rejected(self, tmp_path):
+        grid = CheckpointGrid.from_xmax(20_000, h=0.02)
+        path = tmp_path / "bad.csv"
+        accumulate(grid, 4, segment_odds=512, persist=path, max_segments=3)
+        meta_path = tmp_path / "bad.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["state"]["expected_lo"] += 2
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(TallyOrderError, match="out of order"):
+            accumulate(grid, 4, segment_odds=512, persist=path, resume=True)
 
 
 class TestPersistence:
@@ -454,3 +468,30 @@ class TestCheckpointOps:
         ck = checkpoint_at(small_run.series, 10.0)
         j = int(np.searchsorted(small_run.series.grid.x, 10.0, side="right")) - 1
         assert vec[j] == pytest.approx(pi_half(ck, t), rel=1e-14)
+
+
+class TestCrossVersionResume:
+    """tests/data/resume_q12.* is a run interrupted by the release before the
+    tally state was unified (commit b55212d), written by
+
+        accumulate(CheckpointGrid.from_xmax(20_000, h=0.1), 12,
+                   segment_odds=512, persist="resume_q12.csv", max_segments=5)
+
+    Resuming it must give a fresh run's CSV bytes, which pins sidecar format 1.
+    """
+
+    def test_format_1_sidecar_resumes_byte_identically(self, tmp_path):
+        grid = CheckpointGrid.from_xmax(20_000, h=0.1)
+        for name in ("resume_q12.csv", "resume_q12.meta.json"):
+            shutil.copy(DATA / name, tmp_path / name)
+        meta = json.loads((tmp_path / "resume_q12.meta.json").read_text())
+        assert meta["format"] == 1 and not meta["complete"]
+        res = accumulate(grid, 12, segment_odds=512, persist=tmp_path / "resume_q12.csv",
+                         resume=True)
+        assert res.completed
+        fresh = tmp_path / "fresh.csv"
+        direct = accumulate(grid, 12, segment_odds=512, persist=fresh)
+        assert (tmp_path / "resume_q12.csv").read_bytes() == fresh.read_bytes()
+        for a, b in zip(res.series, direct.series):
+            for attr in ALL_ARRAYS:
+                assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
