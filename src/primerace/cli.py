@@ -112,13 +112,15 @@ class RunConfig:
         if self.segment_odds < 16:
             raise UsageError(f"segment size too small: {self.segment_odds}")
 
-    def public_dict(self) -> dict:
-        """The settings that determine the mathematics, echoed into reports.
+    def public_dict(self, command: str) -> dict:
+        """The settings command reads that determine the mathematics.
 
-        Thread count, output directory, and resume mode are excluded on
-        purpose: none of them may change a single output byte.
+        They are echoed into the command's reports.  Thread count, output
+        directory, and resume mode are excluded on purpose: none of them may
+        change a single output byte.  Settings the command never reads are
+        left out too, so they cannot change its reports either.
         """
-        return {
+        settings = {
             "q": self.q, "a": self.a, "b": self.b,
             "x_max": self.x_max, "h": self.h,
             "zeros": self.zeros, "chi": self.chi,
@@ -129,6 +131,7 @@ class RunConfig:
             "segment_odds": self.segment_odds,
             "finite_size": self.finite_size,
         }
+        return {key: settings[key] for key in _READS[command]}
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +434,7 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
         races["from_1000"] = density_race(jumps_a, jumps_b, 1000.0,
                                           float(series.grid.x[-1]))
 
-    config = cfg.public_dict()
+    config = cfg.public_dict("bias")
     emit.csv("bias_series.csv",
              ["x", "y", "D", "delta"],
              [series.grid.x, series.grid.y, np.asarray(D.values),
@@ -480,7 +483,7 @@ def cmd_euler(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     ell = estimate_ell(F, cfg.tail_fraction)
     report = euler_density_check(F, ell, eps=cfg.eps)
 
-    config = cfg.public_dict()
+    config = cfg.public_dict("euler")
     vals = np.asarray(F.values)
     emit.csv("euler_series.csv",
              ["x", "y", "F_re", "F_im"],
@@ -534,7 +537,7 @@ def cmd_delta(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
         for i in range(len(rms_rows) - 1)
     ) if len(rms_rows) > 1 else None
 
-    config = cfg.public_dict()
+    config = cfg.public_dict("delta")
     emit.csv("delta_exact.csv",
              ["x", "y", "delta"],
              [grid.x, grid.y, np.asarray(exact.values).real])
@@ -577,7 +580,7 @@ def cmd_moments(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
         w_value, _ = weighted_second_moment(delta)
         extras["weighted_m2_at_end"] = w_value
 
-    config = cfg.public_dict()
+    config = cfg.public_dict("moments")
     emit.csv("moments.csv",
              ["k", "Y", "moment", "moment_root"],
              [np.array([r["k"] for r in rows]),
@@ -613,7 +616,7 @@ def cmd_mean(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     raw = estimate_C(D, M, "mean", jumps=(positions, weights),
                      tail_fraction=cfg.tail_fraction, finite_size=False)
 
-    config = cfg.public_dict()
+    config = cfg.public_dict("mean")
     emit.csv("mean_trace.csv",
              ["x", "y", "mean"],
              [series.grid.x, series.grid.y, trace])
@@ -671,7 +674,18 @@ _PLANNED = {
 }
 
 _NEEDS_CHECKPOINTS = {"bias", "euler", "delta", "moments", "mean"}
-_RACES = {"bias", "delta", "moments", "mean"}  # subcommands that use a and b
+
+# the public_dict settings each subcommand reads
+_TALLY_KEYS = ("q", "x_max", "h", "segment_odds")
+_READS = {
+    "bias": _TALLY_KEYS + ("a", "b", "mchi", "eps", "K", "tail_fraction", "finite_size"),
+    "euler": _TALLY_KEYS + ("chi", "mchi", "eps", "tail_fraction"),
+    "delta": _TALLY_KEYS + ("a", "b", "zeros", "mchi", "T"),
+    "moments": _TALLY_KEYS + ("a", "b", "mchi", "k"),
+    "mean": _TALLY_KEYS + ("a", "b", "mchi", "tail_fraction", "finite_size"),
+    "zeros-validate": ("q", "zeros"),
+}
+_RACES = {command for command, keys in _READS.items() if "a" in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_plan(command: str, cfg: RunConfig) -> None:
     print(f"plan: {command}")
-    for key, value in sorted(cfg.public_dict().items()):
+    for key, value in sorted(cfg.public_dict(command).items()):
         print(f"  {key} = {value}")
     out = Path(cfg.out)
     if command in _NEEDS_CHECKPOINTS:

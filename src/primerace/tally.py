@@ -12,6 +12,13 @@ summation (Shewchuk partials): every total is the correctly rounded exact
 sum of those per-chunk values.  Chunks depend on the segment width, so for
 a fixed segment_odds any worker pool and any resumed run reproduce the
 totals bit for bit; a merge does so only at a split on a segment boundary.
+
+Each chunk value is one pairwise np.sum over a slice of one C-contiguous
+row of per-prime terms (see _segment_partial).  The terms of all characters
+sit in one block per class or per chunk, reduced with a single axis=1 sum,
+so a segment costs O(chunks + nonempty class-chunks) numpy calls whatever
+the number of characters; the exact fold then costs one Python-level add
+per class and per character for each chunk that holds a prime.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ import json
 import math
 import os
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -135,7 +142,9 @@ class ExactComplexSum:
 
     def add(self, z: complex) -> None:
         self.re.add(z.real)
-        self.im.add(z.imag)
+        if z.imag:
+            # zeros change no sum; a real character's imaginary part stays empty
+            self.im.add(z.imag)
 
     def merge(self, other: "ExactComplexSum") -> None:
         self.re.merge(other.re)
@@ -218,11 +227,14 @@ class _Layout:
             for a in self.units:
                 chi2[j, a] = chi.values[(a * a) % q]
         self.chi2_tab = chi2
-        # chi(a) per (character, class slot), for the Euler-log inner loop
-        self.z_class = np.zeros((self.nchar, self.nclass), dtype=np.complex128)
-        for j, chi in enumerate(nonprincipal):
-            for i, a in enumerate(self.units):
-                self.z_class[j, i] = chi.values[a]
+        # per class slot a: the characters with real chi(a), whose Euler-log
+        # terms go through log1p, with -Re chi(a); the rest, with chi(a)
+        self.euler_rows = []
+        for a in self.units:
+            z = self.chi_tab[:, a]
+            real = z.imag == 0.0
+            self.euler_rows.append(
+                (np.flatnonzero(real), -z.real[real], np.flatnonzero(~real), z[~real]))
 
 
 @dataclass(eq=False)
@@ -250,9 +262,22 @@ def _segment_partial(
     layout: _Layout,
     collect: tuple[int, ...],
 ) -> _SegmentPartial:
-    """Chunked sums over one segment; boundaries are checkpoint x-values."""
-    nb = len(boundaries)
-    nch = nb + 1
+    """Chunked sums over one segment; boundaries are checkpoint x-values.
+
+    Reduction contract: every chunk value is one pairwise np.sum over a
+    slice of one C-contiguous row of per-prime terms, and a chunk's Euler-log
+    value adds the per-class values in class order.  The terms are built per
+    class (invsqrt, theta, invp and the Euler-log rows) or per chunk (the
+    char_invsqrt and char_mertens blocks) and each chunk is reduced with one
+    axis=1 sum per block, so a segment costs O(chunks + nonempty
+    class-chunks) numpy calls whatever the number of characters.  Any future
+    vectorisation has to keep the contract: np.add.reduceat sums
+    sequentially and a Fortran-ordered block sums across rows, and both
+    change the last bits.  The largest temporary is a per-chunk block of
+    nchar x (primes in the chunk) terms; it spans a whole segment only where
+    a grid step is wider than the segment.
+    """
+    nch = len(boundaries) + 1
     ncl, nchar = layout.nclass, layout.nchar
     counts = np.zeros((nch, ncl), dtype=np.int64)
     invsqrt = np.zeros((nch, ncl))
@@ -273,38 +298,34 @@ def _segment_partial(
                 jumps[a] = pa
             if not len(pa):
                 continue
-            sa = s_all[sel]
-            la = np.log(pa.astype(np.float64))
-            ia = 1.0 / pa.astype(np.float64)
-            edges = np.searchsorted(pa, boundaries, side="right")
+            real, neg_re, cplx, z = layout.euler_rows[i]
+            sa, pfa = s_all[sel], pf[sel]
+            # rows: 1/sqrt(p), log p, 1/p, then -log(1 - chi(p)/sqrt(p)) terms
+            terms = np.empty((3 + len(real), len(pa)))
+            terms[0] = sa
+            np.log(pfa, out=terms[1])
+            np.divide(1.0, pfa, out=terms[2])
+            np.log1p(neg_re[:, None] * sa, out=terms[3:])
+            cterms = np.log(1.0 - z[:, None] * sa)
+            ends = np.append(np.searchsorted(pa, boundaries, side="right"), len(pa))
+            counts[:, i] = np.diff(ends, prepend=0)
             prev = 0
-            for c in range(nch):
-                e = edges[c] if c < nb else len(pa)
+            for c, e in enumerate(ends.tolist()):
                 if e > prev:
-                    sl = slice(prev, e)
-                    counts[c, i] = e - prev
-                    invsqrt[c, i] = np.sum(sa[sl])
-                    theta[c, i] = np.sum(la[sl])
-                    invp[c, i] = np.sum(ia[sl])
-                    for j in range(nchar):
-                        z = layout.z_class[j, i]
-                        if z.imag == 0.0:
-                            ch_eul[c, j] += -np.sum(np.log1p(-z.real * sa[sl]))
-                        else:
-                            ch_eul[c, j] += -np.sum(np.log(1.0 - z * sa[sl]))
+                    sums = np.sum(terms[:, prev:e], axis=1)
+                    invsqrt[c, i], theta[c, i], invp[c, i] = sums[:3]
+                    ch_eul[c, real] += -sums[3:]
+                    ch_eul[c, cplx] += -np.sum(cterms[:, prev:e], axis=1)
                 prev = e
         if nchar:
-            edges_all = np.searchsorted(primes, boundaries, side="right")
-            for j in range(nchar):
-                terms_inv = layout.chi_tab[j][r] * s_all
-                terms_mer = layout.chi2_tab[j][r] / pf
-                prev = 0
-                for c in range(nch):
-                    e = edges_all[c] if c < nb else len(primes)
-                    if e > prev:
-                        ch_inv[c, j] = np.sum(terms_inv[prev:e])
-                        ch_mer[c, j] = np.sum(terms_mer[prev:e])
-                    prev = e
+            ends = np.append(np.searchsorted(primes, boundaries, side="right"), len(primes))
+            prev = 0
+            for c, e in enumerate(ends.tolist()):
+                if e > prev:
+                    rc = r[prev:e]
+                    ch_inv[c] = np.sum(np.take(layout.chi_tab, rc, axis=1) * s_all[prev:e], axis=1)
+                    ch_mer[c] = np.sum(np.take(layout.chi2_tab, rc, axis=1) / pf[prev:e], axis=1)
+                prev = e
     return _SegmentPartial(
         lo=lo, hi=hi, nchunks=nch,
         counts=counts, invsqrt=invsqrt, theta=theta, invp=invp,
@@ -493,7 +514,10 @@ class TallyPartial:
     The one holder of exact tally state: accumulate, range_partial, merge
     and resume all fold, merge and serialise through it.  sums maps each
     summed TallyCheckpoint field to one ExactSum per class (invsqrt, theta,
-    psi, invp) or one ExactComplexSum per character (char_*).
+    psi, invp) or one ExactComplexSum per character (char_*).  totals()
+    keeps the last value() of every sum and recomputes only the stale ones,
+    those folded since the previous call: value() depends only on the
+    partials, so a cached value is the value.
     """
 
     q: int
@@ -503,6 +527,12 @@ class TallyPartial:
     char_labels: tuple[str, ...]
     counts: list[int]
     sums: dict[str, list]
+    _values: dict[str, list] = field(init=False, repr=False)
+    _stale: dict[str, set[int]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._values = {n: [None] * len(e) for n, e in self.sums.items()}
+        self._stale = {n: set(range(len(e))) for n, e in self.sums.items()}
 
     @classmethod
     def empty(cls, q: int, at: int = 2, *, layout: _Layout | None = None) -> "TallyPartial":
@@ -512,25 +542,35 @@ class TallyPartial:
         return cls(q, at, at, layout.units, layout.char_labels, [0] * layout.nclass, sums)
 
     def fold(self, part: _SegmentPartial, c: int) -> None:
-        """Add chunk c of a segment; its chunk 0 must start where this range ends."""
+        """Add chunk c of a segment; its chunk 0 must start where this range ends.
+
+        A chunk with no prime in a unit class holds exact zeros (chi vanishes
+        off the units), which change no sum, so nothing is folded for it.
+        """
         if c == 0:
             if part.lo != self.hi:
                 raise TallyOrderError(
                     f"segment [{part.lo}, {part.hi}) arrived out of order; expected lo={self.hi}"
                 )
             self.hi = part.hi
-        sums = self.sums
-        for i, n in enumerate(part.counts[c].tolist()):
+        row = part.counts[c].tolist()
+        if not any(row):
+            return
+        sums, stale = self.sums, self._stale
+        for i, n in enumerate(row):
             if n:
                 self.counts[i] += n
                 sums["invsqrt"][i].add(part.invsqrt[c, i])
                 sums["theta"][i].add(part.theta[c, i])
                 sums["psi"][i].add(part.theta[c, i])
                 sums["invp"][i].add(part.invp[c, i])
+                for name in _CLASS_FIELDS:
+                    stale[name].add(i)
         for name in _CHAR_FIELDS:
             col = getattr(part, "char_" + name)[c].tolist()
             for e, z in zip(sums["char_" + name], col):
                 e.add(z)
+            stale["char_" + name].update(range(len(col)))
 
     def fold_powers(self, powers: Sequence[tuple[int, int, float]], start: int, x: float) -> int:
         """Add log p to psi for powers[start:] up to x; return the next index."""
@@ -539,6 +579,7 @@ class TallyPartial:
             _v, slot, lg = powers[start]
             if slot >= 0:
                 psi[slot].add(lg)
+                self._stale["psi"].add(slot)
             start += 1
         return start
 
@@ -549,13 +590,18 @@ class TallyPartial:
         for name, sums in self.sums.items():
             for e, f in zip(sums, other.sums[name]):
                 e.merge(f)
+            self._stale[name].update(range(len(sums)))
         return self
 
     def totals(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {"counts": np.array(self.counts, dtype=np.int64)}
         for name, sums in self.sums.items():
+            values, stale = self._values[name], self._stale[name]
+            for k in stale:
+                values[k] = sums[k].value()
+            stale.clear()
             dtype = np.complex128 if name.startswith("char_") else np.float64
-            out[name] = np.array([e.value() for e in sums], dtype=dtype)
+            out[name] = np.array(values, dtype=dtype)
         return out
 
     def copy(self) -> "TallyPartial":
@@ -611,16 +657,12 @@ def _csv_columns(units, char_labels) -> list[str]:
 
 def _format_row(ck: TallyCheckpoint) -> str:
     parts = [repr(ck.x), repr(ck.y)]
-    for i in range(len(ck.units)):
-        parts += [
-            str(int(ck.counts[i])),
-            repr(float(ck.invsqrt[i])),
-            repr(float(ck.theta[i])),
-            repr(float(ck.psi[i])),
-        ]
-    for j in range(len(ck.char_labels)):
-        for table in (ck.char_invsqrt, ck.char_mertens, ck.char_eulerlog):
-            parts += [repr(float(table[j].real)), repr(float(table[j].imag))]
+    for n, s, t, p in zip(ck.counts.tolist(), ck.invsqrt.tolist(),
+                          ck.theta.tolist(), ck.psi.tolist()):
+        parts += [str(n), repr(s), repr(t), repr(p)]
+    # per character: invsqrt, mertens, eulerlog, each as (re, im)
+    chars = np.stack([ck.char_invsqrt, ck.char_mertens, ck.char_eulerlog], axis=1)
+    parts += map(repr, chars.view(np.float64).ravel().tolist())
     return ",".join(parts)
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: trial division, direct enumeration,
 extended-precision direct sums.  None of it shares code with the package, so
-agreement is meaningful.
+agreement is meaningful.  The one exception is reference_segment_partial, the
+package's earlier loop-per-character segment reduction, kept as the
+bit-identity reference for the vectorised one.
 """
 from __future__ import annotations
 
@@ -213,3 +215,71 @@ def exact_race_log_density(positions, weights, x_lo: float, x_hi: float) -> floa
     if current > 0 and x_hi > prev:
         total += math.log(x_hi / prev)
     return total / math.log(x_hi / x_lo)
+
+
+def reference_segment_partial(primes, boundaries, layout, collect=()):
+    """One np.sum per (chunk, class, character): the per-chunk sums of a segment.
+
+    layout is a primerace.tally._Layout.  Returns the _SegmentPartial fields
+    (counts, invsqrt, theta, invp, char_invsqrt, char_mertens, char_eulerlog,
+    jumps) as a dict.
+    """
+    nb = len(boundaries)
+    nch = nb + 1
+    ncl, nchar = layout.nclass, layout.nchar
+    counts = np.zeros((nch, ncl), dtype=np.int64)
+    invsqrt = np.zeros((nch, ncl))
+    theta = np.zeros((nch, ncl))
+    invp = np.zeros((nch, ncl))
+    ch_inv = np.zeros((nch, nchar), dtype=np.complex128)
+    ch_mer = np.zeros((nch, nchar), dtype=np.complex128)
+    ch_eul = np.zeros((nch, nchar), dtype=np.complex128)
+    jumps = {a: np.empty(0, dtype=np.int64) for a in collect}
+    if len(primes):
+        r = primes % layout.q
+        pf = primes.astype(np.float64)
+        s_all = 1.0 / np.sqrt(pf)
+        for i, a in enumerate(layout.units):
+            sel = np.flatnonzero(r == a)
+            pa = primes[sel]
+            if a in jumps:
+                jumps[a] = pa
+            if not len(pa):
+                continue
+            sa = s_all[sel]
+            la = np.log(pa.astype(np.float64))
+            ia = 1.0 / pa.astype(np.float64)
+            edges = np.searchsorted(pa, boundaries, side="right")
+            prev = 0
+            for c in range(nch):
+                e = edges[c] if c < nb else len(pa)
+                if e > prev:
+                    sl = slice(prev, e)
+                    counts[c, i] = e - prev
+                    invsqrt[c, i] = np.sum(sa[sl])
+                    theta[c, i] = np.sum(la[sl])
+                    invp[c, i] = np.sum(ia[sl])
+                    for j in range(nchar):
+                        z = layout.chi_tab[j, a]
+                        if z.imag == 0.0:
+                            ch_eul[c, j] += -np.sum(np.log1p(-z.real * sa[sl]))
+                        else:
+                            ch_eul[c, j] += -np.sum(np.log(1.0 - z * sa[sl]))
+                prev = e
+        if nchar:
+            edges_all = np.searchsorted(primes, boundaries, side="right")
+            for j in range(nchar):
+                terms_inv = layout.chi_tab[j][r] * s_all
+                terms_mer = layout.chi2_tab[j][r] / pf
+                prev = 0
+                for c in range(nch):
+                    e = edges_all[c] if c < nb else len(primes)
+                    if e > prev:
+                        ch_inv[c, j] = np.sum(terms_inv[prev:e])
+                        ch_mer[c, j] = np.sum(terms_mer[prev:e])
+                    prev = e
+    return {
+        "counts": counts, "invsqrt": invsqrt, "theta": theta, "invp": invp,
+        "char_invsqrt": ch_inv, "char_mertens": ch_mer, "char_eulerlog": ch_eul,
+        "jumps": jumps,
+    }

@@ -139,6 +139,25 @@ class TestUsageExits:
         assert "mod 4" in capsys.readouterr().err
 
 
+class TestReportConfig:
+    def test_euler_report_ignores_race_classes(self, tmp_path):
+        docs = []
+        for a in ("3", "7"):
+            out = tmp_path / a
+            assert main(["euler", "--chi", "4.1", "--xmax", "1000", "--a", a,
+                         "--out", str(out)]) == 0
+            docs.append((out / "euler_fit.json").read_bytes())
+        assert docs[0] == docs[1]
+        config = json.loads(docs[0])["config"]
+        assert not {"a", "b", "T", "k"} & config.keys()
+        assert config["chi"] == "4.1"
+
+    def test_bias_report_keeps_race_classes(self, bias_dir):
+        config = json.loads((bias_dir / "bias_fit.json").read_text())["config"]
+        assert (config["a"], config["b"]) == (3, 1)
+        assert not {"chi", "T", "k", "zeros"} & config.keys()
+
+
 class TestDryRun:
     def test_prints_plan_and_touches_nothing(self, tmp_path, capsys):
         out = tmp_path / "never"

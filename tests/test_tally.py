@@ -13,6 +13,7 @@ from primerace.characters import (
     enumerate_characters,
     race_weight,
 )
+from primerace.sieve import simple_sieve, sieve_segment
 from primerace.tally import (
     LOG2,
     CheckpointGrid,
@@ -30,9 +31,12 @@ from primerace.tally import (
     read_series_csv,
     theta_of,
     write_series_csv,
+    _Layout,
+    _power_terms,
+    _segment_partial,
 )
 
-from oracles import ReferenceTally
+from oracles import ReferenceTally, reference_segment_partial
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -300,6 +304,58 @@ def assert_same_totals(a, b):
         assert np.array_equal(ta[k], tb[k]), k
 
 
+SEGMENT_FIELDS = ("counts", "invsqrt", "theta", "invp",
+                  "char_invsqrt", "char_mertens", "char_eulerlog")
+
+
+def assert_segment_matches_reference(primes, lo, hi, boundaries, q):
+    """Bit for bit, -0.0 included, against the loop-per-character reduction."""
+    layout = _Layout(q)
+    collect = layout.units[:2]
+    got = _segment_partial(primes, lo, hi, boundaries, layout, collect)
+    want = reference_segment_partial(primes, boundaries, layout, collect)
+    for name in SEGMENT_FIELDS:
+        a, b = getattr(got, name), want[name]
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
+    for a in collect:
+        assert np.array_equal(got.jumps[a], want["jumps"][a])
+    return got
+
+
+class TestSegmentReduction:
+    """The vectorised segment reduction against the per-character loop."""
+
+    LO, HI = 1_000_001, 1_400_001
+    # chunk sizes in primes; the per-class and per-chunk rows they give
+    # straddle numpy's pairwise-sum block edges (8-wide blocks, recursion
+    # above 128), which the test asserts on the per-class counts
+    CHUNKS = (1, 2, 7, 8, 9, 60, 127, 128, 129, 300, 1000, 9000)
+
+    @pytest.mark.parametrize("q", [4, 12, 24, 105])
+    def test_matches_the_loop_per_character(self, q):
+        primes = sieve_segment(self.LO, self.HI, simple_sieve(1200))
+        ends = np.cumsum(self.CHUNKS)
+        assert ends[-1] < len(primes)
+        boundaries = primes[ends - 1].astype(np.float64)
+        part = assert_segment_matches_reference(primes, self.LO, self.HI, boundaries, q)
+        sizes = part.counts[part.counts > 0]
+        assert sizes.min() < 8 and sizes.max() > 128
+        assert np.any((sizes >= 8) & (sizes <= 128))
+
+    @settings(max_examples=8, deadline=None)
+    @given(q=st.sampled_from([4, 12, 24, 105]),
+           lo=st.integers(2, 300_000),
+           width=st.integers(1, 40_000),
+           data=st.data())
+    def test_random_segments_and_boundaries(self, q, lo, width, data):
+        hi = lo + width
+        cuts = data.draw(st.lists(st.integers(lo, hi - 1), max_size=12), label="cuts")
+        boundaries = np.array(sorted(cuts), dtype=np.float64)
+        primes = sieve_segment(lo, hi, simple_sieve(math.isqrt(hi) + 1))
+        assert_segment_matches_reference(primes, lo, hi, boundaries, q)
+
+
 class TestTallyState:
     """The one exact state behind accumulate, range_partial, merge and resume."""
 
@@ -325,6 +381,23 @@ class TestTallyState:
         assert back.to_state() == left.to_state()
         assert_same_totals(back, left)
         assert_same_totals(merge(back, right), single)
+
+    @pytest.mark.parametrize("q", [4, 13])
+    def test_cached_totals_match_a_fresh_state(self, q):
+        # totals() recomputes only the sums folded since its last call
+        grid = CheckpointGrid.from_xmax(10_000, h=0.02)
+        layout = _Layout(q)
+        state = TallyPartial.empty(q, layout=layout)
+        powers, pw = _power_terms(layout, 2, 10_001), 0
+        for lo, hi in ((2, 2050), (2050, 10_001)):
+            primes = sieve_segment(lo, hi, simple_sieve(200))
+            x = grid.x[(grid.x >= lo) & (grid.x < hi)]
+            part = _segment_partial(primes, lo, hi, x, layout, ())
+            for c, end in enumerate([*x, hi - 1]):
+                state.fold(part, c)
+                pw = state.fold_powers(powers, pw, end)
+                fresh = TallyPartial.from_state(state.to_state(), q, layout=layout)
+                assert_same_totals(state, fresh)
 
     def test_state_that_does_not_meet_the_next_segment_rejected(self, tmp_path):
         grid = CheckpointGrid.from_xmax(20_000, h=0.02)
@@ -415,6 +488,20 @@ class TestPersistence:
         grid = self.grid()
         with pytest.raises(ValueError, match="resume"):
             accumulate(grid, 4, persist=tmp_path / "none.csv", resume=True)
+
+    def test_real_characters_persist_no_imaginary_partials(self, tmp_path):
+        grid = CheckpointGrid.from_xmax(20_000, h=0.1)
+        path = tmp_path / "q12.csv"
+        accumulate(grid, 12, segment_odds=512, persist=path, max_segments=5)
+        state = json.loads((tmp_path / "q12.meta.json").read_text())["state"]
+        for name, sums in state["char"].items():
+            for re, im in sums:
+                assert re and im == [], name
+        res = accumulate(grid, 12, segment_odds=512, persist=path, resume=True)
+        assert res.completed
+        fresh = tmp_path / "fresh.csv"
+        accumulate(grid, 12, segment_odds=512, persist=fresh)
+        assert path.read_bytes() == fresh.read_bytes()
 
     def test_partial_row_from_a_crash_is_discarded(self, tmp_path):
         grid = self.grid()
