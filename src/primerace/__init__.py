@@ -89,7 +89,6 @@ from .analysis import (
     mean_integral,
     mean_values,
     moment,
-    race_jump_weights,
     race_series,
     rms_window,
     weighted_second_moment,
@@ -122,7 +121,7 @@ __all__ = [
     "density_race", "envelope_check", "estimate_C", "estimate_C_all",
     "estimate_L", "estimate_ell", "euler_density_check", "euler_series",
     "fit_moment_constant", "g_of", "mean_integral", "mean_values", "moment",
-    "race_jump_weights", "race_series", "rms_window",
+    "race_series", "rms_window",
     "weighted_second_moment",
     # cli
     "RunConfig", "UsageError", "main",

@@ -1,10 +1,12 @@
 """Fluctuation series, constants, envelopes, densities, and moments.
 
 Everything here consumes either checkpoint series from the tally pass or
-exact prime-jump positions.  Integrals over the uniform y-grid use the
-trapezoid rule; the race-density and mean-integral computations instead use
-the exact step structure of the underlying sums, because those quantities
-are piecewise linear/constant between primes and deserve exact measure.
+the race stream (positions, weights) that accumulate(..., race=(a, b))
+returns: ascending positions, checked in O(n) and never sorted.  Integrals
+over the uniform y-grid use the trapezoid rule; the race-density and
+mean-integral computations instead use the exact step structure of the
+underlying sums, because those quantities are piecewise linear/constant
+between primes and deserve exact measure.
 
 Conventions (documented once here):
   - log log x is written as log y throughout, since x = e^y on the grid.
@@ -128,6 +130,19 @@ class FitResult:
     residual: SampleSeries
     L_hat: complex | None = None
     details: dict = field(default_factory=dict)
+
+
+def _race_stream(positions, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The race stream as float64 arrays, checked: 1-D, equal lengths, ascending."""
+    pos = np.asarray(positions, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if pos.ndim != 1 or pos.shape != w.shape:
+        raise ValueError(
+            f"race positions and weights must be 1-D of equal length, got shapes {pos.shape} and {w.shape}"
+        )
+    if np.any(pos[1:] < pos[:-1]):
+        raise ValueError("race positions must not decrease")
+    return pos, w
 
 
 def _m_value(M) -> float:
@@ -279,8 +294,8 @@ def estimate_C(
     fluctuation series — an independent route through the integral identity.
 
     mean: C = (1/X) integral of D + M log log X at the series endpoint,
-    computed exactly from the prime jumps.  Two deterministic finite-size
-    terms survive in the raw estimate: averaging log log t costs
+    computed exactly from the race stream jumps = (positions, weights).  Two
+    deterministic finite-size terms survive in the raw estimate: averaging log log t costs
     +M (li(X) - li(2)) / X, while the -2M/y pointwise drift integrates to
     -2M (li(X) - li(2)) / X, so the raw value sits at C - M li(X)/X + O(1/X)
     and the deficit is added back by default.
@@ -477,40 +492,35 @@ def envelope_check(
 
 
 def density_race(
-    jumps_a: np.ndarray,
-    jumps_b: np.ndarray,
+    positions: np.ndarray,
+    weights: np.ndarray,
     x_lo: float = 2.0,
     x_hi: float | None = None,
 ) -> DensityReport:
     """Exact measure of {x in [x_lo, x_hi] : sum 1/sqrt(p) race is ahead}.
 
-    The running sum starts at 2 regardless of x_lo; the window only restricts
-    where the measure is taken.  Strict inequality: the zero stretch before
-    the first jump never counts.  natural_estimate is x-measure over the
-    window length; logarithmic_estimate weights by 1/u; exceedance_measure is
-    the (x-)measure of the complement within the window.
+    positions and weights are the race stream: ascending jump positions,
+    weighted +1/sqrt(p) on the leading class and -1/sqrt(p) on the other;
+    x_hi defaults to the last position.  The running sum starts at 2
+    regardless of x_lo; the window only restricts where the measure is
+    taken.  Strict inequality: the zero stretch before the first jump never
+    counts.  natural_estimate is x-measure over the window length;
+    logarithmic_estimate weights by 1/u; exceedance_measure is the
+    (x-)measure of the complement within the window.
     """
     if x_lo < 2.0:
         raise ValueError(f"window must start at 2 or above, got {x_lo}")
-    pos_a = np.asarray(jumps_a, dtype=np.float64)
-    pos_b = np.asarray(jumps_b, dtype=np.float64)
+    positions, weights = _race_stream(positions, weights)
     if x_hi is None:
-        x_hi = float(max(pos_a.max(initial=2.0), pos_b.max(initial=2.0)))
+        x_hi = float(positions.max(initial=2.0))
     if x_hi <= x_lo:
         raise ValueError(f"empty window [{x_lo}, {x_hi}]")
-    positions = np.concatenate([pos_a, pos_b])
-    weights = np.concatenate([1.0 / np.sqrt(pos_a), -1.0 / np.sqrt(pos_b)])
-    order = np.argsort(positions, kind="stable")
-    positions = positions[order]
-    weights = weights[order]
-    keep = positions <= x_hi
-    positions = positions[keep]
-    level = np.cumsum(weights[keep])
+    n = int(np.searchsorted(positions, x_hi, side="right"))
+    positions = positions[:n]
+    level = np.cumsum(weights[:n])
     # piecewise-constant value level[i] on [positions[i], positions[i+1])
-    starts = positions
-    ends = np.concatenate([positions[1:], [x_hi]])
-    lo = np.maximum(starts, x_lo)
-    hi = np.minimum(ends, x_hi)
+    lo = np.maximum(positions, x_lo)
+    hi = np.minimum(np.append(positions[1:], x_hi), x_hi)
     live = hi > lo
     ahead = live & (level > 0.0)
     nat_measure = float(np.sum(hi[ahead] - lo[ahead]))
@@ -603,25 +613,21 @@ def fit_moment_constant(delta: SampleSeries, ks: Sequence[int] = (1, 2, 3),
 def mean_integral(positions: np.ndarray, weights: np.ndarray, x: float) -> float:
     """(1/x) integral from 2 to x of the race sum, exactly.
 
-    The integrand jumps by w_p at each prime p, so the integral is
-    sum over p <= x of w_p (x - p); streaming form (x Sw - Swp)/x.
+    The integrand jumps by w_p at each prime p of the race stream, so the
+    integral is sum over p <= x of w_p (x - p); streaming form (x Sw - Swp)/x.
     """
     if x < 2:
         raise ValueError(f"x must be at least 2, got {x}")
-    pos = np.asarray(positions, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    sel = pos <= x
-    sw = float(np.sum(w[sel]))
-    swp = float(np.sum(w[sel] * pos[sel]))
+    pos, w = _race_stream(positions, weights)
+    n = int(np.searchsorted(pos, x, side="right"))
+    sw = float(np.sum(w[:n]))
+    swp = float(np.sum(w[:n] * pos[:n]))
     return (x * sw - swp) / x
 
 
 def mean_values(positions: np.ndarray, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """mean_integral at many x values via prefix sums (exact, vectorized)."""
-    pos = np.asarray(positions, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    order = np.argsort(pos, kind="stable")
-    pos, w = pos[order], w[order]
+    """mean_integral at many x values via prefix sums of the race stream."""
+    pos, w = _race_stream(positions, weights)
     cw = np.concatenate([[0.0], np.cumsum(w)])
     cwp = np.concatenate([[0.0], np.cumsum(w * pos)])
     xs = np.asarray(xs, dtype=np.float64)
@@ -629,15 +635,6 @@ def mean_values(positions: np.ndarray, weights: np.ndarray, xs: np.ndarray) -> n
         raise ValueError("x values below 2")
     idx = np.searchsorted(pos, xs, side="right")
     return (xs * cw[idx] - cwp[idx]) / xs
-
-
-def race_jump_weights(jumps_a: np.ndarray, jumps_b: np.ndarray):
-    """Merged (positions, weights) for t = 1_a - 1_b with w_p = t(p)/sqrt(p)."""
-    pos = np.concatenate([np.asarray(jumps_a, np.float64), np.asarray(jumps_b, np.float64)])
-    w = np.concatenate([1.0 / np.sqrt(np.asarray(jumps_a, np.float64)),
-                        -1.0 / np.sqrt(np.asarray(jumps_b, np.float64))])
-    order = np.argsort(pos, kind="stable")
-    return pos[order], w[order]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .analysis import (
     mean_integral,
     mean_values,
     moment,
-    race_jump_weights,
     race_series,
     rms_window,
     weighted_second_moment,
@@ -348,7 +347,7 @@ def checkpoint_name(cfg: RunConfig) -> str:
     return f"checkpoints_q{cfg.q}_h{cfg.h!r}_x{int(math.floor(cfg.x_max))}.csv"
 
 
-def _run_tally(cfg: RunConfig, collect=()):
+def _run_tally(cfg: RunConfig, race=None):
     grid = CheckpointGrid.from_xmax(cfg.x_max, cfg.h)
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     persist = str(Path(cfg.out) / checkpoint_name(cfg))
@@ -356,7 +355,7 @@ def _run_tally(cfg: RunConfig, collect=()):
         grid, cfg.q,
         segment_odds=cfg.segment_odds,
         threads=cfg.threads,
-        collect=collect,
+        race=race,
         persist=persist,
         resume=cfg.resume,
     )
@@ -397,19 +396,17 @@ def _load_expanded(cfg: RunConfig, t):
 def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     """Full race pipeline: D series, C fits, envelope report, race density."""
     emit = emit or _Emitter(cfg.out)
-    result = _run_tally(cfg, collect=(cfg.a, cfg.b))
+    result = _run_tally(cfg, race=(cfg.a, cfg.b))
     series = result.series
     t = race_weight(cfg.a, cfg.b, cfg.q)
     M = bias_constant(t, vanishing_orders=cfg.mchi or None)
     D = race_series(series, t)
     delta = delta_exact(series, t, M)
-    jumps_a = result.jumps[cfg.a % cfg.q].astype(np.float64)
-    jumps_b = result.jumps[cfg.b % cfg.q].astype(np.float64)
-    jumps = race_jump_weights(jumps_a, jumps_b)
+    stream = result.race
 
     fit_notes: list[str] = []
     if float(series.grid.y[-1]) >= 10.0:
-        fits = estimate_C_all(D, M, delta, jumps,
+        fits = estimate_C_all(D, M, delta, stream,
                               tail_fraction=cfg.tail_fraction,
                               finite_size=cfg.finite_size)
     else:
@@ -419,7 +416,7 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
             "pointwise-tail": estimate_C(D, M, "pointwise-tail",
                                          tail_fraction=cfg.tail_fraction,
                                          finite_size=cfg.finite_size),
-            "mean": estimate_C(D, M, "mean", jumps=jumps,
+            "mean": estimate_C(D, M, "mean", jumps=stream,
                                finite_size=cfg.finite_size),
         }
         fits["spread"] = abs(fits["pointwise-tail"].C_hat - fits["mean"].C_hat)
@@ -428,11 +425,9 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     env_main = envelope_check(D, M, C, eps=cfg.eps)
     K_used = cfg.K if cfg.K is not None else calibrate_K(D, M, C)
     env_log = envelope_check(D, M, C, eps=cfg.eps, envelope="log-envelope", K=K_used)
-    race_full = density_race(jumps_a, jumps_b, 2.0, float(series.grid.x[-1]))
-    races = {"from_2": race_full}
+    races = {"from_2": density_race(*stream, 2.0, float(series.grid.x[-1]))}
     if cfg.x_max >= 1e4:
-        races["from_1000"] = density_race(jumps_a, jumps_b, 1000.0,
-                                          float(series.grid.x[-1]))
+        races["from_1000"] = density_race(*stream, 1000.0, float(series.grid.x[-1]))
 
     config = cfg.public_dict("bias")
     emit.csv("bias_series.csv",
@@ -458,7 +453,7 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     emit.json("bias_race.json", {"config": config, "windows": races})
     return {
         "result": result, "series": series, "t": t, "M": M, "D": D,
-        "delta": delta, "jumps": (jumps_a, jumps_b), "fits": fits,
+        "delta": delta, "race": stream, "fits": fits,
         "envelope_main": env_main, "envelope_log": env_log, "races": races,
         "files": list(emit.written),
     }
@@ -601,14 +596,12 @@ def cmd_moments(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
 def cmd_mean(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     """Exact mean integral of the race and the mean-route C estimate."""
     emit = emit or _Emitter(cfg.out)
-    result = _run_tally(cfg, collect=(cfg.a, cfg.b))
+    result = _run_tally(cfg, race=(cfg.a, cfg.b))
     series = result.series
     t = race_weight(cfg.a, cfg.b, cfg.q)
     M = bias_constant(t, vanishing_orders=cfg.mchi or None)
     D = race_series(series, t)
-    jumps_a = result.jumps[cfg.a % cfg.q].astype(np.float64)
-    jumps_b = result.jumps[cfg.b % cfg.q].astype(np.float64)
-    positions, weights = race_jump_weights(jumps_a, jumps_b)
+    positions, weights = result.race
     trace = mean_values(positions, weights, series.grid.x)
     fit = estimate_C(D, M, "mean", jumps=(positions, weights),
                      tail_fraction=cfg.tail_fraction,

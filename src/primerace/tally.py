@@ -19,6 +19,9 @@ sit in one block per class or per chunk, reduced with a single axis=1 sum,
 so a segment costs O(chunks + nonempty class-chunks) numpy calls whatever
 the number of characters; the exact fold then costs one Python-level add
 per class and per character for each chunk that holds a prime.
+
+A race (a, b) also yields the race stream: the primes of classes a and b in
+sieve order, hence ascending, weighted +-1/sqrt(p), so no analysis sorts it.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ from .characters import (
     Character,
     ClassFunction,
     enumerate_characters,
+    race_weight,
     unit_residues,
 )
 from .sieve import (
@@ -237,6 +241,10 @@ class _Layout:
                 (np.flatnonzero(real), -z.real[real], np.flatnonzero(~real), z[~real]))
 
 
+# Most terms in one char_invsqrt or char_mertens block (see _segment_partial)
+_BLOCK_TERMS = 1 << 20
+
+
 @dataclass(eq=False)
 class _SegmentPartial:
     """Per-chunk sums for one sieved segment (chunks split at grid points)."""
@@ -251,7 +259,22 @@ class _SegmentPartial:
     char_invsqrt: np.ndarray  # (nchunks, nchar) complex128
     char_mertens: np.ndarray
     char_eulerlog: np.ndarray
-    jumps: dict[int, np.ndarray]
+    race: tuple[np.ndarray, np.ndarray] | None  # this segment's slice of the race stream
+
+
+def _race_slice(primes: np.ndarray, r: np.ndarray, race: tuple[int, int],
+                s: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One segment's slice of the race stream, from its primes and residues r.
+
+    The primes in classes race = (a, b) as float64, weighted +1/sqrt(p) on a
+    and -1/sqrt(p) on b; s, 1/sqrt(p) for every prime, spares the roots.
+    """
+    a, b = race
+    sel = np.flatnonzero((r == a) | (r == b))
+    pos = primes[sel].astype(np.float64)
+    w = s[sel] if s is not None else 1.0 / np.sqrt(pos)
+    np.negative(w, out=w, where=r[sel] == b)
+    return pos, w
 
 
 def _segment_partial(
@@ -260,7 +283,7 @@ def _segment_partial(
     hi: int,
     boundaries: np.ndarray,
     layout: _Layout,
-    collect: tuple[int, ...],
+    race: tuple[int, int] | None = None,
 ) -> _SegmentPartial:
     """Chunked sums over one segment; boundaries are checkpoint x-values.
 
@@ -273,9 +296,10 @@ def _segment_partial(
     class-chunks) numpy calls whatever the number of characters.  Any future
     vectorisation has to keep the contract: np.add.reduceat sums
     sequentially and a Fortran-ordered block sums across rows, and both
-    change the last bits.  The largest temporary is a per-chunk block of
-    nchar x (primes in the chunk) terms; it spans a whole segment only where
-    a grid step is wider than the segment.
+    change the last bits.  A chunk spans a whole segment where a grid step
+    is wider than the segment, so per-chunk blocks take the characters in
+    row groups of at most _BLOCK_TERMS terms (or one row), which changes no
+    row's sum.  race = (a, b), reduced residues, adds the race stream slice.
     """
     nch = len(boundaries) + 1
     ncl, nchar = layout.nclass, layout.nchar
@@ -286,51 +310,50 @@ def _segment_partial(
     ch_inv = np.zeros((nch, nchar), dtype=np.complex128)
     ch_mer = np.zeros((nch, nchar), dtype=np.complex128)
     ch_eul = np.zeros((nch, nchar), dtype=np.complex128)
-    jumps = {a: np.empty(0, dtype=np.int64) for a in collect}
-    if len(primes):
-        r = primes % layout.q
-        pf = primes.astype(np.float64)
-        s_all = 1.0 / np.sqrt(pf)
-        for i, a in enumerate(layout.units):
-            sel = np.flatnonzero(r == a)
-            pa = primes[sel]
-            if a in jumps:
-                jumps[a] = pa
-            if not len(pa):
-                continue
-            real, neg_re, cplx, z = layout.euler_rows[i]
-            sa, pfa = s_all[sel], pf[sel]
-            # rows: 1/sqrt(p), log p, 1/p, then -log(1 - chi(p)/sqrt(p)) terms
-            terms = np.empty((3 + len(real), len(pa)))
-            terms[0] = sa
-            np.log(pfa, out=terms[1])
-            np.divide(1.0, pfa, out=terms[2])
-            np.log1p(neg_re[:, None] * sa, out=terms[3:])
-            cterms = np.log(1.0 - z[:, None] * sa)
-            ends = np.append(np.searchsorted(pa, boundaries, side="right"), len(pa))
-            counts[:, i] = np.diff(ends, prepend=0)
-            prev = 0
-            for c, e in enumerate(ends.tolist()):
-                if e > prev:
-                    sums = np.sum(terms[:, prev:e], axis=1)
-                    invsqrt[c, i], theta[c, i], invp[c, i] = sums[:3]
-                    ch_eul[c, real] += -sums[3:]
-                    ch_eul[c, cplx] += -np.sum(cterms[:, prev:e], axis=1)
-                prev = e
-        if nchar:
-            ends = np.append(np.searchsorted(primes, boundaries, side="right"), len(primes))
-            prev = 0
-            for c, e in enumerate(ends.tolist()):
-                if e > prev:
-                    rc = r[prev:e]
-                    ch_inv[c] = np.sum(np.take(layout.chi_tab, rc, axis=1) * s_all[prev:e], axis=1)
-                    ch_mer[c] = np.sum(np.take(layout.chi2_tab, rc, axis=1) / pf[prev:e], axis=1)
-                prev = e
+    r = primes % layout.q
+    pf = primes.astype(np.float64)
+    s_all = 1.0 / np.sqrt(pf)
+    for i, a in enumerate(layout.units):
+        sel = np.flatnonzero(r == a)
+        if not len(sel):
+            continue
+        pa = primes[sel]
+        real, neg_re, cplx, z = layout.euler_rows[i]
+        sa, pfa = s_all[sel], pf[sel]
+        # rows: 1/sqrt(p), log p, 1/p, then -log(1 - chi(p)/sqrt(p)) terms
+        terms = np.empty((3 + len(real), len(pa)))
+        terms[0] = sa
+        np.log(pfa, out=terms[1])
+        np.divide(1.0, pfa, out=terms[2])
+        np.log1p(neg_re[:, None] * sa, out=terms[3:])
+        cterms = np.log(1.0 - z[:, None] * sa)
+        ends = np.append(np.searchsorted(pa, boundaries, side="right"), len(pa))
+        counts[:, i] = np.diff(ends, prepend=0)
+        prev = 0
+        for c, e in enumerate(ends.tolist()):
+            if e > prev:
+                sums = np.sum(terms[:, prev:e], axis=1)
+                invsqrt[c, i], theta[c, i], invp[c, i] = sums[:3]
+                ch_eul[c, real] += -sums[3:]
+                ch_eul[c, cplx] += -np.sum(cterms[:, prev:e], axis=1)
+            prev = e
+    if nchar and len(primes):
+        ends = np.append(np.searchsorted(primes, boundaries, side="right"), len(primes))
+        prev = 0
+        for c, e in enumerate(ends.tolist()):
+            if e > prev:
+                rc, sc, pc = r[prev:e], s_all[prev:e], pf[prev:e]
+                step = max(1, _BLOCK_TERMS // (e - prev))
+                for j in range(0, nchar, step):
+                    rows = slice(j, j + step)
+                    ch_inv[c, rows] = np.sum(np.take(layout.chi_tab[rows], rc, axis=1) * sc, axis=1)
+                    ch_mer[c, rows] = np.sum(np.take(layout.chi2_tab[rows], rc, axis=1) / pc, axis=1)
+            prev = e
     return _SegmentPartial(
         lo=lo, hi=hi, nchunks=nch,
         counts=counts, invsqrt=invsqrt, theta=theta, invp=invp,
         char_invsqrt=ch_inv, char_mertens=ch_mer, char_eulerlog=ch_eul,
-        jumps=jumps,
+        race=_race_slice(primes, r, race, s_all) if race is not None else None,
     )
 
 
@@ -495,10 +518,14 @@ class CheckpointSeries:
 
 @dataclass(eq=False)
 class TallyResult:
-    """accumulate() output: the series, optional jump positions, run status."""
+    """accumulate() output: the series, the race stream, run status.
+
+    race is (positions, weights) over the primes below x_hi, as accumulate
+    describes, or None when no race was asked for.
+    """
 
     series: CheckpointSeries
-    jumps: dict[int, np.ndarray]
+    race: tuple[np.ndarray, np.ndarray] | None
     completed: bool
     x_hi: int
 
@@ -746,7 +773,7 @@ def accumulate(
     x_hi: int | None = None,
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
     threads: int = 1,
-    collect: Sequence[int] = (),
+    race: tuple[int, int] | None = None,
     persist: str | Path | None = None,
     resume: bool = False,
     flush_every: int = 64,
@@ -757,12 +784,14 @@ def accumulate(
     The segmented sieve drives the pass, optionally with a worker pool whose
     size never changes the output.  Each segment's chunks (split at grid
     points) fold into one TallyPartial, whose totals are snapshotted at
-    every grid point.  collect lists residue classes whose prime positions
-    are returned as sorted arrays (for exact step-function work).  persist
-    writes the checkpoint CSV plus a JSON sidecar as the run goes, and
-    resume=True continues a previously interrupted persisted run from the
-    sidecar's state; max_segments stops early after that many segments (the
-    persisted state stays resumable).
+    every grid point.  race = (a, b), two distinct unit classes mod q,
+    returns the race stream (for exact step-function work): the primes of
+    both classes in sieve order as float64 positions, weighted +1/sqrt(p)
+    on a and -1/sqrt(p) on b.  persist writes the checkpoint CSV plus a
+    JSON sidecar as the run goes, and resume=True continues a previously
+    interrupted persisted run from the sidecar's state, re-sieving the
+    tallied segments only to rebuild a race stream; max_segments stops
+    early after that many segments (the persisted state stays resumable).
     """
     layout = _Layout(q)
     if x_hi is None:
@@ -771,10 +800,9 @@ def accumulate(
         raise ValueError(
             f"grid reaches x={grid.x_max:.3f}; the sieved range must extend strictly past it, got {x_hi}"
         )
-    collect = tuple(sorted(int(a) % q for a in collect))
-    for a in collect:
-        if math.gcd(a, q) != 1:
-            raise ValueError(f"collect residue {a} is not a unit mod {q}")
+    if race is not None:
+        race_weight(*race, q)  # two distinct unit classes, or ValueError
+        race = (race[0] % q, race[1] % q)
     grid_x = grid.x
     powers = _power_terms(layout, 2, x_hi)
     bounds = list(segment_bounds(2, x_hi, segment_odds))
@@ -783,7 +811,15 @@ def accumulate(
     state = TallyPartial.empty(q, layout=layout)
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
     start_idx = rows_written = 0  # first segment to sieve; data rows in the CSV
-    jump_parts: dict[int, list[np.ndarray]] = {a: [] for a in collect}
+    base = _base_primes(x_hi)
+    race_parts = [(np.empty(0), np.empty(0))]  # the race stream's slices, in order
+
+    def race_job(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        primes = sieve_segment(a, b, base)
+        return _race_slice(primes, primes % q, race)
+
+    def race_stream() -> tuple[np.ndarray, np.ndarray] | None:
+        return tuple(map(np.concatenate, zip(*race_parts))) if race is not None else None
 
     if resume:
         if csv_path is None:
@@ -792,8 +828,8 @@ def accumulate(
             raise ValueError(f"no sidecar at {meta_path} to resume from")
         with open(meta_path) as fh:
             meta = json.load(fh)
-        # collect is deliberately absent here: jump positions are never
-        # persisted, so any collect set may be requested on resume
+        # race is deliberately absent here: the stream is never persisted,
+        # so any race may be requested on resume
         expect = {"q": q, "h": grid.h, "n": grid.n, "segment_odds": segment_odds,
                   "x_hi": x_hi}
         got = {k: meta.get(k) for k in expect}
@@ -801,33 +837,29 @@ def accumulate(
             raise ValueError(
                 f"persisted run does not match the requested configuration: {got} != {expect}"
             )
+        start_idx = len(bounds) if meta["complete"] else int(meta["next_segment_index"])
+        if race is not None:
+            race_parts += ordered_map(race_job, bounds[:start_idx], threads)
         if meta["complete"]:
             stored = read_series_csv(csv_path)
             series = CheckpointSeries(q, grid, layout.units, layout.char_labels, stored.checkpoints)
-            jumps = _collect_only(bounds, len(bounds), layout, collect)
-            return TallyResult(series=series, jumps=jumps, completed=True, x_hi=x_hi)
-        start_idx = int(meta["next_segment_index"])
+            return TallyResult(series=series, race=race_stream(), completed=True, x_hi=x_hi)
         rows_written = int(meta["rows_written"])
         state = TallyPartial.from_state(meta["state"], q, layout=layout)
         next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
         _truncate_csv(csv_path, rows_written)
-        if collect:
-            pre = _collect_only(bounds, start_idx, layout, collect)
-            for a in collect:
-                jump_parts[a].append(pre[a])
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
             fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
 
     row_offset = rows_written  # rows an earlier process flushed
     checkpoints: list[TallyCheckpoint] = []  # rows from this process only
-    base = _base_primes(x_hi)
 
     def job(a: int, b: int) -> _SegmentPartial:
         primes = sieve_segment(a, b, base)
         j_lo = int(np.searchsorted(grid_x, a, side="left"))
         j_hi = int(np.searchsorted(grid_x, b, side="left"))
-        return _segment_partial(primes, a, b, grid_x[j_lo:j_hi], layout, collect)
+        return _segment_partial(primes, a, b, grid_x[j_lo:j_hi], layout, race)
 
     def snapshot() -> None:
         nonlocal next_j, pw_ptr
@@ -849,7 +881,7 @@ def accumulate(
         next_lo = bounds[done_idx][0] if done_idx < len(bounds) else x_hi
         payload = {
             "format": 1, "q": q, "h": grid.h, "n": grid.n,
-            "segment_odds": segment_odds, "x_hi": x_hi, "collect": list(collect),
+            "segment_odds": segment_odds, "x_hi": x_hi,
             "complete": complete, "next_segment_index": done_idx,
             "rows_written": rows_written, "last_completed_prime": next_lo - 1,
         }
@@ -867,8 +899,8 @@ def accumulate(
             state.fold(part, c)
             if c < part.nchunks - 1:
                 snapshot()
-        for a in collect:
-            jump_parts[a].append(part.jumps[a])
+        if race is not None:
+            race_parts.append(part.race)
         done_idx += 1
         since_flush += 1
         if csv_path is not None and since_flush >= flush_every:
@@ -886,23 +918,7 @@ def accumulate(
             # a resumed run holds only the new rows in memory; the CSV has them all
             checkpoints = read_series_csv(csv_path).checkpoints
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, checkpoints)
-    jumps = {a: np.concatenate(parts) if parts else np.empty(0, np.int64)
-             for a, parts in jump_parts.items()}
-    return TallyResult(series=series, jumps=jumps, completed=completed, x_hi=x_hi)
-
-
-def _collect_only(bounds, upto_idx: int, layout: _Layout, collect) -> dict[int, np.ndarray]:
-    """Re-sieve already-tallied segments just to extract class positions."""
-    jumps = {a: [] for a in collect}
-    if not collect or upto_idx == 0:
-        return {a: np.empty(0, np.int64) for a in collect}
-    base = _base_primes(bounds[upto_idx - 1][1])
-    for a0, b0 in bounds[:upto_idx]:
-        primes = sieve_segment(a0, b0, base)
-        r = primes % layout.q
-        for a in collect:
-            jumps[a].append(primes[r == a])
-    return {a: np.concatenate(jumps[a]) if jumps[a] else np.empty(0, np.int64) for a in collect}
+    return TallyResult(series=series, race=race_stream(), completed=completed, x_hi=x_hi)
 
 
 def _truncate_csv(csv_path: Path, rows: int) -> None:
@@ -944,7 +960,7 @@ def range_partial(
     none = np.empty(0, dtype=np.float64)
 
     def job(a: int, b: int) -> _SegmentPartial:
-        return _segment_partial(sieve_segment(a, b, base), a, b, none, layout, ())
+        return _segment_partial(sieve_segment(a, b, base), a, b, none, layout)
 
     for part in ordered_map(job, list(segment_bounds(lo, hi, segment_odds)), threads):
         out.fold(part, 0)

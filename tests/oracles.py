@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: trial division, direct enumeration,
 extended-precision direct sums.  None of it shares code with the package, so
-agreement is meaningful.  The one exception is reference_segment_partial, the
-package's earlier loop-per-character segment reduction, kept as the
-bit-identity reference for the vectorised one.
+agreement is meaningful.  Two exceptions are the package's earlier code,
+kept as bit-identity references: reference_segment_partial, the
+loop-per-character segment reduction, and race_jump_weights, the stable
+argsort merge of per-class jump positions that the ordered race stream
+replaced.
 """
 from __future__ import annotations
 
@@ -217,12 +219,22 @@ def exact_race_log_density(positions, weights, x_lo: float, x_hi: float) -> floa
     return total / math.log(x_hi / x_lo)
 
 
-def reference_segment_partial(primes, boundaries, layout, collect=()):
+def race_jump_weights(jumps_a, jumps_b):
+    """Merged (positions, weights) for t = 1_a - 1_b with w_p = t(p)/sqrt(p)."""
+    pos = np.concatenate([np.asarray(jumps_a, np.float64), np.asarray(jumps_b, np.float64)])
+    w = np.concatenate([1.0 / np.sqrt(np.asarray(jumps_a, np.float64)),
+                        -1.0 / np.sqrt(np.asarray(jumps_b, np.float64))])
+    order = np.argsort(pos, kind="stable")
+    return pos[order], w[order]
+
+
+def reference_segment_partial(primes, boundaries, layout, race=None):
     """One np.sum per (chunk, class, character): the per-chunk sums of a segment.
 
     layout is a primerace.tally._Layout.  Returns the _SegmentPartial fields
     (counts, invsqrt, theta, invp, char_invsqrt, char_mertens, char_eulerlog,
-    jumps) as a dict.
+    race) as a dict; race = (a, b), reduced residues, gives the segment's race
+    stream through race_jump_weights.
     """
     nb = len(boundaries)
     nch = nb + 1
@@ -234,7 +246,7 @@ def reference_segment_partial(primes, boundaries, layout, collect=()):
     ch_inv = np.zeros((nch, nchar), dtype=np.complex128)
     ch_mer = np.zeros((nch, nchar), dtype=np.complex128)
     ch_eul = np.zeros((nch, nchar), dtype=np.complex128)
-    jumps = {a: np.empty(0, dtype=np.int64) for a in collect}
+    jumps = {a: np.empty(0, dtype=np.int64) for a in race or ()}
     if len(primes):
         r = primes % layout.q
         pf = primes.astype(np.float64)
@@ -281,5 +293,5 @@ def reference_segment_partial(primes, boundaries, layout, collect=()):
     return {
         "counts": counts, "invsqrt": invsqrt, "theta": theta, "invp": invp,
         "char_invsqrt": ch_inv, "char_mertens": ch_mer, "char_eulerlog": ch_eul,
-        "jumps": jumps,
+        "race": race_jump_weights(jumps[race[0]], jumps[race[1]]) if race else None,
     }

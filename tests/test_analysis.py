@@ -26,7 +26,6 @@ from primerace.analysis import (
     mean_integral,
     mean_values,
     moment,
-    race_jump_weights,
     rms_window,
     weighted_second_moment,
 )
@@ -34,7 +33,7 @@ from primerace.characters import bias_constant, character_by_label, race_weight
 from primerace.ingest import ExpandedZero
 from primerace.tally import CheckpointGrid, accumulate
 
-from oracles import ReferenceTally, exact_race_density, exact_race_log_density
+from oracles import ReferenceTally, exact_race_density, exact_race_log_density, race_jump_weights
 
 LOG2 = math.log(2.0)
 M_RACE = -0.5  # mod-4 race constant, one square root of unity
@@ -43,7 +42,7 @@ M_RACE = -0.5  # mod-4 race constant, one square root of unity
 @pytest.fixture(scope="module")
 def q4_run():
     grid = CheckpointGrid.from_xmax(10_000)
-    return accumulate(grid, 4, collect=(1, 3), segment_odds=1 << 13)
+    return accumulate(grid, 4, segment_odds=1 << 13)
 
 
 @pytest.fixture(scope="module")
@@ -379,16 +378,13 @@ class TestEnvelope:
 
 
 class TestDensityRace:
-    def mod4_jumps(self, limit):
+    def mod4_stream(self, limit):
         ref = ReferenceTally(limit, 4)
-        a = ref.by_class[3]["positions"].astype(float)
-        b = ref.by_class[1]["positions"].astype(float)
-        return a, b
+        return race_jump_weights(ref.by_class[3]["positions"], ref.by_class[1]["positions"])
 
     def test_matches_pure_python_walk(self):
-        a, b = self.mod4_jumps(100)
-        report = density_race(a, b, 2.0, 100.0)
-        pos, w = race_jump_weights(a, b)
+        pos, w = self.mod4_stream(100)
+        report = density_race(pos, w, 2.0, 100.0)
         assert report.natural_estimate == pytest.approx(
             exact_race_density(pos, w, 2.0, 100.0), rel=1e-13)
         assert report.logarithmic_estimate == pytest.approx(
@@ -397,29 +393,75 @@ class TestDensityRace:
             98.0 * (1 - report.natural_estimate), rel=1e-12)
 
     def test_windows_inside_the_run(self):
-        a, b = self.mod4_jumps(500)
-        pos, w = race_jump_weights(a, b)
+        pos, w = self.mod4_stream(500)
         for lo, hi in [(2.0, 450.0), (10.0, 300.0), (26.0, 27.0)]:
-            report = density_race(a, b, lo, hi)
+            report = density_race(pos, w, lo, hi)
             assert report.natural_estimate == pytest.approx(
                 exact_race_density(pos, w, lo, hi), rel=1e-12, abs=1e-12)
 
     def test_unopposed_leader_fills_window(self):
-        report = density_race(np.array([3.0, 5.0]), np.array([]), 3.0, 50.0)
+        pos = np.array([3.0, 5.0])
+        report = density_race(pos, 1 / np.sqrt(pos), 3.0, 50.0)
         assert report.natural_estimate == 1.0
         assert report.logarithmic_estimate == 1.0
         assert report.exceedance_measure == 0.0
 
     def test_never_ahead(self):
-        report = density_race(np.array([]), np.array([3.0]), 2.0, 50.0)
+        report = density_race(np.array([3.0]), np.array([-1 / math.sqrt(3)]), 2.0, 50.0)
         assert report.natural_estimate == 0.0
         assert report.exceedance_measure == pytest.approx(48.0)
 
     def test_window_validation(self):
+        one = (np.array([3.0]), np.array([1 / math.sqrt(3)]))
         with pytest.raises(ValueError, match="start at 2"):
-            density_race(np.array([3.0]), np.array([]), 1.0, 10.0)
+            density_race(*one, 1.0, 10.0)
         with pytest.raises(ValueError, match="empty window"):
-            density_race(np.array([3.0]), np.array([]), 10.0, 10.0)
+            density_race(*one, 10.0, 10.0)
+
+    def test_window_defaults_to_the_last_jump(self):
+        pos, w = self.mod4_stream(100)
+        assert density_race(pos, w).window == (2.0, 97.0)
+
+
+def _race_at(pos, w, fn):
+    """Call one race-stream consumer with its other arguments fixed."""
+    if fn is density_race:
+        return fn(pos, w, 2.0, 50.0)
+    if fn is mean_values:
+        return fn(pos, w, np.array([10.0, 50.0]))
+    return fn(pos, w, 50.0)
+
+
+class TestRaceStreamChecks:
+    """Malformed streams are rejected, not silently reordered."""
+
+    CONSUMERS = [density_race, mean_integral, mean_values]
+
+    @pytest.mark.parametrize("fn", CONSUMERS)
+    def test_decreasing_positions_rejected(self, fn):
+        with pytest.raises(ValueError, match="must not decrease"):
+            _race_at(np.array([5.0, 3.0, 7.0]), np.array([-0.4, 0.5, 0.3]), fn)
+
+    @pytest.mark.parametrize("fn", CONSUMERS)
+    def test_unequal_lengths_rejected(self, fn):
+        with pytest.raises(ValueError, match="equal length"):
+            _race_at(np.array([3.0, 5.0, 7.0]), np.array([0.5, -0.4]), fn)
+
+    @pytest.mark.parametrize("fn", CONSUMERS)
+    def test_two_dimensional_stream_rejected(self, fn):
+        with pytest.raises(ValueError, match="1-D"):
+            _race_at(np.array([[3.0, 5.0]]), np.array([[0.5, -0.4]]), fn)
+
+    @pytest.mark.parametrize("fn", CONSUMERS)
+    def test_repeated_positions_accepted(self, fn):
+        # positions that do not decrease need not be distinct
+        _race_at(np.array([3.0, 3.0, 7.0]), np.array([0.5, -0.4, 0.3]), fn)
+
+    def test_mean_fit_checks_the_stream(self):
+        grid = grid_to(12.0)
+        D = SampleSeries(grid, np.zeros(grid.n))
+        with pytest.raises(ValueError, match="must not decrease"):
+            estimate_C(D, -0.5, "mean", jumps=(np.array([5.0, 3.0]), np.array([1.0, 1.0])))
 
 
 class TestMoments:

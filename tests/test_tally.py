@@ -2,12 +2,14 @@
 import json
 import math
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
+from primerace import tally
 from primerace.characters import (
     ClassFunction,
     enumerate_characters,
@@ -36,7 +38,7 @@ from primerace.tally import (
     _segment_partial,
 )
 
-from oracles import ReferenceTally, reference_segment_partial
+from oracles import ReferenceTally, race_jump_weights, reference_segment_partial
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -48,6 +50,14 @@ def checkpoint_at(series, x):
     """Last checkpoint with grid point <= x."""
     j = int(np.searchsorted(series.grid.x, x, side="right")) - 1
     return series[j]
+
+
+def assert_same_stream(got, want):
+    """Race streams equal bit for bit, positions and weights."""
+    assert len(got) == len(want) == 2
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def char_tables(q):
@@ -62,7 +72,7 @@ def char_tables(q):
 @pytest.fixture(scope="module")
 def small_run():
     grid = CheckpointGrid.from_xmax(10_000, h=0.01)
-    return accumulate(grid, 4, collect=(1, 3), segment_odds=499)
+    return accumulate(grid, 4, race=(3, 1), segment_odds=499)
 
 
 class TestWorkedValues:
@@ -127,8 +137,11 @@ class TestWorkedValues:
         assert pi_weighted(ck, t).real == pytest.approx(1.0)
 
     def test_jump_positions(self, small_run):
-        assert list(small_run.jumps[3][:5]) == [3, 7, 11, 19, 23]
-        assert list(small_run.jumps[1][:5]) == [5, 13, 17, 29, 37]
+        pos, w = small_run.race
+        assert list(pos[:6]) == [3, 5, 7, 11, 13, 17]
+        assert list(pos[w > 0][:5]) == [3, 7, 11, 19, 23]
+        assert list(pos[w < 0][:5]) == [5, 13, 17, 29, 37]
+        assert list(w[:3]) == [1 / math.sqrt(3), -1 / math.sqrt(5), 1 / math.sqrt(7)]
 
 
 class TestAgainstReference:
@@ -233,10 +246,55 @@ class TestThreadInvariance:
 
     def test_jumps_identical(self):
         grid = CheckpointGrid.from_xmax(30_000, h=0.1)
-        r1 = accumulate(grid, 4, threads=1, segment_odds=777, collect=(1, 3))
-        r3 = accumulate(grid, 4, threads=3, segment_odds=777, collect=(1, 3))
-        assert np.array_equal(r1.jumps[1], r3.jumps[1])
-        assert np.array_equal(r1.jumps[3], r3.jumps[3])
+        r1 = accumulate(grid, 4, threads=1, segment_odds=777, race=(1, 3))
+        r3 = accumulate(grid, 4, threads=3, segment_odds=777, race=(1, 3))
+        assert_same_stream(r1.race, r3.race)
+
+
+def oracle_stream(x_hi, q, a, b):
+    """The race stream of classes a and b below x_hi, by the argsort merge."""
+    primes = simple_sieve(x_hi - 1)
+    r = primes % q
+    return race_jump_weights(primes[r == a % q], primes[r == b % q])
+
+
+# (q, a, b) with a > b and a < b, classes given by representatives that are
+# not all reduced mod q
+RACES = [(4, 3, 1), (4, 1 + 4, 3 + 8), (12, 11, 5 + 12), (12, 1, 7),
+         (24, 5 + 48, 1), (24, 13, 19 + 24), (105, 2 + 105, 1), (105, 4, 104 + 210)]
+
+
+class TestRaceStream:
+    """accumulate(race=...) against the argsort merge of per-class positions."""
+
+    @pytest.mark.parametrize("q, a, b", RACES)
+    # no shrinking: each example is a whole run, and shrinking a failure
+    # takes minutes; the failing segment_odds and threads are reported as drawn
+    @settings(max_examples=3, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(segment_odds=st.integers(64, 4096), threads=st.sampled_from([1, 3]))
+    def test_matches_the_merged_oracle(self, q, a, b, segment_odds, threads):
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        run = accumulate(grid, q, segment_odds=segment_odds, threads=threads, race=(a, b))
+        assert_same_stream(run.race, oracle_stream(run.x_hi, q, a, b))
+
+    @pytest.mark.parametrize("q, a, b", RACES[1::2])
+    @pytest.mark.parametrize("stop", [3, None])
+    def test_resumed_stream_matches_the_oracle(self, tmp_path, q, a, b, stop):
+        # stop=3 leaves a partial sidecar, None a complete one
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        path = tmp_path / "race.csv"
+        accumulate(grid, q, segment_odds=512, persist=path, max_segments=stop)
+        res = accumulate(grid, q, segment_odds=512, persist=path, resume=True,
+                         threads=3, race=(a, b))
+        assert res.completed
+        assert_same_stream(res.race, oracle_stream(res.x_hi, q, a, b))
+
+    def test_no_race_no_stream(self):
+        grid = CheckpointGrid.from_xmax(1000, h=0.1)
+        assert accumulate(grid, 4).race is None
+        empty = accumulate(grid, 4, race=(3, 1), max_segments=0).race
+        assert [len(v) for v in empty] == [0, 0]
 
 
 class TestMergePartials:
@@ -311,15 +369,14 @@ SEGMENT_FIELDS = ("counts", "invsqrt", "theta", "invp",
 def assert_segment_matches_reference(primes, lo, hi, boundaries, q):
     """Bit for bit, -0.0 included, against the loop-per-character reduction."""
     layout = _Layout(q)
-    collect = layout.units[:2]
-    got = _segment_partial(primes, lo, hi, boundaries, layout, collect)
-    want = reference_segment_partial(primes, boundaries, layout, collect)
+    race = (layout.units[1], layout.units[0])
+    got = _segment_partial(primes, lo, hi, boundaries, layout, race)
+    want = reference_segment_partial(primes, boundaries, layout, race)
     for name in SEGMENT_FIELDS:
         a, b = getattr(got, name), want[name]
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
-    for a in collect:
-        assert np.array_equal(got.jumps[a], want["jumps"][a])
+    assert_same_stream(got.race, want["race"])
     return got
 
 
@@ -342,6 +399,31 @@ class TestSegmentReduction:
         sizes = part.counts[part.counts > 0]
         assert sizes.min() < 8 and sizes.max() > 128
         assert np.any((sizes >= 8) & (sizes <= 128))
+
+    @pytest.mark.parametrize("q", [24, 105])
+    def test_row_groups_under_a_small_budget(self, q, monkeypatch):
+        # 50 terms: one or a few character rows per group, and a single row
+        # (over budget) for every chunk longer than 50 primes
+        monkeypatch.setattr(tally, "_BLOCK_TERMS", 50)
+        self.test_matches_the_loop_per_character(q)
+
+    def test_whole_segment_chunk_memory_is_bounded(self):
+        # a grid step wider than the segment: the chunk is the whole segment
+        # (101k primes), and q=420 has 95 nonprincipal characters
+        lo = 10**9
+        hi = lo + 2 * tally.DEFAULT_SEGMENT_ODDS
+        primes = sieve_segment(lo, hi, simple_sieve(math.isqrt(hi) + 1))
+        layout = _Layout(420)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            part = _segment_partial(primes, lo, hi, np.empty(0), layout)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert part.counts.sum() == len(primes) > 100_000
+        assert peak <= 100 * 2**20, peak / 2**20
 
     @settings(max_examples=8, deadline=None)
     @given(q=st.sampled_from([4, 12, 24, 105]),
@@ -392,7 +474,7 @@ class TestTallyState:
         for lo, hi in ((2, 2050), (2050, 10_001)):
             primes = sieve_segment(lo, hi, simple_sieve(200))
             x = grid.x[(grid.x >= lo) & (grid.x < hi)]
-            part = _segment_partial(primes, lo, hi, x, layout, ())
+            part = _segment_partial(primes, lo, hi, x, layout)
             for c, end in enumerate([*x, hi - 1]):
                 state.fold(part, c)
                 pw = state.fold_powers(powers, pw, end)
@@ -459,20 +541,19 @@ class TestPersistence:
         path = tmp_path / "done.csv"
         accumulate(grid, 4, segment_odds=512, persist=path)
         res = accumulate(grid, 4, segment_odds=512, persist=path,
-                         resume=True, collect=(3,))
+                         resume=True, race=(3, 1))
         assert res.completed and len(res.series) == grid.n
-        direct = accumulate(grid, 4, segment_odds=512, collect=(3,))
-        assert np.array_equal(res.jumps[3], direct.jumps[3])
+        direct = accumulate(grid, 4, segment_odds=512, race=(3, 1))
+        assert_same_stream(res.race, direct.race)
 
     def test_resume_jumps_cover_presieved_segments(self, tmp_path):
         grid = self.grid()
         path = tmp_path / "j.csv"
         accumulate(grid, 4, segment_odds=512, persist=path, max_segments=5)
         res = accumulate(grid, 4, segment_odds=512, persist=path,
-                         resume=True, collect=(1, 3))
-        direct = accumulate(grid, 4, segment_odds=512, collect=(1, 3))
-        assert np.array_equal(res.jumps[1], direct.jumps[1])
-        assert np.array_equal(res.jumps[3], direct.jumps[3])
+                         resume=True, race=(1, 3))
+        direct = accumulate(grid, 4, segment_odds=512, race=(1, 3))
+        assert_same_stream(res.race, direct.race)
 
     def test_configuration_mismatch_rejected(self, tmp_path):
         grid = self.grid()
@@ -543,10 +624,17 @@ class TestCheckpointOps:
         with pytest.raises(ValueError, match="modulus"):
             pi_half(ck, t5)
 
-    def test_collect_requires_units(self):
+    def test_race_requires_units(self):
         grid = CheckpointGrid.from_xmax(100, h=0.1)
-        with pytest.raises(ValueError, match="unit"):
-            accumulate(grid, 4, collect=(2,))
+        with pytest.raises(ValueError, match="not a unit"):
+            accumulate(grid, 4, race=(2, 1))
+        with pytest.raises(ValueError, match="not a unit"):
+            accumulate(grid, 12, race=(1, 9))
+
+    def test_race_requires_two_classes(self):
+        grid = CheckpointGrid.from_xmax(100, h=0.1)
+        with pytest.raises(ValueError, match="must differ"):
+            accumulate(grid, 4, race=(1, 5))
 
     def test_weighted_series_view(self, small_run):
         t = race_weight(3, 1, 4)
