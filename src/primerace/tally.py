@@ -22,6 +22,7 @@ per class and per character for each chunk that holds a prime.
 
 A race (a, b) also yields the race stream: the primes of classes a and b in
 sieve order, hence ascending, weighted +-1/sqrt(p), so no analysis sorts it.
+Segments append their slices to one buffer sized by a bound on pi(x).
 """
 from __future__ import annotations
 
@@ -263,15 +264,17 @@ class _SegmentPartial:
 
 
 def _race_slice(primes: np.ndarray, r: np.ndarray, race: tuple[int, int],
+                pf: np.ndarray | None = None,
                 s: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One segment's slice of the race stream, from its primes and residues r.
 
     The primes in classes race = (a, b) as float64, weighted +1/sqrt(p) on a
-    and -1/sqrt(p) on b; s, 1/sqrt(p) for every prime, spares the roots.
+    and -1/sqrt(p) on b.  pf (every prime as float64) and s (1/sqrt(p) for
+    every prime), where the caller has them, spare the conversion and roots.
     """
     a, b = race
     sel = np.flatnonzero((r == a) | (r == b))
-    pos = primes[sel].astype(np.float64)
+    pos = pf[sel] if pf is not None else primes[sel].astype(np.float64)
     w = s[sel] if s is not None else 1.0 / np.sqrt(pos)
     np.negative(w, out=w, where=r[sel] == b)
     return pos, w
@@ -353,7 +356,7 @@ def _segment_partial(
         lo=lo, hi=hi, nchunks=nch,
         counts=counts, invsqrt=invsqrt, theta=theta, invp=invp,
         char_invsqrt=ch_inv, char_mertens=ch_mer, char_eulerlog=ch_eul,
-        race=_race_slice(primes, r, race, s_all) if race is not None else None,
+        race=_race_slice(primes, r, race, pf, s_all) if race is not None else None,
     )
 
 
@@ -377,7 +380,6 @@ class TallyCheckpoint:
     char_invsqrt: np.ndarray
     char_mertens: np.ndarray
     char_eulerlog: np.ndarray
-    invp: np.ndarray | None = None  # per-class sum 1/p; not persisted to CSV
 
     def class_index(self, a: int) -> int:
         try:
@@ -521,7 +523,8 @@ class TallyResult:
     """accumulate() output: the series, the race stream, run status.
 
     race is (positions, weights) over the primes below x_hi, as accumulate
-    describes, or None when no race was asked for.
+    describes, or None when no race was asked for: two views into one
+    buffer, whose pages beyond the stream's end are never written.
     """
 
     series: CheckpointSeries
@@ -540,11 +543,11 @@ class TallyPartial:
 
     The one holder of exact tally state: accumulate, range_partial, merge
     and resume all fold, merge and serialise through it.  sums maps each
-    summed TallyCheckpoint field to one ExactSum per class (invsqrt, theta,
-    psi, invp) or one ExactComplexSum per character (char_*).  totals()
-    keeps the last value() of every sum and recomputes only the stale ones,
-    those folded since the previous call: value() depends only on the
-    partials, so a cached value is the value.
+    summed field to one ExactSum per class (invsqrt, theta, psi, and invp,
+    which only the sidecar keeps) or one ExactComplexSum per character
+    (char_*).  totals() keeps the last value() of every sum and recomputes
+    only the stale ones, those folded since the previous call: value()
+    depends only on the partials, so a cached value is the value.
     """
 
     q: int
@@ -661,6 +664,11 @@ def _power_terms(layout: _Layout, lo: int, hi: int) -> list[tuple[int, int, floa
     """(p^k, class slot or -1, log p) for the proper prime powers in [lo, hi), ascending."""
     return [(v, int(layout.slot[v % layout.q]), math.log(p))
             for v, p, _k in prime_powers(hi - 1) if v >= lo]
+
+
+def _prime_count_bound(x: int) -> int:
+    """More than pi(x) for x > 1: pi(x) < 1.25506 x / log x (Rosser-Schoenfeld 1962)."""
+    return int(1.25506 * x / math.log(x)) + 1
 
 
 def _base_primes(hi: int) -> np.ndarray:
@@ -787,11 +795,14 @@ def accumulate(
     every grid point.  race = (a, b), two distinct unit classes mod q,
     returns the race stream (for exact step-function work): the primes of
     both classes in sieve order as float64 positions, weighted +1/sqrt(p)
-    on a and -1/sqrt(p) on b.  persist writes the checkpoint CSV plus a
-    JSON sidecar as the run goes, and resume=True continues a previously
-    interrupted persisted run from the sidecar's state, re-sieving the
-    tallied segments only to rebuild a race stream; max_segments stops
-    early after that many segments (the persisted state stays resumable).
+    on a and -1/sqrt(p) on b.  Each segment's slice is copied into one
+    buffer sized by a bound on pi(x_hi), and the two arrays returned are
+    views into it, 16 bytes per race prime.  persist writes the checkpoint
+    CSV plus a JSON sidecar as the run goes, and resume=True continues a
+    previously interrupted persisted run from the sidecar's state,
+    re-sieving the tallied segments only to rebuild a race stream;
+    max_segments stops early after that many segments (the persisted state
+    stays resumable).
     """
     layout = _Layout(q)
     if x_hi is None:
@@ -812,14 +823,25 @@ def accumulate(
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
     start_idx = rows_written = 0  # first segment to sieve; data rows in the CSV
     base = _base_primes(x_hi)
-    race_parts = [(np.empty(0), np.empty(0))]  # the race stream's slices, in order
+    # the race stream's positions and weights, one row each, filled in sieve
+    # order; sized for every prime below x_hi, whose pages past the stream's
+    # end are never written and so never become resident
+    race_buf = np.empty((2, _prime_count_bound(x_hi) if race is not None else 0))
+    race_len = 0
 
     def race_job(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
         primes = sieve_segment(a, b, base)
         return _race_slice(primes, primes % q, race)
 
+    def race_append(piece: tuple[np.ndarray, np.ndarray]) -> None:
+        nonlocal race_len
+        end = race_len + len(piece[0])
+        assert end <= race_buf.shape[1], "prime count bound exceeded"
+        race_buf[0, race_len:end], race_buf[1, race_len:end] = piece
+        race_len = end
+
     def race_stream() -> tuple[np.ndarray, np.ndarray] | None:
-        return tuple(map(np.concatenate, zip(*race_parts))) if race is not None else None
+        return (race_buf[0, :race_len], race_buf[1, :race_len]) if race is not None else None
 
     if resume:
         if csv_path is None:
@@ -839,7 +861,8 @@ def accumulate(
             )
         start_idx = len(bounds) if meta["complete"] else int(meta["next_segment_index"])
         if race is not None:
-            race_parts += ordered_map(race_job, bounds[:start_idx], threads)
+            for piece in ordered_map(race_job, bounds[:start_idx], threads):
+                race_append(piece)
         if meta["complete"]:
             stored = read_series_csv(csv_path)
             series = CheckpointSeries(q, grid, layout.units, layout.char_labels, stored.checkpoints)
@@ -866,7 +889,8 @@ def accumulate(
         pw_ptr = state.fold_powers(powers, pw_ptr, float(grid_x[next_j]))
         checkpoints.append(TallyCheckpoint(
             q=q, x=float(grid_x[next_j]), y=float(LOG2 + grid.h * next_j),
-            units=layout.units, char_labels=layout.char_labels, **state.totals(),
+            units=layout.units, char_labels=layout.char_labels,
+            **{k: v for k, v in state.totals().items() if k != "invp"},
         ))
         next_j += 1
 
@@ -900,7 +924,7 @@ def accumulate(
             if c < part.nchunks - 1:
                 snapshot()
         if race is not None:
-            race_parts.append(part.race)
+            race_append(part.race)
         done_idx += 1
         since_flush += 1
         if csv_path is not None and since_flush >= flush_every:

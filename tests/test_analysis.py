@@ -1,8 +1,10 @@
 """Closed-form and brute-force checks for the analysis layer."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from primerace.analysis import (
     LI_TWO,
@@ -306,6 +308,19 @@ class TestMeanIntegral:
         for x, v in zip(xs, vec):
             assert v == pytest.approx(mean_integral(pos, w, x), rel=1e-12, abs=1e-12)
 
+    def test_prefix_sums_match_the_concatenated_form(self):
+        # the in-place prefix sums are the zero-led cumsums, bit for bit
+        rng = np.random.default_rng(5)
+        pos = np.sort(rng.integers(2, 10**6, size=5000)).astype(np.float64)
+        w = rng.choice([-1.0, 1.0], size=5000) / np.sqrt(pos)
+        xs = np.concatenate([[2.0], np.sort(rng.uniform(2.0, 1.2e6, size=300)), pos[::97]])
+        cw = np.concatenate([[0.0], np.cumsum(w)])
+        cwp = np.concatenate([[0.0], np.cumsum(w * pos)])
+        idx = np.searchsorted(pos, xs, side="right")
+        want = (xs * cw[idx] - cwp[idx]) / xs
+        got = mean_values(pos, w, xs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_x_below_two_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             mean_integral(np.array([3.0]), np.array([1.0]), 1.5)
@@ -421,6 +436,77 @@ class TestDensityRace:
     def test_window_defaults_to_the_last_jump(self):
         pos, w = self.mod4_stream(100)
         assert density_race(pos, w).window == (2.0, 97.0)
+
+    # weights on a 1/4 lattice sum exactly, so the level often sits at an
+    # exact zero, which never counts as ahead
+    @settings(max_examples=300, deadline=None)
+    @given(jumps=st.lists(st.integers(2, 60), max_size=25, unique=True),
+           data=st.data())
+    def test_runs_match_the_pure_python_walk(self, jumps, data):
+        pos = np.array(sorted(jumps), dtype=np.float64)
+        w = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=len(pos),
+                                         max_size=len(pos)), label="quarters")) / 4.0
+        # window ends on, between and beyond positions
+        ends = sorted({2.0, 2.5, 70.0, *pos.tolist(), *(pos + 0.5).tolist()})
+        x_lo = data.draw(st.sampled_from(ends[:-1]), label="x_lo")
+        x_hi = data.draw(st.sampled_from([e for e in ends if e > x_lo]), label="x_hi")
+        report = density_race(pos, w, x_lo, x_hi)
+        assert report.natural_estimate == pytest.approx(
+            exact_race_density(pos, w, x_lo, x_hi), rel=1e-12, abs=0)
+        assert report.logarithmic_estimate == pytest.approx(
+            exact_race_log_density(pos, w, x_lo, x_hi), rel=1e-12, abs=0)
+        assert report.exceedance_measure == pytest.approx(
+            (x_hi - x_lo) * (1 - report.natural_estimate), rel=1e-12, abs=1e-12)
+
+    def test_streams_of_zero_and_one_jumps(self):
+        empty = density_race(np.empty(0), np.empty(0), 2.0, 10.0)
+        assert empty.natural_estimate == empty.logarithmic_estimate == 0.0
+        assert empty.exceedance_measure == 8.0
+        with pytest.raises(ValueError, match="empty window"):
+            density_race(np.empty(0), np.empty(0))
+        one = density_race(np.array([5.0]), np.array([0.25]), 3.0, 9.0)
+        assert one.natural_estimate == pytest.approx(4.0 / 6.0, rel=1e-15)
+        assert one.logarithmic_estimate == pytest.approx(
+            math.log(9.0 / 5.0) / math.log(3.0), rel=1e-15)
+        inside = density_race(np.array([5.0]), np.array([0.25]), 6.0, 9.0)
+        assert inside.natural_estimate == inside.logarithmic_estimate == 1.0
+
+
+@pytest.fixture(scope="module")
+def q4_stream_1e7():
+    grid = CheckpointGrid.from_xmax(1e7)
+    return grid, accumulate(grid, 4, race=(3, 1)).race
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that fn(*args) allocates, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestRaceStreamAt1e7:
+    """The q=4 race (3, 1) to 1e7: 664k jumps, 10.6 MB of stream."""
+
+    def test_lead_from_1000_is_at_most_one(self, q4_stream_1e7):
+        grid, (pos, w) = q4_stream_1e7
+        report = density_race(pos, w, 1000.0, float(grid.x[-1]))
+        assert report.natural_estimate == 1.0
+        assert report.logarithmic_estimate <= 1.0
+
+    def test_density_race_memory(self, q4_stream_1e7):
+        grid, (pos, w) = q4_stream_1e7
+        peak = traced_peak(density_race, pos, w, 2.0, float(grid.x[-1]))
+        assert peak <= 1.0 * (pos.nbytes + w.nbytes), peak / (pos.nbytes + w.nbytes)
+
+    def test_mean_values_memory(self, q4_stream_1e7):
+        grid, (pos, w) = q4_stream_1e7
+        peak = traced_peak(mean_values, pos, w, grid.x)
+        assert peak <= 1.1 * (pos.nbytes + w.nbytes), peak / (pos.nbytes + w.nbytes)
 
 
 def _race_at(pos, w, fn):

@@ -1,4 +1,6 @@
 """Streaming tally vs. brute-force reference sums and hand-checked values."""
+import dataclasses
+import itertools
 import json
 import math
 import shutil
@@ -35,6 +37,7 @@ from primerace.tally import (
     write_series_csv,
     _Layout,
     _power_terms,
+    _prime_count_bound,
     _segment_partial,
 )
 
@@ -289,6 +292,42 @@ class TestRaceStream:
                          threads=3, race=(a, b))
         assert res.completed
         assert_same_stream(res.race, oracle_stream(res.x_hi, q, a, b))
+
+    def test_stream_is_two_views_into_one_buffer(self):
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        pos, w = accumulate(grid, 4, segment_odds=512, race=(3, 1)).race
+        assert pos.base is w.base is not None
+        assert pos.flags.c_contiguous and w.flags.c_contiguous
+
+    def test_buffer_bound_covers_every_race(self):
+        # the stream below x_hi never holds more primes than the buffer that
+        # _prime_count_bound(x_hi) sizes, for every x_hi and race
+        primes = simple_sieve(20_000)
+        x_hi = np.arange(3, 20_001)
+        for q in (3, 4, 5, 12):
+            r = primes % q
+            cap = np.array([_prime_count_bound(int(x)) for x in x_hi])
+            for a, b in itertools.permutations(_Layout(q).units, 2):
+                held = np.searchsorted(primes[(r == a) | (r == b)], x_hi, side="left")
+                assert np.all(held <= cap), (q, a, b)
+        assert np.all(np.searchsorted(primes, x_hi, side="left") <= cap)
+
+    def test_stream_at_every_small_x_hi(self):
+        # one run per x_hi below 256, where pi(x) / (x / log x) peaks (at
+        # 113), each q taking its races in turn; bit-equal to the oracle
+        grid = CheckpointGrid(h=1.0, n=1)
+        for q in (3, 4, 5, 12):
+            races = itertools.cycle(itertools.permutations(_Layout(q).units, 2))
+            for x_hi, (a, b) in zip(range(3, 256), races):
+                run = accumulate(grid, q, x_hi=x_hi, segment_odds=64, race=(a, b))
+                assert_same_stream(run.race, oracle_stream(x_hi, q, a, b))
+
+    @settings(max_examples=20, deadline=None)
+    @given(q=st.sampled_from([3, 4, 5, 12]), x_hi=st.integers(3, 20_000), data=st.data())
+    def test_stream_at_any_x_hi(self, q, x_hi, data):
+        a, b = data.draw(st.sampled_from(list(itertools.permutations(_Layout(q).units, 2))))
+        run = accumulate(CheckpointGrid(h=1.0, n=1), q, x_hi=x_hi, segment_odds=256, race=(a, b))
+        assert_same_stream(run.race, oracle_stream(x_hi, q, a, b))
 
     def test_no_race_no_stream(self):
         grid = CheckpointGrid.from_xmax(1000, h=0.1)
@@ -545,6 +584,26 @@ class TestPersistence:
         assert res.completed and len(res.series) == grid.n
         direct = accumulate(grid, 4, segment_odds=512, race=(3, 1))
         assert_same_stream(res.race, direct.race)
+
+    @pytest.mark.parametrize("stop", [4, None])
+    def test_fresh_and_resumed_series_agree(self, tmp_path, stop):
+        # a fresh series and the same run read back through the CSV are the
+        # same kind of object: same fields, arrays equal bit for bit
+        grid = self.grid()
+        path = tmp_path / "same.csv"
+        fresh = accumulate(grid, 12, segment_odds=512, persist=tmp_path / "fresh.csv").series
+        accumulate(grid, 12, segment_odds=512, persist=path, max_segments=stop)
+        back = accumulate(grid, 12, segment_odds=512, persist=path, resume=True).series
+        assert len(fresh) == len(back) == grid.n
+        for a, b in zip(fresh, back):
+            assert type(a) is type(b)
+            for f in dataclasses.fields(a):
+                u, v = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(u, np.ndarray):
+                    assert u.dtype == v.dtype and u.shape == v.shape, f.name
+                    assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), f.name
+                else:
+                    assert type(u) is type(v) and u == v, f.name
 
     def test_resume_jumps_cover_presieved_segments(self, tmp_path):
         grid = self.grid()
