@@ -43,6 +43,7 @@ from .tally import (
     TallyOrderError,
     TallyPartial,
     TallyResult,
+    RaceSummary,
     accumulate,
     char_sum,
     euler_product_partial,
@@ -108,8 +109,8 @@ __all__ = [
     "sieve_segment", "simple_sieve", "stream_primes", "stream_segments",
     # tally
     "LOG2", "CheckpointGrid", "CheckpointSeries", "TallyCheckpoint",
-    "TallyOrderError", "TallyPartial", "TallyResult", "accumulate",
-    "char_sum", "euler_product_partial", "merge", "mertens_chi_square",
+    "TallyOrderError", "TallyPartial", "TallyResult", "RaceSummary",
+    "accumulate", "char_sum", "euler_product_partial", "merge", "mertens_chi_square",
     "pi_half", "pi_weighted", "psi_char", "psi_of", "range_partial",
     "read_series_csv", "theta_of", "write_series_csv",
     # ingest

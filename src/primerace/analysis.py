@@ -1,14 +1,15 @@
 """Fluctuation series, constants, envelopes, densities, and moments.
 
 Everything here consumes either checkpoint series from the tally pass or
-the race stream (positions, weights) that accumulate(..., race=(a, b))
-returns: ascending positions, checked in O(n) and never sorted.  Integrals
-over the uniform y-grid use the trapezoid rule; the race-density and
-mean-integral computations instead use the exact step structure of the
-underlying sums, because those quantities are piecewise linear/constant
-between primes and deserve exact measure.  Each pass over the stream is
-one cumsum: density_race then takes one log per run of the lead (not per
-prime), and mean_values builds its two prefix sums in place.
+the RaceSummary that accumulate(..., race=(a, b)) returns: the runs where
+the race leads, and the sums of w = +-1/sqrt(p) and w*p at every grid
+point.  The tally builds those sums with a cumsum per segment seeded by the
+carried totals, which equals one cumsum over every race prime bit for bit,
+so each race analysis here costs O(runs + grid points) and no stream of
+race primes is held.  Integrals over the uniform y-grid use the trapezoid
+rule; the race-density and mean-integral computations instead use the exact
+step structure of the underlying sums, because those quantities are
+piecewise linear/constant between primes and deserve exact measure.
 
 Conventions (documented once here):
   - log log x is written as log y throughout, since x = e^y on the grid.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .characters import BiasConstant, Character, ClassFunction
 from .ingest import ExpandedZero
-from .tally import CheckpointGrid, CheckpointSeries, LOG2
+from .tally import CheckpointGrid, CheckpointSeries, LOG2, RaceSummary
 
 __all__ = [
     "SampleSeries",
@@ -132,19 +133,6 @@ class FitResult:
     residual: SampleSeries
     L_hat: complex | None = None
     details: dict = field(default_factory=dict)
-
-
-def _race_stream(positions, weights) -> tuple[np.ndarray, np.ndarray]:
-    """The race stream as float64 arrays, checked: 1-D, equal lengths, ascending."""
-    pos = np.asarray(positions, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if pos.ndim != 1 or pos.shape != w.shape:
-        raise ValueError(
-            f"race positions and weights must be 1-D of equal length, got shapes {pos.shape} and {w.shape}"
-        )
-    if np.any(pos[1:] < pos[:-1]):
-        raise ValueError("race positions must not decrease")
-    return pos, w
 
 
 def _m_value(M) -> float:
@@ -281,7 +269,7 @@ def estimate_C(
     method: str = "pointwise-tail",
     *,
     delta: SampleSeries | None = None,
-    jumps: tuple[np.ndarray, np.ndarray] | None = None,
+    race: RaceSummary | None = None,
     tail_fraction: float = 0.25,
     finite_size: bool = True,
 ) -> FitResult:
@@ -296,7 +284,7 @@ def estimate_C(
     fluctuation series — an independent route through the integral identity.
 
     mean: C = (1/X) integral of D + M log log X at the series endpoint,
-    computed exactly from the race stream jumps = (positions, weights).  Two
+    computed exactly from the race summary race (see mean_integral).  Two
     deterministic finite-size terms survive in the raw estimate: averaging log log t costs
     +M (li(X) - li(2)) / X, while the -2M/y pointwise drift integrates to
     -2M (li(X) - li(2)) / X, so the raw value sits at C - M li(X)/X + O(1/X)
@@ -328,12 +316,11 @@ def estimate_C(
         c_hat = m * math.log(LOG2) + L_hat.real / 2.0
         details["L_imag"] = L_hat.imag
     elif method == "mean":
-        if jumps is None:
-            raise ValueError("mean estimation needs the prime jumps (jumps=(positions, weights))")
-        positions, weights = jumps
+        if race is None:
+            raise ValueError("mean estimation needs the race summary (race=...)")
         Y = float(y[-1])
         X = float(grid.x[-1])
-        mean_val = mean_integral(positions, weights, X)
+        mean_val = mean_integral(race, X)
         c_hat = mean_val + m * math.log(Y)
         details["mean_value"] = mean_val
         if finite_size:
@@ -354,14 +341,14 @@ def estimate_C_all(
     D: SampleSeries,
     M,
     delta: SampleSeries,
-    jumps: tuple[np.ndarray, np.ndarray],
+    race: RaceSummary,
     *,
     tail_fraction: float = 0.25,
     finite_size: bool = True,
 ) -> dict:
     """All three estimates plus their maximum pairwise spread."""
     fits = {
-        name: estimate_C(D, M, name, delta=delta, jumps=jumps,
+        name: estimate_C(D, M, name, delta=delta, race=race,
                          tail_fraction=tail_fraction, finite_size=finite_size)
         for name in ("pointwise-tail", "via-L", "mean")
     }
@@ -494,44 +481,30 @@ def envelope_check(
 
 
 def density_race(
-    positions: np.ndarray,
-    weights: np.ndarray,
+    race: RaceSummary,
     x_lo: float = 2.0,
     x_hi: float | None = None,
 ) -> DensityReport:
     """Exact measure of {x in [x_lo, x_hi] : sum 1/sqrt(p) race is ahead}.
 
-    positions and weights are the race stream: ascending jump positions,
-    weighted +1/sqrt(p) on the leading class and -1/sqrt(p) on the other;
-    x_hi defaults to the last position.  The running sum starts at 2
-    regardless of x_lo; the window only restricts where the measure is
+    race is the race summary, whose runs are the stretches where the race
+    leads; x_hi defaults to its last grid point.  The running sum starts at
+    2 regardless of x_lo; the window only restricts where the measure is
     taken.  Strict inequality: the zero stretch before the first jump never
     counts.  natural_estimate is x-measure over the window length;
     logarithmic_estimate weights by 1/u; exceedance_measure is the
-    (x-)measure of the complement within the window.
-
-    The measure is taken per run, a maximal stretch of jumps over which the
-    race stays ahead: one cumsum and one sign-change scan over the stream,
-    then one clipped length and one log per run (the q=4 race (3, 1) to
-    1e8 has a single run).  Temporaries peak near 9 bytes per jump.
+    (x-)measure of the complement within the window.  Each run is clipped
+    to the window and costs one length and one log (the q=4 race (3, 1) to
+    1e8 has a single run).
     """
     if x_lo < 2.0:
         raise ValueError(f"window must start at 2 or above, got {x_lo}")
-    positions, weights = _race_stream(positions, weights)
     if x_hi is None:
-        x_hi = float(positions[-1]) if len(positions) else 2.0
+        x_hi = float(race.x[-1]) if len(race.x) else 2.0
     if x_hi <= x_lo:
         raise ValueError(f"empty window [{x_lo}, {x_hi}]")
-    n = int(np.searchsorted(positions, x_hi, side="right"))
-    # the running sum holds its value from positions[i] up to the next jump
-    ahead = np.cumsum(weights[:n]) > 0.0
-    # runs of ahead: [positions[start], positions[end]), or up to x_hi for end n
-    edges = np.flatnonzero(np.diff(ahead, prepend=False, append=False))
-    start, end = edges[0::2], edges[1::2]
-    lo = np.maximum(positions[start], x_lo)
-    hi = np.full(len(end), float(x_hi))
-    inner = end < n
-    hi[inner] = positions[end[inner]]
+    lo = np.maximum(race.runs[:, 0], x_lo)
+    hi = np.minimum(race.runs[:, 1], x_hi)
     live = hi > lo
     lo, hi = lo[live], hi[live]
     nat_measure = float(np.sum(hi - lo))
@@ -621,38 +594,24 @@ def fit_moment_constant(delta: SampleSeries, ks: Sequence[int] = (1, 2, 3),
 # the mean integral (exact step arithmetic)
 
 
-def mean_integral(positions: np.ndarray, weights: np.ndarray, x: float) -> float:
-    """(1/x) integral from 2 to x of the race sum, exactly.
+def mean_integral(race: RaceSummary, x: float) -> float:
+    """(1/x) integral from 2 to x of the race sum, exactly, at a grid point x.
 
-    The integrand jumps by w_p at each prime p of the race stream, so the
-    integral is sum over p <= x of w_p (x - p); streaming form (x Sw - Swp)/x.
+    The integrand jumps by w_p at each prime p of the race, so the integral
+    is sum over p <= x of w_p (x - p); streaming form (x Sw - Swp)/x, from
+    the race summary's sums at x.
     """
     if x < 2:
         raise ValueError(f"x must be at least 2, got {x}")
-    pos, w = _race_stream(positions, weights)
-    n = int(np.searchsorted(pos, x, side="right"))
-    sw = float(np.sum(w[:n]))
-    swp = float(np.sum(w[:n] * pos[:n]))
-    return (x * sw - swp) / x
+    j = int(np.searchsorted(race.x, x))
+    if j == len(race.x) or race.x[j] != x:
+        raise ValueError(f"x={x} is not a grid point of the race summary")
+    return float((x * race.sw[j] - race.swp[j]) / x)
 
 
-def mean_values(positions: np.ndarray, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """mean_integral at many x values via prefix sums of the race stream.
-
-    The prefix sums of w and w*p are built in place, one zero-led buffer
-    each, so the temporaries take about the stream's own bytes.
-    """
-    pos, w = _race_stream(positions, weights)
-    cw = np.zeros(len(w) + 1)
-    np.cumsum(w, out=cw[1:])
-    cwp = np.zeros(len(w) + 1)
-    np.multiply(w, pos, out=cwp[1:])
-    np.cumsum(cwp[1:], out=cwp[1:])
-    xs = np.asarray(xs, dtype=np.float64)
-    if np.any(xs < 2):
-        raise ValueError("x values below 2")
-    idx = np.searchsorted(pos, xs, side="right")
-    return (xs * cw[idx] - cwp[idx]) / xs
+def mean_values(race: RaceSummary) -> np.ndarray:
+    """mean_integral at every grid point of the race summary."""
+    return (race.x * race.sw - race.swp) / race.x
 
 
 # ---------------------------------------------------------------------------

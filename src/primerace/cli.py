@@ -402,11 +402,11 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     M = bias_constant(t, vanishing_orders=cfg.mchi or None)
     D = race_series(series, t)
     delta = delta_exact(series, t, M)
-    stream = result.race
+    race = result.race
 
     fit_notes: list[str] = []
     if float(series.grid.y[-1]) >= 10.0:
-        fits = estimate_C_all(D, M, delta, stream,
+        fits = estimate_C_all(D, M, delta, race,
                               tail_fraction=cfg.tail_fraction,
                               finite_size=cfg.finite_size)
     else:
@@ -416,7 +416,7 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
             "pointwise-tail": estimate_C(D, M, "pointwise-tail",
                                          tail_fraction=cfg.tail_fraction,
                                          finite_size=cfg.finite_size),
-            "mean": estimate_C(D, M, "mean", jumps=stream,
+            "mean": estimate_C(D, M, "mean", race=race,
                                finite_size=cfg.finite_size),
         }
         fits["spread"] = abs(fits["pointwise-tail"].C_hat - fits["mean"].C_hat)
@@ -425,9 +425,9 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     env_main = envelope_check(D, M, C, eps=cfg.eps)
     K_used = cfg.K if cfg.K is not None else calibrate_K(D, M, C)
     env_log = envelope_check(D, M, C, eps=cfg.eps, envelope="log-envelope", K=K_used)
-    races = {"from_2": density_race(*stream, 2.0, float(series.grid.x[-1]))}
+    races = {"from_2": density_race(race, 2.0, float(series.grid.x[-1]))}
     if cfg.x_max >= 1e4:
-        races["from_1000"] = density_race(*stream, 1000.0, float(series.grid.x[-1]))
+        races["from_1000"] = density_race(race, 1000.0, float(series.grid.x[-1]))
 
     config = cfg.public_dict("bias")
     emit.csv("bias_series.csv",
@@ -453,7 +453,7 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     emit.json("bias_race.json", {"config": config, "windows": races})
     return {
         "result": result, "series": series, "t": t, "M": M, "D": D,
-        "delta": delta, "race": stream, "fits": fits,
+        "delta": delta, "race": race, "fits": fits,
         "envelope_main": env_main, "envelope_log": env_log, "races": races,
         "files": list(emit.written),
     }
@@ -601,12 +601,12 @@ def cmd_mean(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     t = race_weight(cfg.a, cfg.b, cfg.q)
     M = bias_constant(t, vanishing_orders=cfg.mchi or None)
     D = race_series(series, t)
-    positions, weights = result.race
-    trace = mean_values(positions, weights, series.grid.x)
-    fit = estimate_C(D, M, "mean", jumps=(positions, weights),
+    race = result.race
+    trace = mean_values(race)
+    fit = estimate_C(D, M, "mean", race=race,
                      tail_fraction=cfg.tail_fraction,
                      finite_size=cfg.finite_size)
-    raw = estimate_C(D, M, "mean", jumps=(positions, weights),
+    raw = estimate_C(D, M, "mean", race=race,
                      tail_fraction=cfg.tail_fraction, finite_size=False)
 
     config = cfg.public_dict("mean")
@@ -616,7 +616,7 @@ def cmd_mean(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     emit.json("mean_fit.json", {
         "config": config,
         "M": complex(M.value),
-        "mean_at_end": mean_integral(positions, weights, float(series.grid.x[-1])),
+        "mean_at_end": mean_integral(race, float(series.grid.x[-1])),
         "fit": _fit_payload(fit),
         "fit_raw": _fit_payload(raw),
     })

@@ -20,9 +20,15 @@ so a segment costs O(chunks + nonempty class-chunks) numpy calls whatever
 the number of characters; the exact fold then costs one Python-level add
 per class and per character for each chunk that holds a prime.
 
-A race (a, b) also yields the race stream: the primes of classes a and b in
-sieve order, hence ascending, weighted +-1/sqrt(p), so no analysis sorts it.
-Segments append their slices to one buffer sized by a bound on pi(x).
+A race (a, b) also yields its RaceSummary: the runs of primes where the
+race leads, and the sums of w = +-1/sqrt(p) and w*p at every grid point.
+Each worker returns its segment's terms w and w*p, and the in-order fold
+puts the carried totals in front of them and takes one np.cumsum per
+segment.  np.cumsum adds sequentially, so the per-segment cumsum seeded
+with the carried totals equals the cumsum over every race prime at once,
+bit for bit, whatever the segment width or the thread count, and no stream
+of race primes is ever held.  The summary is persisted in the sidecar, so a
+resumed run never sieves again for a race it recorded.
 """
 from __future__ import annotations
 
@@ -58,6 +64,7 @@ __all__ = [
     "TallyCheckpoint",
     "CheckpointSeries",
     "TallyResult",
+    "RaceSummary",
     "TallyPartial",
     "TallyOrderError",
     "ExactSum",
@@ -260,24 +267,30 @@ class _SegmentPartial:
     char_invsqrt: np.ndarray  # (nchunks, nchar) complex128
     char_mertens: np.ndarray
     char_eulerlog: np.ndarray
-    race: tuple[np.ndarray, np.ndarray] | None  # this segment's slice of the race stream
 
 
-def _race_slice(primes: np.ndarray, r: np.ndarray, race: tuple[int, int],
-                pf: np.ndarray | None = None,
-                s: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One segment's slice of the race stream, from its primes and residues r.
+def _race_terms(primes: np.ndarray, q: int, race: tuple[int, int],
+                boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One segment's race terms (race primes, terms, cut).
 
-    The primes in classes race = (a, b) as float64, weighted +1/sqrt(p) on a
-    and -1/sqrt(p) on b.  pf (every prime as float64) and s (1/sqrt(p) for
-    every prime), where the caller has them, spare the conversion and roots.
+    The race primes are the primes in classes race = (a, b), reduced mod q,
+    in sieve order.  Row 0 of terms holds w = +1/sqrt(p) on a and -1/sqrt(p)
+    on b and row 1 holds w*p, each behind a first column that _RaceFold
+    fills with the carried sums.  cut[c] counts the race primes at or below
+    boundaries[c].
     """
     a, b = race
-    sel = np.flatnonzero((r == a) | (r == b))
-    pos = pf[sel] if pf is not None else primes[sel].astype(np.float64)
-    w = s[sel] if s is not None else 1.0 / np.sqrt(pos)
-    np.negative(w, out=w, where=r[sel] == b)
-    return pos, w
+    r = primes % q
+    on_b = r == b
+    mask = (r == a) | on_b
+    p = primes[mask]
+    terms = np.empty((2, len(p) + 1))
+    w = terms[0, 1:]
+    np.sqrt(p, out=w)
+    # -1/sqrt(p) is exactly -(1/sqrt(p)): IEEE rounding is symmetric in sign
+    np.divide(1.0 - 2.0 * on_b[mask], w, out=w)
+    np.multiply(w, p, out=terms[1, 1:])
+    return p, terms, np.searchsorted(p, boundaries, side="right")
 
 
 def _segment_partial(
@@ -286,7 +299,6 @@ def _segment_partial(
     hi: int,
     boundaries: np.ndarray,
     layout: _Layout,
-    race: tuple[int, int] | None = None,
 ) -> _SegmentPartial:
     """Chunked sums over one segment; boundaries are checkpoint x-values.
 
@@ -302,7 +314,7 @@ def _segment_partial(
     change the last bits.  A chunk spans a whole segment where a grid step
     is wider than the segment, so per-chunk blocks take the characters in
     row groups of at most _BLOCK_TERMS terms (or one row), which changes no
-    row's sum.  race = (a, b), reduced residues, adds the race stream slice.
+    row's sum.
     """
     nch = len(boundaries) + 1
     ncl, nchar = layout.nclass, layout.nchar
@@ -356,7 +368,6 @@ def _segment_partial(
         lo=lo, hi=hi, nchunks=nch,
         counts=counts, invsqrt=invsqrt, theta=theta, invp=invp,
         char_invsqrt=ch_inv, char_mertens=ch_mer, char_eulerlog=ch_eul,
-        race=_race_slice(primes, r, race, pf, s_all) if race is not None else None,
     )
 
 
@@ -518,17 +529,90 @@ class CheckpointSeries:
         return mat.astype(np.complex128) @ w
 
 
+@dataclass(frozen=True, eq=False)
+class RaceSummary:
+    """A race (a, b) reduced to what every race analysis reads.
+
+    The race's level is the running sum, over the primes of classes a and b
+    in ascending order, of w = +1/sqrt(p) on a and -1/sqrt(p) on b.  runs
+    holds one [start, end) row per lead: the prime where the level rises
+    above 0 and the prime where it falls back, end inf for a lead still open
+    where the tally stops.  sw and swp hold the sums of w and w*p over the
+    race primes up to each grid point x, as one np.cumsum over every race
+    prime gives them, bit for bit.
+    """
+
+    runs: np.ndarray  # (k, 2) float64
+    x: np.ndarray
+    sw: np.ndarray
+    swp: np.ndarray
+
+    def __post_init__(self):
+        if self.runs.ndim != 2 or self.runs.shape[1] != 2:
+            raise ValueError(f"lead runs must be rows of [start, end), got shape {self.runs.shape}")
+        if np.any(np.diff(self.runs.ravel()) < 0):
+            raise ValueError("lead run positions must not decrease")
+        if self.x.ndim != 1 or not self.x.shape == self.sw.shape == self.swp.shape:
+            raise ValueError(
+                f"grid points and race sums must be 1-D of equal length, got shapes "
+                f"{self.x.shape}, {self.sw.shape} and {self.swp.shape}"
+            )
+
+
+class _RaceFold:
+    """The race carried through a tally, one segment's _race_terms at a time.
+
+    Holds the carried sums of w and w*p over every race prime folded, the
+    lead runs as [start, end] prime pairs (end None while open) and the two
+    sums at each grid point passed.  to_state and from_state give its form
+    in the sidecar.
+    """
+
+    def __init__(self, sw: float = 0.0, swp: float = 0.0, runs=(), at=((), ())):
+        self.sw, self.swp = sw, swp
+        self.runs = [list(run) for run in runs]
+        self.at = [np.array(at, dtype=np.float64).reshape(2, -1)]  # (2, points) pieces
+
+    def fold(self, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """Add the next segment's race terms; its cumsum is taken in place."""
+        p, cum, cut = terms
+        cum[:, 0] = self.sw, self.swp
+        np.cumsum(cum, axis=1, out=cum)
+        ahead = cum[0, 1:] > 0.0
+        for k in np.flatnonzero(np.diff(ahead, prepend=self.sw > 0.0)).tolist():
+            if ahead[k]:
+                self.runs.append([p[k].item(), None])
+            else:
+                self.runs[-1][1] = p[k].item()
+        self.at.append(cum[:, cut])
+        self.sw, self.swp = cum[:, -1].tolist()
+
+    def summary(self, grid_x: np.ndarray) -> RaceSummary:
+        at = np.concatenate(self.at, axis=1)
+        runs = [[start, math.inf if end is None else end] for start, end in self.runs]
+        return RaceSummary(np.array(runs, dtype=np.float64).reshape(-1, 2),
+                           grid_x[:at.shape[1]], at[0], at[1])
+
+    def to_state(self) -> dict:
+        at = np.concatenate(self.at, axis=1)
+        return {"carried": [self.sw, self.swp], "runs": self.runs,
+                "sw": at[0].tolist(), "swp": at[1].tolist()}
+
+    @classmethod
+    def from_state(cls, state: Mapping) -> "_RaceFold":
+        return cls(*state["carried"], state["runs"], (state["sw"], state["swp"]))
+
+
 @dataclass(eq=False)
 class TallyResult:
-    """accumulate() output: the series, the race stream, run status.
+    """accumulate() output: the series, the race summary, run status.
 
-    race is (positions, weights) over the primes below x_hi, as accumulate
-    describes, or None when no race was asked for: two views into one
-    buffer, whose pages beyond the stream's end are never written.
+    race is the RaceSummary of the primes below x_hi, with sums at every
+    grid point of series, or None when no race was asked for.
     """
 
     series: CheckpointSeries
-    race: tuple[np.ndarray, np.ndarray] | None
+    race: RaceSummary | None
     completed: bool
     x_hi: int
 
@@ -666,11 +750,6 @@ def _power_terms(layout: _Layout, lo: int, hi: int) -> list[tuple[int, int, floa
             for v, p, _k in prime_powers(hi - 1) if v >= lo]
 
 
-def _prime_count_bound(x: int) -> int:
-    """More than pi(x) for x > 1: pi(x) < 1.25506 x / log x (Rosser-Schoenfeld 1962)."""
-    return int(1.25506 * x / math.log(x)) + 1
-
-
 def _base_primes(hi: int) -> np.ndarray:
     """Sieving primes for every segment below hi."""
     return simple_sieve(math.isqrt(hi - 1)) if hi > 4 else np.array([2], dtype=np.int64)
@@ -792,17 +871,22 @@ def accumulate(
     The segmented sieve drives the pass, optionally with a worker pool whose
     size never changes the output.  Each segment's chunks (split at grid
     points) fold into one TallyPartial, whose totals are snapshotted at
-    every grid point.  race = (a, b), two distinct unit classes mod q,
-    returns the race stream (for exact step-function work): the primes of
-    both classes in sieve order as float64 positions, weighted +1/sqrt(p)
-    on a and -1/sqrt(p) on b.  Each segment's slice is copied into one
-    buffer sized by a bound on pi(x_hi), and the two arrays returned are
-    views into it, 16 bytes per race prime.  persist writes the checkpoint
-    CSV plus a JSON sidecar as the run goes, and resume=True continues a
-    previously interrupted persisted run from the sidecar's state,
-    re-sieving the tallied segments only to rebuild a race stream;
-    max_segments stops early after that many segments (the persisted state
-    stays resumable).
+    every grid point.  race = (a, b), two distinct unit classes mod q, adds
+    the race's RaceSummary over the primes below x_hi.  Each worker returns
+    its segment's race terms and the fold takes one np.cumsum per segment,
+    seeded with the totals carried from the segments before: np.cumsum adds
+    sequentially, so the summary equals, bit for bit, the one that a single
+    cumsum over every race prime in ascending order gives, for any
+    segment_odds, thread count or resume point.  persist writes the
+    checkpoint CSV plus a JSON sidecar (format 2) as the run goes, with the
+    summary of the race, keyed by its reduced classes.  resume=True
+    continues a previously interrupted persisted run from the sidecar's
+    state, or reads a finished one; it reads format 1 too.  A race the
+    sidecar recorded is read back with it, and any other race is folded
+    again from a re-sieve of the segments tallied so far and, on a finished
+    run, recorded.  An interrupted run carries only the race it is resumed
+    with.  max_segments stops early after that many segments (the persisted
+    state stays resumable).
     """
     layout = _Layout(q)
     if x_hi is None:
@@ -814,34 +898,27 @@ def accumulate(
     if race is not None:
         race_weight(*race, q)  # two distinct unit classes, or ValueError
         race = (race[0] % q, race[1] % q)
+        race_key = f"{race[0]},{race[1]}"  # its key in the sidecar's races
     grid_x = grid.x
     powers = _power_terms(layout, 2, x_hi)
     bounds = list(segment_bounds(2, x_hi, segment_odds))
     csv_path = Path(persist) if persist is not None else None
     meta_path = _sidecar_path(csv_path) if csv_path is not None else None
     state = TallyPartial.empty(q, layout=layout)
+    race_fold = _RaceFold() if race is not None else None
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
     start_idx = rows_written = 0  # first segment to sieve; data rows in the CSV
     base = _base_primes(x_hi)
-    # the race stream's positions and weights, one row each, filled in sieve
-    # order; sized for every prime below x_hi, whose pages past the stream's
-    # end are never written and so never become resident
-    race_buf = np.empty((2, _prime_count_bound(x_hi) if race is not None else 0))
-    race_len = 0
 
-    def race_job(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-        primes = sieve_segment(a, b, base)
-        return _race_slice(primes, primes % q, race)
+    def boundaries(a: int, b: int) -> np.ndarray:
+        """The grid points in [a, b)."""
+        return grid_x[np.searchsorted(grid_x, a, side="left"):np.searchsorted(grid_x, b, side="left")]
 
-    def race_append(piece: tuple[np.ndarray, np.ndarray]) -> None:
-        nonlocal race_len
-        end = race_len + len(piece[0])
-        assert end <= race_buf.shape[1], "prime count bound exceeded"
-        race_buf[0, race_len:end], race_buf[1, race_len:end] = piece
-        race_len = end
+    def race_job(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _race_terms(sieve_segment(a, b, base), q, race, boundaries(a, b))
 
-    def race_stream() -> tuple[np.ndarray, np.ndarray] | None:
-        return (race_buf[0, :race_len], race_buf[1, :race_len]) if race is not None else None
+    def race_summary() -> RaceSummary | None:
+        return race_fold.summary(grid_x) if race_fold is not None else None
 
     if resume:
         if csv_path is None:
@@ -850,8 +927,8 @@ def accumulate(
             raise ValueError(f"no sidecar at {meta_path} to resume from")
         with open(meta_path) as fh:
             meta = json.load(fh)
-        # race is deliberately absent here: the stream is never persisted,
-        # so any race may be requested on resume
+        # race is deliberately absent here: any race may be requested on
+        # resume, and one the sidecar did not record is folded again
         expect = {"q": q, "h": grid.h, "n": grid.n, "segment_odds": segment_odds,
                   "x_hi": x_hi}
         got = {k: meta.get(k) for k in expect}
@@ -860,13 +937,25 @@ def accumulate(
                 f"persisted run does not match the requested configuration: {got} != {expect}"
             )
         start_idx = len(bounds) if meta["complete"] else int(meta["next_segment_index"])
-        if race is not None:
-            for piece in ordered_map(race_job, bounds[:start_idx], threads):
-                race_append(piece)
+        recorded = race is not None and race_key in meta.get("races", {})
+        if recorded:
+            race_fold = _RaceFold.from_state(meta["races"][race_key])
+        elif race is not None:
+            for terms in ordered_map(race_job, bounds[:start_idx], threads):
+                race_fold.fold(terms)
         if meta["complete"]:
             stored = read_series_csv(csv_path)
+            if not len(stored) == meta["rows_written"] == grid.n:
+                raise ValueError(
+                    f"{csv_path} holds {len(stored)} rows, but its sidecar records "
+                    f"{meta['rows_written']} for a grid of {grid.n} points"
+                )
+            if race is not None and not recorded:
+                meta["format"] = 2
+                meta.setdefault("races", {})[race_key] = race_fold.to_state()
+                _write_sidecar(meta_path, meta)
             series = CheckpointSeries(q, grid, layout.units, layout.char_labels, stored.checkpoints)
-            return TallyResult(series=series, race=race_stream(), completed=True, x_hi=x_hi)
+            return TallyResult(series=series, race=race_summary(), completed=True, x_hi=x_hi)
         rows_written = int(meta["rows_written"])
         state = TallyPartial.from_state(meta["state"], q, layout=layout)
         next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
@@ -878,11 +967,12 @@ def accumulate(
     row_offset = rows_written  # rows an earlier process flushed
     checkpoints: list[TallyCheckpoint] = []  # rows from this process only
 
-    def job(a: int, b: int) -> _SegmentPartial:
+    def job(a: int, b: int) -> tuple[_SegmentPartial, tuple | None]:
         primes = sieve_segment(a, b, base)
-        j_lo = int(np.searchsorted(grid_x, a, side="left"))
-        j_hi = int(np.searchsorted(grid_x, b, side="left"))
-        return _segment_partial(primes, a, b, grid_x[j_lo:j_hi], layout, race)
+        cuts = boundaries(a, b)
+        # the race terms are built once the reduction's temporaries are freed
+        part = _segment_partial(primes, a, b, cuts, layout)
+        return part, _race_terms(primes, q, race, cuts) if race is not None else None
 
     def snapshot() -> None:
         nonlocal next_j, pw_ptr
@@ -904,11 +994,13 @@ def accumulate(
             rows_written += len(new_rows)
         next_lo = bounds[done_idx][0] if done_idx < len(bounds) else x_hi
         payload = {
-            "format": 1, "q": q, "h": grid.h, "n": grid.n,
+            "format": 2, "q": q, "h": grid.h, "n": grid.n,
             "segment_odds": segment_odds, "x_hi": x_hi,
             "complete": complete, "next_segment_index": done_idx,
             "rows_written": rows_written, "last_completed_prime": next_lo - 1,
         }
+        if race_fold is not None:
+            payload["races"] = {race_key: race_fold.to_state()}
         if not complete:
             payload["state"] = {**state.to_state(), "next_j": next_j, "pw_ptr": pw_ptr}
         _write_sidecar(meta_path, payload)
@@ -918,31 +1010,30 @@ def accumulate(
         todo = todo[: max(0, max_segments)]
     done_idx = start_idx
     since_flush = 0
-    for part in ordered_map(job, todo, threads):
+    for part, terms in ordered_map(job, todo, threads):
+        if race_fold is not None:
+            race_fold.fold(terms)
+            terms = None  # freed before the next segment is sieved
         for c in range(part.nchunks):
             state.fold(part, c)
             if c < part.nchunks - 1:
                 snapshot()
-        if race is not None:
-            race_append(part.race)
         done_idx += 1
         since_flush += 1
         if csv_path is not None and since_flush >= flush_every:
             flush(done_idx, complete=False)
             since_flush = 0
 
+    # the segments tile [2, x_hi), which holds every grid point, so a
+    # completed run has snapshotted them all
     completed = done_idx == len(bounds)
-    if completed:
-        while next_j < grid.n:
-            # grid points at or beyond the final segment boundary
-            snapshot()
     if csv_path is not None:
         flush(done_idx, complete=completed)
         if row_offset and completed:
             # a resumed run holds only the new rows in memory; the CSV has them all
             checkpoints = read_series_csv(csv_path).checkpoints
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, checkpoints)
-    return TallyResult(series=series, race=race_stream(), completed=completed, x_hi=x_hi)
+    return TallyResult(series=series, race=race_summary(), completed=completed, x_hi=x_hi)
 
 
 def _truncate_csv(csv_path: Path, rows: int) -> None:

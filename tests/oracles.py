@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: trial division, direct enumeration,
 extended-precision direct sums.  None of it shares code with the package, so
-agreement is meaningful.  Two exceptions are the package's earlier code,
+agreement is meaningful.  The exceptions are the package's earlier code,
 kept as bit-identity references: reference_segment_partial, the
-loop-per-character segment reduction, and race_jump_weights, the stable
-argsort merge of per-class jump positions that the ordered race stream
-replaced.
+loop-per-character segment reduction; race_jump_weights, the stable
+argsort merge of per-class jump positions into the race stream; and the
+stream forms of the race analyses, stream_density_race and
+stream_mean_values, with stream_summary, which builds a race summary from
+the whole stream by one global cumsum.
 """
 from __future__ import annotations
 
@@ -226,6 +228,63 @@ def race_jump_weights(jumps_a, jumps_b):
                         -1.0 / np.sqrt(np.asarray(jumps_b, np.float64))])
     order = np.argsort(pos, kind="stable")
     return pos[order], w[order]
+
+
+def stream_summary(positions, weights, xs=None):
+    """The RaceSummary of a race stream, from one cumsum over all of it.
+
+    positions ascend; xs, the points that get sums, default to positions.
+    """
+    from primerace.tally import RaceSummary
+
+    pos = np.asarray(positions, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    xs = pos if xs is None else np.asarray(xs, dtype=np.float64)
+    level = np.cumsum(w)
+    edges = np.flatnonzero(np.diff(level > 0.0, prepend=False, append=False))
+    runs = np.stack([pos[edges[0::2]], np.append(pos, np.inf)[edges[1::2]]], axis=1)
+    idx = np.searchsorted(pos, xs, side="right")
+    cw = np.concatenate([[0.0], level])
+    cwp = np.concatenate([[0.0], np.cumsum(w * pos)])
+    return RaceSummary(runs, xs, cw[idx], cwp[idx])
+
+
+def stream_density_race(positions, weights, x_lo=2.0, x_hi=None):
+    """density_race on the race stream, one sign-change scan over its cumsum."""
+    from primerace.analysis import DensityReport
+
+    positions = np.asarray(positions, dtype=np.float64)
+    if x_hi is None:
+        x_hi = float(positions[-1]) if len(positions) else 2.0
+    n = int(np.searchsorted(positions, x_hi, side="right"))
+    ahead = np.cumsum(weights[:n]) > 0.0
+    edges = np.flatnonzero(np.diff(ahead, prepend=False, append=False))
+    start, end = edges[0::2], edges[1::2]
+    lo = np.maximum(positions[start], x_lo)
+    hi = np.full(len(end), float(x_hi))
+    inner = end < n
+    hi[inner] = positions[end[inner]]
+    live = hi > lo
+    lo, hi = lo[live], hi[live]
+    nat_measure = float(np.sum(hi - lo))
+    log_measure = float(np.sum(np.log(hi / lo)))
+    return DensityReport(
+        natural_estimate=nat_measure / (x_hi - x_lo),
+        logarithmic_estimate=log_measure / math.log(x_hi / x_lo),
+        exceedance_measure=(x_hi - x_lo) - nat_measure,
+        window=(float(x_lo), float(x_hi)),
+    )
+
+
+def stream_mean_values(positions, weights, xs):
+    """mean_values on the race stream, from zero-led cumsums of w and w*p."""
+    pos = np.asarray(positions, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    xs = np.asarray(xs, dtype=np.float64)
+    cw = np.concatenate([[0.0], np.cumsum(w)])
+    cwp = np.concatenate([[0.0], np.cumsum(w * pos)])
+    idx = np.searchsorted(pos, xs, side="right")
+    return (xs * cw[idx] - cwp[idx]) / xs
 
 
 def reference_segment_partial(primes, boundaries, layout, race=None):

@@ -1,4 +1,5 @@
 """Closed-form and brute-force checks for the analysis layer."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -32,10 +33,20 @@ from primerace.analysis import (
     weighted_second_moment,
 )
 from primerace.characters import bias_constant, character_by_label, race_weight
+from primerace.cli import RunConfig, cmd_bias, cmd_mean
 from primerace.ingest import ExpandedZero
-from primerace.tally import CheckpointGrid, accumulate
+from primerace.sieve import simple_sieve
+from primerace.tally import CheckpointGrid, RaceSummary, accumulate
 
-from oracles import ReferenceTally, exact_race_density, exact_race_log_density, race_jump_weights
+from oracles import (
+    ReferenceTally,
+    exact_race_density,
+    exact_race_log_density,
+    race_jump_weights,
+    stream_density_race,
+    stream_mean_values,
+    stream_summary,
+)
 
 LOG2 = math.log(2.0)
 M_RACE = -0.5  # mod-4 race constant, one square root of unity
@@ -249,11 +260,12 @@ class TestEstimateC:
         D = SampleSeries(grid, np.zeros(grid.n))
         pos = np.array([3.0, 5.0, 7.0])
         w = np.array([1 / math.sqrt(3), -1 / math.sqrt(5), 1 / math.sqrt(7)])
-        fit = estimate_C(D, m, "mean", jumps=(pos, w), finite_size=False)
+        race = stream_summary(pos, w, grid.x)
+        fit = estimate_C(D, m, "mean", race=race, finite_size=False)
         X = float(grid.x[-1])
         Y = float(grid.y[-1])
-        assert fit.C_hat == pytest.approx(mean_integral(pos, w, X) + m * math.log(Y), abs=1e-12)
-        corrected = estimate_C(D, m, "mean", jumps=(pos, w), finite_size=True)
+        assert fit.C_hat == pytest.approx(mean_integral(race, X) + m * math.log(Y), abs=1e-12)
+        corrected = estimate_C(D, m, "mean", race=race, finite_size=True)
         assert "correction" in corrected.details
         # the raw mean sits at C - M li(X)/X + O(1/X); the deficit added back
         # is M li(X)/X ~ M/Y, negative for M=-1/2
@@ -263,7 +275,7 @@ class TestEstimateC:
     def test_mean_needs_jumps(self):
         grid = grid_to(12.0)
         D = SampleSeries(grid, np.zeros(grid.n))
-        with pytest.raises(ValueError, match="needs the prime jumps"):
+        with pytest.raises(ValueError, match="needs the race summary"):
             estimate_C(D, -0.5, "mean")
 
     def test_unknown_method(self):
@@ -285,7 +297,7 @@ class TestEstimateC:
         D = SampleSeries(grid, 3.0 - m * np.log(grid.y) - 2.0 * m / grid.y)
         pos = np.array([3.0, 7.0])
         w = np.array([1 / math.sqrt(3), -1 / math.sqrt(7)])
-        fits = estimate_C_all(D, m, delta, (pos, w))
+        fits = estimate_C_all(D, m, delta, stream_summary(pos, w, grid.x))
         assert set(fits) == {"pointwise-tail", "via-L", "mean", "spread"}
         assert fits["spread"] >= 0.0
 
@@ -294,38 +306,45 @@ class TestMeanIntegral:
     def test_worked_values(self):
         pos = np.array([3.0, 5.0, 7.0])
         w = np.array([1 / math.sqrt(3), -1 / math.sqrt(5), 1 / math.sqrt(7)])
-        assert mean_integral(pos, w, 3.0) == pytest.approx(0.0, abs=0)
-        assert mean_integral(pos, w, 5.0) == pytest.approx(2.0 / (5.0 * math.sqrt(3)), rel=1e-15)
+        race = stream_summary(pos, w, [3.0, 5.0, 8.0])
+        assert mean_integral(race, 3.0) == pytest.approx(0.0, abs=0)
+        assert mean_integral(race, 5.0) == pytest.approx(2.0 / (5.0 * math.sqrt(3)), rel=1e-15)
         by_hand = (5 / math.sqrt(3) - 3 / math.sqrt(5) + 1 / math.sqrt(7)) / 8.0
-        assert mean_integral(pos, w, 8.0) == pytest.approx(by_hand, rel=1e-14)
+        assert mean_integral(race, 8.0) == pytest.approx(by_hand, rel=1e-14)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(11)
         pos = np.sort(rng.uniform(2.0, 500.0, size=60))
         w = rng.normal(size=60)
         xs = np.linspace(2.0, 600.0, 41)
-        vec = mean_values(pos, w, xs)
+        race = stream_summary(pos, w, xs)
+        vec = mean_values(race)
+        assert len(vec) == len(xs)
         for x, v in zip(xs, vec):
-            assert v == pytest.approx(mean_integral(pos, w, x), rel=1e-12, abs=1e-12)
+            assert v == mean_integral(race, x)
 
     def test_prefix_sums_match_the_concatenated_form(self):
-        # the in-place prefix sums are the zero-led cumsums, bit for bit
-        rng = np.random.default_rng(5)
-        pos = np.sort(rng.integers(2, 10**6, size=5000)).astype(np.float64)
-        w = rng.choice([-1.0, 1.0], size=5000) / np.sqrt(pos)
-        xs = np.concatenate([[2.0], np.sort(rng.uniform(2.0, 1.2e6, size=300)), pos[::97]])
-        cw = np.concatenate([[0.0], np.cumsum(w)])
-        cwp = np.concatenate([[0.0], np.cumsum(w * pos)])
-        idx = np.searchsorted(pos, xs, side="right")
-        want = (xs * cw[idx] - cwp[idx]) / xs
-        got = mean_values(pos, w, xs)
+        # the tally's per-segment cumsums, seeded with the carried sums, give
+        # the zero-led cumsums over the whole stream bit for bit
+        grid = CheckpointGrid.from_xmax(300_000, h=0.01)
+        run = accumulate(grid, 4, race=(1, 3), segment_odds=777)
+        pos, w = race_jump_weights(*_class_primes(run.x_hi, 4, 1, 3))
+        want = stream_mean_values(pos, w, grid.x)
+        got = mean_values(run.race)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_x_below_two_rejected(self):
+        race = stream_summary([3.0], [1.0], [2.0, 5.0])
         with pytest.raises(ValueError, match="at least 2"):
-            mean_integral(np.array([3.0]), np.array([1.0]), 1.5)
-        with pytest.raises(ValueError, match="below 2"):
-            mean_values(np.array([3.0]), np.array([1.0]), np.array([1.0, 5.0]))
+            mean_integral(race, 1.5)
+        with pytest.raises(ValueError, match="not a grid point"):
+            mean_integral(race, 4.0)
+
+
+def _class_primes(x_hi, q, a, b):
+    """The primes below x_hi in classes a and b mod q."""
+    primes = simple_sieve(x_hi - 1)
+    return primes[primes % q == a], primes[primes % q == b]
 
 
 class TestEnvelope:
@@ -392,6 +411,13 @@ class TestEnvelope:
             envelope_check(D, -0.5, 0.0, envelope="log-envelope", K=0.5)
 
 
+def _density(pos, w, *window):
+    """density_race on the summary of a stream, checked against the stream form."""
+    report = density_race(stream_summary(pos, w), *window)
+    assert report == stream_density_race(pos, w, *window)
+    return report
+
+
 class TestDensityRace:
     def mod4_stream(self, limit):
         ref = ReferenceTally(limit, 4)
@@ -399,7 +425,7 @@ class TestDensityRace:
 
     def test_matches_pure_python_walk(self):
         pos, w = self.mod4_stream(100)
-        report = density_race(pos, w, 2.0, 100.0)
+        report = _density(pos, w, 2.0, 100.0)
         assert report.natural_estimate == pytest.approx(
             exact_race_density(pos, w, 2.0, 100.0), rel=1e-13)
         assert report.logarithmic_estimate == pytest.approx(
@@ -410,32 +436,33 @@ class TestDensityRace:
     def test_windows_inside_the_run(self):
         pos, w = self.mod4_stream(500)
         for lo, hi in [(2.0, 450.0), (10.0, 300.0), (26.0, 27.0)]:
-            report = density_race(pos, w, lo, hi)
+            report = _density(pos, w, lo, hi)
             assert report.natural_estimate == pytest.approx(
                 exact_race_density(pos, w, lo, hi), rel=1e-12, abs=1e-12)
 
     def test_unopposed_leader_fills_window(self):
         pos = np.array([3.0, 5.0])
-        report = density_race(pos, 1 / np.sqrt(pos), 3.0, 50.0)
+        report = _density(pos, 1 / np.sqrt(pos), 3.0, 50.0)
         assert report.natural_estimate == 1.0
         assert report.logarithmic_estimate == 1.0
         assert report.exceedance_measure == 0.0
 
     def test_never_ahead(self):
-        report = density_race(np.array([3.0]), np.array([-1 / math.sqrt(3)]), 2.0, 50.0)
+        report = _density(np.array([3.0]), np.array([-1 / math.sqrt(3)]), 2.0, 50.0)
         assert report.natural_estimate == 0.0
         assert report.exceedance_measure == pytest.approx(48.0)
 
     def test_window_validation(self):
-        one = (np.array([3.0]), np.array([1 / math.sqrt(3)]))
+        one = stream_summary([3.0], [1 / math.sqrt(3)])
         with pytest.raises(ValueError, match="start at 2"):
-            density_race(*one, 1.0, 10.0)
+            density_race(one, 1.0, 10.0)
         with pytest.raises(ValueError, match="empty window"):
-            density_race(*one, 10.0, 10.0)
+            density_race(one, 10.0, 10.0)
 
     def test_window_defaults_to_the_last_jump(self):
+        # the summary's last grid point, here the stream's last position
         pos, w = self.mod4_stream(100)
-        assert density_race(pos, w).window == (2.0, 97.0)
+        assert density_race(stream_summary(pos, w)).window == (2.0, 97.0)
 
     # weights on a 1/4 lattice sum exactly, so the level often sits at an
     # exact zero, which never counts as ahead
@@ -450,7 +477,7 @@ class TestDensityRace:
         ends = sorted({2.0, 2.5, 70.0, *pos.tolist(), *(pos + 0.5).tolist()})
         x_lo = data.draw(st.sampled_from(ends[:-1]), label="x_lo")
         x_hi = data.draw(st.sampled_from([e for e in ends if e > x_lo]), label="x_hi")
-        report = density_race(pos, w, x_lo, x_hi)
+        report = _density(pos, w, x_lo, x_hi)
         assert report.natural_estimate == pytest.approx(
             exact_race_density(pos, w, x_lo, x_hi), rel=1e-12, abs=0)
         assert report.logarithmic_estimate == pytest.approx(
@@ -459,95 +486,133 @@ class TestDensityRace:
             (x_hi - x_lo) * (1 - report.natural_estimate), rel=1e-12, abs=1e-12)
 
     def test_streams_of_zero_and_one_jumps(self):
-        empty = density_race(np.empty(0), np.empty(0), 2.0, 10.0)
+        empty = _density(np.empty(0), np.empty(0), 2.0, 10.0)
         assert empty.natural_estimate == empty.logarithmic_estimate == 0.0
         assert empty.exceedance_measure == 8.0
         with pytest.raises(ValueError, match="empty window"):
-            density_race(np.empty(0), np.empty(0))
-        one = density_race(np.array([5.0]), np.array([0.25]), 3.0, 9.0)
+            density_race(stream_summary(np.empty(0), np.empty(0)))
+        one = _density(np.array([5.0]), np.array([0.25]), 3.0, 9.0)
         assert one.natural_estimate == pytest.approx(4.0 / 6.0, rel=1e-15)
         assert one.logarithmic_estimate == pytest.approx(
             math.log(9.0 / 5.0) / math.log(3.0), rel=1e-15)
-        inside = density_race(np.array([5.0]), np.array([0.25]), 6.0, 9.0)
+        inside = _density(np.array([5.0]), np.array([0.25]), 6.0, 9.0)
         assert inside.natural_estimate == inside.logarithmic_estimate == 1.0
 
 
 @pytest.fixture(scope="module")
-def q4_stream_1e7():
-    grid = CheckpointGrid.from_xmax(1e7)
-    return grid, accumulate(grid, 4, race=(3, 1)).race
+def q4_race_1e7(tmp_path_factory):
+    """The q=4 race (3, 1) to 1e7 (664k race primes), persisted by bias."""
+    out = tmp_path_factory.mktemp("q4_1e7")
+    cfg = RunConfig(q=4, a=3, b=1, x_max=1e7, out=str(out))
+    return cfg, cmd_bias(cfg)["race"]
 
 
-def traced_peak(fn, *args):
-    """Peak bytes that fn(*args) allocates, as tracemalloc sees them."""
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes that fn(*args, **kwargs) allocates, as tracemalloc sees them."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
 class TestRaceStreamAt1e7:
-    """The q=4 race (3, 1) to 1e7: 664k jumps, 10.6 MB of stream."""
+    """The q=4 race (3, 1) to 1e7, whose stream would take 10.6 MB."""
 
-    def test_lead_from_1000_is_at_most_one(self, q4_stream_1e7):
-        grid, (pos, w) = q4_stream_1e7
-        report = density_race(pos, w, 1000.0, float(grid.x[-1]))
+    def test_lead_from_1000_is_at_most_one(self, q4_race_1e7):
+        _cfg, race = q4_race_1e7
+        assert len(race.runs) == 1
+        report = density_race(race, 1000.0, float(race.x[-1]))
         assert report.natural_estimate == 1.0
         assert report.logarithmic_estimate <= 1.0
 
-    def test_density_race_memory(self, q4_stream_1e7):
-        grid, (pos, w) = q4_stream_1e7
-        peak = traced_peak(density_race, pos, w, 2.0, float(grid.x[-1]))
-        assert peak <= 1.0 * (pos.nbytes + w.nbytes), peak / (pos.nbytes + w.nbytes)
+    def test_density_race_memory(self, q4_race_1e7):
+        _cfg, race = q4_race_1e7
+        peak = traced_peak(density_race, race, 2.0, float(race.x[-1]))
+        assert peak <= 16 * 1024, peak
 
-    def test_mean_values_memory(self, q4_stream_1e7):
-        grid, (pos, w) = q4_stream_1e7
-        peak = traced_peak(mean_values, pos, w, grid.x)
-        assert peak <= 1.1 * (pos.nbytes + w.nbytes), peak / (pos.nbytes + w.nbytes)
+    def test_mean_values_memory(self, q4_race_1e7):
+        # one temporary and the result, each the size of the grid
+        _cfg, race = q4_race_1e7
+        peak = traced_peak(mean_values, race)
+        assert peak <= 2 * race.x.nbytes + 1024, peak / race.x.nbytes
+
+    def test_tally_race_costs_no_stream(self):
+        # per-segment race terms only: the q=4 race (3, 1) stream below 1e7
+        # would take 10.6 MB
+        grid = CheckpointGrid.from_xmax(1e7)
+        bare = traced_peak(accumulate, grid, 4)
+        raced = traced_peak(accumulate, grid, 4, race=(3, 1))
+        assert raced - bare <= 2 * 2**20, (raced - bare) / 2**20
+
+    def test_mean_resume_memory(self, q4_race_1e7):
+        # the recorded race comes back from the sidecar, with no sieve and no
+        # stream
+        cfg, _race = q4_race_1e7
+        peak = traced_peak(cmd_mean, dataclasses.replace(cfg, resume=True))
+        assert peak <= 5 * 2**20, peak / 2**20
 
 
-def _race_at(pos, w, fn):
-    """Call one race-stream consumer with its other arguments fixed."""
+def _race_at(race, fn):
+    """Call one race-summary consumer with its other arguments fixed."""
     if fn is density_race:
-        return fn(pos, w, 2.0, 50.0)
+        return fn(race, 2.0, 50.0)
     if fn is mean_values:
-        return fn(pos, w, np.array([10.0, 50.0]))
-    return fn(pos, w, 50.0)
+        return fn(race)
+    return fn(race, 50.0)
+
+
+def _summary(runs, xs, sw, swp=None):
+    return RaceSummary(np.array(runs, dtype=np.float64).reshape(-1, 2), np.asarray(xs),
+                       np.asarray(sw), np.asarray(sw if swp is None else swp))
 
 
 class TestRaceStreamChecks:
-    """Malformed streams are rejected, not silently reordered."""
+    """A malformed race summary cannot be built, so no consumer reads one."""
 
     CONSUMERS = [density_race, mean_integral, mean_values]
 
     @pytest.mark.parametrize("fn", CONSUMERS)
     def test_decreasing_positions_rejected(self, fn):
         with pytest.raises(ValueError, match="must not decrease"):
-            _race_at(np.array([5.0, 3.0, 7.0]), np.array([-0.4, 0.5, 0.3]), fn)
+            _race_at(_summary([[5.0, 7.0], [3.0, 4.0]], [10.0, 50.0], [0.1, 0.2]), fn)
+        with pytest.raises(ValueError, match="must not decrease"):
+            _race_at(_summary([[5.0, 3.0]], [10.0, 50.0], [0.1, 0.2]), fn)
 
     @pytest.mark.parametrize("fn", CONSUMERS)
     def test_unequal_lengths_rejected(self, fn):
         with pytest.raises(ValueError, match="equal length"):
-            _race_at(np.array([3.0, 5.0, 7.0]), np.array([0.5, -0.4]), fn)
+            _race_at(_summary([[3.0, 7.0]], [10.0, 50.0], [0.5]), fn)
 
     @pytest.mark.parametrize("fn", CONSUMERS)
     def test_two_dimensional_stream_rejected(self, fn):
         with pytest.raises(ValueError, match="1-D"):
-            _race_at(np.array([[3.0, 5.0]]), np.array([[0.5, -0.4]]), fn)
+            _race_at(_summary([[3.0, 7.0]], [[10.0, 50.0]], [[0.5, -0.4]]), fn)
+        with pytest.raises(ValueError, match="rows of"):
+            _race_at(RaceSummary(np.array([3.0, 7.0]), np.array([50.0]),
+                                 np.array([0.5]), np.array([0.5])), fn)
 
     @pytest.mark.parametrize("fn", CONSUMERS)
     def test_repeated_positions_accepted(self, fn):
-        # positions that do not decrease need not be distinct
-        _race_at(np.array([3.0, 3.0, 7.0]), np.array([0.5, -0.4, 0.3]), fn)
+        # positions that do not decrease need not be distinct; the runs of
+        # such a stream can be empty or meet
+        pos, w = np.array([3.0, 3.0, 7.0, 7.0]), np.array([0.5, -0.6, 0.3, 0.1])
+        race = stream_summary(pos, w, [10.0, 50.0])
+        assert race.runs.tolist() == [[3.0, 3.0], [7.0, np.inf]]
+        means = stream_mean_values(pos, w, [10.0, 50.0])
+        want = {density_race: stream_density_race(pos, w, 2.0, 50.0),
+                mean_integral: means[-1], mean_values: means}[fn]
+        assert np.all(_race_at(race, fn) == want)
 
     def test_mean_fit_checks_the_stream(self):
+        # a summary from another grid has no sums at this series' end
         grid = grid_to(12.0)
         D = SampleSeries(grid, np.zeros(grid.n))
-        with pytest.raises(ValueError, match="must not decrease"):
-            estimate_C(D, -0.5, "mean", jumps=(np.array([5.0, 3.0]), np.array([1.0, 1.0])))
+        other = stream_summary([3.0], [1.0], grid_to(11.0).x)
+        with pytest.raises(ValueError, match="not a grid point"):
+            estimate_C(D, -0.5, "mean", race=other)
 
 
 class TestMoments:

@@ -245,6 +245,20 @@ class TestDeterminismAndResume:
         for name in first:
             assert first[name] == second[name], f"{name} changed on resume"
 
+    @pytest.mark.parametrize("command", ["bias", "moments"])
+    def test_checkpoint_that_lost_rows_is_refused(self, tmp_path, capsys, command):
+        # a complete sidecar over a CSV cut short: the resume names the CSV
+        # and both counts instead of failing later inside the analysis
+        assert main(["bias", "--xmax", "1e5", "--out", str(tmp_path)]) == 0
+        csv = tmp_path / checkpoint_name(RunConfig(x_max=1e5))
+        rows = len(csv.read_text().splitlines()) - 1
+        csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:500]))
+        rc = main([command, "--xmax", "1e5", "--resume", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{csv} holds 499 rows" in err
+        assert f"records {rows} for a grid of {rows} points" in err
+
 
 class TestFailureCleanup:
     def test_reports_removed_checkpoints_kept(self, tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import shutil
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from primerace import tally
+from primerace.analysis import density_race, mean_values
 from primerace.characters import (
     ClassFunction,
     enumerate_characters,
@@ -36,12 +38,20 @@ from primerace.tally import (
     theta_of,
     write_series_csv,
     _Layout,
+    _RaceFold,
     _power_terms,
-    _prime_count_bound,
+    _race_terms,
     _segment_partial,
 )
 
-from oracles import ReferenceTally, race_jump_weights, reference_segment_partial
+from oracles import (
+    ReferenceTally,
+    race_jump_weights,
+    reference_segment_partial,
+    stream_density_race,
+    stream_mean_values,
+    stream_summary,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -55,12 +65,12 @@ def checkpoint_at(series, x):
     return series[j]
 
 
-def assert_same_stream(got, want):
-    """Race streams equal bit for bit, positions and weights."""
-    assert len(got) == len(want) == 2
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype == np.float64
-        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+def assert_same_summary(got, want):
+    """Race summaries equal bit for bit: runs, grid points and both sums."""
+    for name in ("runs", "x", "sw", "swp"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
 
 
 def char_tables(q):
@@ -140,11 +150,15 @@ class TestWorkedValues:
         assert pi_weighted(ck, t).real == pytest.approx(1.0)
 
     def test_jump_positions(self, small_run):
-        pos, w = small_run.race
-        assert list(pos[:6]) == [3, 5, 7, 11, 13, 17]
-        assert list(pos[w > 0][:5]) == [3, 7, 11, 19, 23]
-        assert list(pos[w < 0][:5]) == [5, 13, 17, 29, 37]
-        assert list(w[:3]) == [1 / math.sqrt(3), -1 / math.sqrt(5), 1 / math.sqrt(7)]
+        # the jumps 3, 5, 7 below x=10: the race leads from 3 on
+        race = small_run.race
+        assert race.runs[0, 0] == 3.0
+        j = int(np.searchsorted(race.x, 10.0, side="right")) - 1
+        assert 7.0 <= race.x[j] <= 10.0
+        assert race.sw[j] == 1 / math.sqrt(3) - 1 / math.sqrt(5) + 1 / math.sqrt(7)
+        assert race.swp[j] == pytest.approx(math.sqrt(3) - math.sqrt(5) + math.sqrt(7), rel=1e-15)
+        k = int(np.searchsorted(race.x, 3.0)) - 1
+        assert race.x[k] < 3.0 and race.sw[k] == race.swp[k] == 0.0
 
 
 class TestAgainstReference:
@@ -251,7 +265,7 @@ class TestThreadInvariance:
         grid = CheckpointGrid.from_xmax(30_000, h=0.1)
         r1 = accumulate(grid, 4, threads=1, segment_odds=777, race=(1, 3))
         r3 = accumulate(grid, 4, threads=3, segment_odds=777, race=(1, 3))
-        assert_same_stream(r1.race, r3.race)
+        assert_same_summary(r1.race, r3.race)
 
 
 def oracle_stream(x_hi, q, a, b):
@@ -261,6 +275,22 @@ def oracle_stream(x_hi, q, a, b):
     return race_jump_weights(primes[r == a % q], primes[r == b % q])
 
 
+def oracle_summary(x_hi, q, a, b, xs):
+    """The race summary of the stream below x_hi, by one global cumsum."""
+    return stream_summary(*oracle_stream(x_hi, q, a, b), xs)
+
+
+def assert_matches_the_stream_forms(race, x_hi, q, a, b, xs):
+    """The summary, its lead densities and mean trace against the stream's, bit for bit."""
+    pos, w = oracle_stream(x_hi, q, a, b)
+    assert_same_summary(race, stream_summary(pos, w, xs))
+    for x_lo in (2.0, 100.0, float(xs[len(xs) // 2])):
+        if x_lo < xs[-1]:
+            assert density_race(race, x_lo, float(xs[-1])) == stream_density_race(pos, w, x_lo, float(xs[-1]))
+    got, want = mean_values(race), stream_mean_values(pos, w, xs)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 # (q, a, b) with a > b and a < b, classes given by representatives that are
 # not all reduced mod q
 RACES = [(4, 3, 1), (4, 1 + 4, 3 + 8), (12, 11, 5 + 12), (12, 1, 7),
@@ -268,72 +298,135 @@ RACES = [(4, 3, 1), (4, 1 + 4, 3 + 8), (12, 11, 5 + 12), (12, 1, 7),
 
 
 class TestRaceStream:
-    """accumulate(race=...) against the argsort merge of per-class positions."""
+    """accumulate(race=...) against one cumsum over the argsort-merged stream.
+
+    The tally folds the race per segment; seeding each segment's cumsum with
+    the carried sums must give the summary of the whole stream bit for bit,
+    fresh, resumed and at any thread count.
+    """
 
     @pytest.mark.parametrize("q, a, b", RACES)
     # no shrinking: each example is a whole run, and shrinking a failure
-    # takes minutes; the failing segment_odds and threads are reported as drawn
+    # takes minutes; the failing draws are reported as drawn
     @settings(max_examples=3, deadline=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(segment_odds=st.integers(64, 4096), threads=st.sampled_from([1, 3]))
-    def test_matches_the_merged_oracle(self, q, a, b, segment_odds, threads):
-        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
-        run = accumulate(grid, q, segment_odds=segment_odds, threads=threads, race=(a, b))
-        assert_same_stream(run.race, oracle_stream(run.x_hi, q, a, b))
+    @given(segment_odds=st.integers(64, 4096), x_hi=st.integers(1_000, 30_000))
+    def test_matches_the_merged_oracle(self, q, a, b, segment_odds, x_hi):
+        grid = CheckpointGrid.from_xmax(x_hi - 1, h=0.05)
+        for race in ((a, b), (b, a)):
+            runs = [accumulate(grid, q, x_hi=x_hi, segment_odds=segment_odds,
+                               threads=threads, race=race) for threads in (1, 2)]
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "stop.csv"
+                accumulate(grid, q, x_hi=x_hi, segment_odds=segment_odds, persist=path,
+                           max_segments=2, race=race)
+                runs.append(accumulate(grid, q, x_hi=x_hi, segment_odds=segment_odds,
+                                       persist=path, resume=True, race=race))
+            for run in runs:
+                assert run.completed
+                assert_matches_the_stream_forms(run.race, x_hi, q, *race, grid.x)
 
     @pytest.mark.parametrize("q, a, b", RACES[1::2])
     @pytest.mark.parametrize("stop", [3, None])
     def test_resumed_stream_matches_the_oracle(self, tmp_path, q, a, b, stop):
-        # stop=3 leaves a partial sidecar, None a complete one
+        # stop=3 leaves a partial sidecar, None a complete one; neither
+        # recorded the race, which is folded again from the sieve
         grid = CheckpointGrid.from_xmax(20_000, h=0.05)
         path = tmp_path / "race.csv"
         accumulate(grid, q, segment_odds=512, persist=path, max_segments=stop)
         res = accumulate(grid, q, segment_odds=512, persist=path, resume=True,
                          threads=3, race=(a, b))
         assert res.completed
-        assert_same_stream(res.race, oracle_stream(res.x_hi, q, a, b))
+        assert_same_summary(res.race, oracle_summary(res.x_hi, q, a, b, grid.x))
 
-    def test_stream_is_two_views_into_one_buffer(self):
-        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
-        pos, w = accumulate(grid, 4, segment_odds=512, race=(3, 1)).race
-        assert pos.base is w.base is not None
-        assert pos.flags.c_contiguous and w.flags.c_contiguous
-
-    def test_buffer_bound_covers_every_race(self):
-        # the stream below x_hi never holds more primes than the buffer that
-        # _prime_count_bound(x_hi) sizes, for every x_hi and race
-        primes = simple_sieve(20_000)
-        x_hi = np.arange(3, 20_001)
-        for q in (3, 4, 5, 12):
-            r = primes % q
-            cap = np.array([_prime_count_bound(int(x)) for x in x_hi])
-            for a, b in itertools.permutations(_Layout(q).units, 2):
-                held = np.searchsorted(primes[(r == a) | (r == b)], x_hi, side="left")
-                assert np.all(held <= cap), (q, a, b)
-        assert np.all(np.searchsorted(primes, x_hi, side="left") <= cap)
+    @settings(max_examples=50, deadline=None)
+    @given(steps=st.lists(st.integers(-3, 3), max_size=40), data=st.data())
+    def test_fold_in_pieces_matches_one_cumsum(self, steps, data):
+        # weights on a 1/4 lattice put the level on exact zeros and flip its
+        # sign often; the pieces cut the stream anywhere, run edges included
+        pos = np.arange(3, 3 + 2 * len(steps), 2)
+        w = np.array(steps, dtype=np.float64) / 4.0
+        xs = np.arange(2.5, 3.0 + 2 * len(steps), 1.5)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(pos)), max_size=6), label="cuts"))
+        # piece k holds the stream's [idx[k], idx[k+1]) and the x in [edge[k], edge[k+1])
+        idx = [0, *cuts, len(pos)]
+        edge = [-np.inf, *(pos[c] if c < len(pos) else np.inf for c in cuts), np.inf]
+        fold = _RaceFold()
+        for k, (lo, hi) in enumerate(zip(idx, idx[1:])):
+            inside = xs[(xs >= edge[k]) & (xs < edge[k + 1])]
+            terms = np.empty((2, hi - lo + 1))
+            terms[0, 1:], terms[1, 1:] = w[lo:hi], w[lo:hi] * pos[lo:hi]
+            fold.fold((pos[lo:hi], terms, np.searchsorted(pos[lo:hi], inside, side="right")))
+        assert_same_summary(fold.summary(xs), stream_summary(pos, w, xs))
 
     def test_stream_at_every_small_x_hi(self):
-        # one run per x_hi below 256, where pi(x) / (x / log x) peaks (at
-        # 113), each q taking its races in turn; bit-equal to the oracle
+        # one run per x_hi below 256, each q taking its races in turn; the
+        # single grid point sits at 2 and the lead runs cover every race prime
         grid = CheckpointGrid(h=1.0, n=1)
         for q in (3, 4, 5, 12):
             races = itertools.cycle(itertools.permutations(_Layout(q).units, 2))
             for x_hi, (a, b) in zip(range(3, 256), races):
                 run = accumulate(grid, q, x_hi=x_hi, segment_odds=64, race=(a, b))
-                assert_same_stream(run.race, oracle_stream(x_hi, q, a, b))
+                assert_same_summary(run.race, oracle_summary(x_hi, q, a, b, grid.x))
 
     @settings(max_examples=20, deadline=None)
     @given(q=st.sampled_from([3, 4, 5, 12]), x_hi=st.integers(3, 20_000), data=st.data())
     def test_stream_at_any_x_hi(self, q, x_hi, data):
         a, b = data.draw(st.sampled_from(list(itertools.permutations(_Layout(q).units, 2))))
-        run = accumulate(CheckpointGrid(h=1.0, n=1), q, x_hi=x_hi, segment_odds=256, race=(a, b))
-        assert_same_stream(run.race, oracle_stream(x_hi, q, a, b))
+        grid = CheckpointGrid(h=1.0, n=1)
+        run = accumulate(grid, q, x_hi=x_hi, segment_odds=256, race=(a, b))
+        assert_same_summary(run.race, oracle_summary(x_hi, q, a, b, grid.x))
 
     def test_no_race_no_stream(self):
         grid = CheckpointGrid.from_xmax(1000, h=0.1)
         assert accumulate(grid, 4).race is None
         empty = accumulate(grid, 4, race=(3, 1), max_segments=0).race
-        assert [len(v) for v in empty] == [0, 0]
+        assert [len(v) for v in (empty.runs, empty.x, empty.sw, empty.swp)] == [0, 0, 0, 0]
+
+
+class TestRaceResume:
+    """A resumed race sieves again only where the sidecar did not record it."""
+
+    def sieve_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[:2])
+            return sieve_segment(*args)
+
+        monkeypatch.setattr(tally, "sieve_segment", counted)
+        return calls
+
+    @pytest.mark.parametrize("stop", [3, None])
+    def test_recorded_race_never_sieves_again(self, tmp_path, monkeypatch, stop):
+        # 7 = 3 and 5 = 1 mod 4: the race (3, 1) the run recorded
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        path = tmp_path / "r.csv"
+        first = accumulate(grid, 4, segment_odds=512, persist=path, race=(3, 1), max_segments=stop)
+        calls = self.sieve_calls(monkeypatch)
+        res = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(7, 5))
+        # only the segments an interrupted run had not tallied yet
+        bounds = list(tally.segment_bounds(2, res.x_hi, 512))
+        assert calls == ([] if stop is None else bounds[stop:])
+        assert_same_summary(res.race, accumulate(grid, 4, segment_odds=512, race=(3, 1)).race)
+        if stop is None:
+            assert_same_summary(res.race, first.race)
+
+    @pytest.mark.parametrize("recorded", [None, (3, 1)])
+    def test_unrecorded_race_sieves_once_per_tallied_segment(self, tmp_path, monkeypatch, recorded):
+        # a checkpoint written without a race (as delta writes one), or with
+        # the other orientation; once sieved, the race is recorded too
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        path = tmp_path / "u.csv"
+        accumulate(grid, 4, segment_odds=512, persist=path, race=recorded)
+        calls = self.sieve_calls(monkeypatch)
+        res = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(1, 3))
+        assert calls == list(tally.segment_bounds(2, res.x_hi, 512))
+        again = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(1, 3))
+        assert len(calls) == len(list(tally.segment_bounds(2, res.x_hi, 512)))
+        direct = accumulate(grid, 4, segment_odds=512, race=(1, 3)).race
+        assert_same_summary(res.race, direct)
+        assert_same_summary(again.race, direct)
 
 
 class TestMergePartials:
@@ -409,13 +502,19 @@ def assert_segment_matches_reference(primes, lo, hi, boundaries, q):
     """Bit for bit, -0.0 included, against the loop-per-character reduction."""
     layout = _Layout(q)
     race = (layout.units[1], layout.units[0])
-    got = _segment_partial(primes, lo, hi, boundaries, layout, race)
+    got = _segment_partial(primes, lo, hi, boundaries, layout)
     want = reference_segment_partial(primes, boundaries, layout, race)
     for name in SEGMENT_FIELDS:
         a, b = getattr(got, name), want[name]
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
-    assert_same_stream(got.race, want["race"])
+    # the race terms: the segment's race stream and w*p behind the carry slot
+    p, terms, cut = _race_terms(primes, q, race, boundaries)
+    pos, w = want["race"]
+    assert np.array_equal(p, pos)
+    assert np.array_equal(terms[0, 1:].view(np.uint64), w.view(np.uint64))
+    assert np.array_equal(terms[1, 1:].view(np.uint64), (w * pos).view(np.uint64))
+    assert np.array_equal(cut, np.searchsorted(pos, boundaries, side="right"))
     return got
 
 
@@ -583,7 +682,7 @@ class TestPersistence:
                          resume=True, race=(3, 1))
         assert res.completed and len(res.series) == grid.n
         direct = accumulate(grid, 4, segment_odds=512, race=(3, 1))
-        assert_same_stream(res.race, direct.race)
+        assert_same_summary(res.race, direct.race)
 
     @pytest.mark.parametrize("stop", [4, None])
     def test_fresh_and_resumed_series_agree(self, tmp_path, stop):
@@ -612,7 +711,7 @@ class TestPersistence:
         res = accumulate(grid, 4, segment_odds=512, persist=path,
                          resume=True, race=(1, 3))
         direct = accumulate(grid, 4, segment_odds=512, race=(1, 3))
-        assert_same_stream(res.race, direct.race)
+        assert_same_summary(res.race, direct.race)
 
     def test_configuration_mismatch_rejected(self, tmp_path):
         grid = self.grid()
@@ -715,17 +814,23 @@ class TestCrossVersionResume:
     """
 
     def test_format_1_sidecar_resumes_byte_identically(self, tmp_path):
+        # a format-1 sidecar records no race: one is folded again from the sieve
         grid = CheckpointGrid.from_xmax(20_000, h=0.1)
-        for name in ("resume_q12.csv", "resume_q12.meta.json"):
-            shutil.copy(DATA / name, tmp_path / name)
-        meta = json.loads((tmp_path / "resume_q12.meta.json").read_text())
-        assert meta["format"] == 1 and not meta["complete"]
-        res = accumulate(grid, 12, segment_odds=512, persist=tmp_path / "resume_q12.csv",
-                         resume=True)
-        assert res.completed
-        fresh = tmp_path / "fresh.csv"
-        direct = accumulate(grid, 12, segment_odds=512, persist=fresh)
-        assert (tmp_path / "resume_q12.csv").read_bytes() == fresh.read_bytes()
-        for a, b in zip(res.series, direct.series):
-            for attr in ALL_ARRAYS:
-                assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+        for race in (None, (5, 1)):
+            work = tmp_path / str(race)
+            work.mkdir()
+            for name in ("resume_q12.csv", "resume_q12.meta.json"):
+                shutil.copy(DATA / name, work / name)
+            meta = json.loads((work / "resume_q12.meta.json").read_text())
+            assert meta["format"] == 1 and not meta["complete"]
+            res = accumulate(grid, 12, segment_odds=512, persist=work / "resume_q12.csv",
+                             resume=True, race=race)
+            assert res.completed
+            fresh = work / "fresh.csv"
+            direct = accumulate(grid, 12, segment_odds=512, persist=fresh, race=race)
+            assert (work / "resume_q12.csv").read_bytes() == fresh.read_bytes()
+            for a, b in zip(res.series, direct.series):
+                for attr in ALL_ARRAYS:
+                    assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+            if race is not None:
+                assert_same_summary(res.race, direct.race)
