@@ -1,21 +1,24 @@
 """Streaming tallies of weighted prime sums on a log-spaced checkpoint grid.
 
 One pass over the primes up to x_max populates, for every grid point
-x_j = exp(y_j), per-residue-class sums (counts, 1/sqrt(p), log p, and the
-psi-style sums that also see proper prime powers) and per-character sums
-(chi(p)/sqrt(p), chi(p^2)/p, and -log(1 - chi(p)/sqrt(p)) for the partial
-Euler product on the critical line).
+x_j = exp(y_j), per-residue-class sums (counts, 1/sqrt(p), log p, 1/p, and
+the psi-style sums that also see proper prime powers) and per-character
+sums of -log(1 - chi(p)/sqrt(p)) for the partial Euler product on the
+critical line.  The per-character sums of chi(p)/sqrt(p) and chi(p^2)/p
+are linear in the class sums of 1/sqrt(p) and 1/p, and each snapshot
+derives them from those.
 
 Segments are cut into chunks at grid points, each chunk is reduced with
 np.sum, and one TallyPartial folds the per-chunk values by error-free
-summation (Shewchuk partials): every total is the correctly rounded exact
-sum of those per-chunk values.  Chunks depend on the segment width, so for
+summation (Shewchuk partials): every summed total is the correctly rounded
+exact sum of those per-chunk values, and the derived columns are a fixed
+combination of those totals.  Chunks depend on the segment width, so for
 a fixed segment_odds any worker pool and any resumed run reproduce the
 totals bit for bit; a merge does so only at a split on a segment boundary.
 
 Each chunk value is one pairwise np.sum over a slice of one C-contiguous
-row of per-prime terms (see _segment_partial).  The terms of all characters
-sit in one block per class or per chunk, reduced with a single axis=1 sum,
+row of per-prime terms (see _segment_partial).  The Euler-log terms of all
+characters sit in one block per class, reduced with a single axis=1 sum,
 so a segment costs O(chunks + nonempty class-chunks) numpy calls whatever
 the number of characters; the exact fold then costs one Python-level add
 per class and per character for each chunk that holds a prime.
@@ -232,13 +235,11 @@ class _Layout:
         nonprincipal = chars[1:]
         self.nchar = len(nonprincipal)
         self.char_labels = tuple(chi.label for chi in nonprincipal)
-        # chi(p mod q) and chi(p^2 mod q) lookups, zero off the units
+        # chi(p mod q) lookup, zero off the units
         self.chi_tab = np.stack([chi.values for chi in nonprincipal]) if self.nchar else np.zeros((0, q), np.complex128)
-        chi2 = np.zeros((self.nchar, q), dtype=np.complex128)
-        for j, chi in enumerate(nonprincipal):
-            for a in self.units:
-                chi2[j, a] = chi.values[(a * a) % q]
-        self.chi2_tab = chi2
+        # (nchar, nclass) tables of chi(a) and chi(a)^2 = chi(a^2), C-contiguous
+        self.chi_class = np.ascontiguousarray(self.chi_tab[:, self.units])
+        self.chi2_class = np.ascontiguousarray(self.chi_tab[:, [a * a % q for a in self.units]])
         # per class slot a: the characters with real chi(a), whose Euler-log
         # terms go through log1p, with -Re chi(a); the rest, with chi(a)
         self.euler_rows = []
@@ -247,10 +248,6 @@ class _Layout:
             real = z.imag == 0.0
             self.euler_rows.append(
                 (np.flatnonzero(real), -z.real[real], np.flatnonzero(~real), z[~real]))
-
-
-# Most terms in one char_invsqrt or char_mertens block (see _segment_partial)
-_BLOCK_TERMS = 1 << 20
 
 
 @dataclass(eq=False)
@@ -264,25 +261,22 @@ class _SegmentPartial:
     invsqrt: np.ndarray  # (nchunks, nclass) float64
     theta: np.ndarray
     invp: np.ndarray
-    char_invsqrt: np.ndarray  # (nchunks, nchar) complex128
-    char_mertens: np.ndarray
-    char_eulerlog: np.ndarray
+    char_eulerlog: np.ndarray  # (nchunks, nchar) complex128
 
 
-def _race_terms(primes: np.ndarray, q: int, race: tuple[int, int],
+def _race_terms(primes: np.ndarray, residues: np.ndarray, race: tuple[int, int],
                 boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One segment's race terms (race primes, terms, cut).
 
-    The race primes are the primes in classes race = (a, b), reduced mod q,
-    in sieve order.  Row 0 of terms holds w = +1/sqrt(p) on a and -1/sqrt(p)
-    on b and row 1 holds w*p, each behind a first column that _RaceFold
-    fills with the carried sums.  cut[c] counts the race primes at or below
-    boundaries[c].
+    residues is primes % q.  The race primes are the primes in classes
+    race = (a, b), reduced mod q, in sieve order.  Row 0 of terms holds
+    w = +1/sqrt(p) on a and -1/sqrt(p) on b and row 1 holds w*p, each behind
+    a first column that _RaceFold fills with the carried sums.  cut[c]
+    counts the race primes at or below boundaries[c].
     """
     a, b = race
-    r = primes % q
-    on_b = r == b
-    mask = (r == a) | on_b
+    on_b = residues == b
+    mask = (residues == a) | on_b
     p = primes[mask]
     terms = np.empty((2, len(p) + 1))
     w = terms[0, 1:]
@@ -299,22 +293,20 @@ def _segment_partial(
     hi: int,
     boundaries: np.ndarray,
     layout: _Layout,
+    residues: np.ndarray | None = None,
 ) -> _SegmentPartial:
     """Chunked sums over one segment; boundaries are checkpoint x-values.
 
+    residues is primes % q, computed here when the caller has not.
     Reduction contract: every chunk value is one pairwise np.sum over a
     slice of one C-contiguous row of per-prime terms, and a chunk's Euler-log
     value adds the per-class values in class order.  The terms are built per
-    class (invsqrt, theta, invp and the Euler-log rows) or per chunk (the
-    char_invsqrt and char_mertens blocks) and each chunk is reduced with one
-    axis=1 sum per block, so a segment costs O(chunks + nonempty
+    class (invsqrt, theta, invp and the Euler-log rows) and each class-chunk
+    is reduced with one axis=1 sum, so a segment costs O(chunks + nonempty
     class-chunks) numpy calls whatever the number of characters.  Any future
     vectorisation has to keep the contract: np.add.reduceat sums
     sequentially and a Fortran-ordered block sums across rows, and both
-    change the last bits.  A chunk spans a whole segment where a grid step
-    is wider than the segment, so per-chunk blocks take the characters in
-    row groups of at most _BLOCK_TERMS terms (or one row), which changes no
-    row's sum.
+    change the last bits.
     """
     nch = len(boundaries) + 1
     ncl, nchar = layout.nclass, layout.nchar
@@ -322,10 +314,8 @@ def _segment_partial(
     invsqrt = np.zeros((nch, ncl))
     theta = np.zeros((nch, ncl))
     invp = np.zeros((nch, ncl))
-    ch_inv = np.zeros((nch, nchar), dtype=np.complex128)
-    ch_mer = np.zeros((nch, nchar), dtype=np.complex128)
     ch_eul = np.zeros((nch, nchar), dtype=np.complex128)
-    r = primes % layout.q
+    r = primes % layout.q if residues is None else residues
     pf = primes.astype(np.float64)
     s_all = 1.0 / np.sqrt(pf)
     for i, a in enumerate(layout.units):
@@ -352,23 +342,8 @@ def _segment_partial(
                 ch_eul[c, real] += -sums[3:]
                 ch_eul[c, cplx] += -np.sum(cterms[:, prev:e], axis=1)
             prev = e
-    if nchar and len(primes):
-        ends = np.append(np.searchsorted(primes, boundaries, side="right"), len(primes))
-        prev = 0
-        for c, e in enumerate(ends.tolist()):
-            if e > prev:
-                rc, sc, pc = r[prev:e], s_all[prev:e], pf[prev:e]
-                step = max(1, _BLOCK_TERMS // (e - prev))
-                for j in range(0, nchar, step):
-                    rows = slice(j, j + step)
-                    ch_inv[c, rows] = np.sum(np.take(layout.chi_tab[rows], rc, axis=1) * sc, axis=1)
-                    ch_mer[c, rows] = np.sum(np.take(layout.chi2_tab[rows], rc, axis=1) / pc, axis=1)
-            prev = e
-    return _SegmentPartial(
-        lo=lo, hi=hi, nchunks=nch,
-        counts=counts, invsqrt=invsqrt, theta=theta, invp=invp,
-        char_invsqrt=ch_inv, char_mertens=ch_mer, char_eulerlog=ch_eul,
-    )
+    return _SegmentPartial(lo=lo, hi=hi, nchunks=nch, counts=counts, invsqrt=invsqrt,
+                           theta=theta, invp=invp, char_eulerlog=ch_eul)
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +602,21 @@ class TallyPartial:
 
     The one holder of exact tally state: accumulate, range_partial, merge
     and resume all fold, merge and serialise through it.  sums maps each
-    summed field to one ExactSum per class (invsqrt, theta, psi, and invp,
-    which only the sidecar keeps) or one ExactComplexSum per character
-    (char_*).  totals() keeps the last value() of every sum and recomputes
-    only the stale ones, those folded since the previous call: value()
-    depends only on the partials, so a cached value is the value.
+    summed field to one ExactSum per class (invsqrt, theta, psi, invp) or
+    one ExactComplexSum per character (char_eulerlog).  The two character
+    sums that are linear in the class sums are derived, not summed:
+    totals() gives char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
+    sum_a chi(a)^2 invp_a, each as one axis=1 np.sum over the layout's
+    C-contiguous (nchar, nclass) table, so no BLAS call sets their bits.
+    totals() keeps the last value() of every sum and recomputes only the
+    stale ones, those folded since the previous call: value() depends only
+    on the partials, so a cached value is the value.
     """
 
     q: int
     lo: int
     hi: int
-    units: tuple[int, ...]
-    char_labels: tuple[str, ...]
+    layout: _Layout
     counts: list[int]
     sums: dict[str, list]
     _values: dict[str, list] = field(init=False, repr=False)
@@ -648,12 +626,16 @@ class TallyPartial:
         self._values = {n: [None] * len(e) for n, e in self.sums.items()}
         self._stale = {n: set(range(len(e))) for n, e in self.sums.items()}
 
+    @property
+    def units(self) -> tuple[int, ...]:
+        return self.layout.units
+
     @classmethod
     def empty(cls, q: int, at: int = 2, *, layout: _Layout | None = None) -> "TallyPartial":
         layout = layout or _Layout(q)
         sums = {n: [ExactSum() for _ in layout.units] for n in _CLASS_FIELDS}
-        sums.update({"char_" + n: [ExactComplexSum() for _ in layout.char_labels] for n in _CHAR_FIELDS})
-        return cls(q, at, at, layout.units, layout.char_labels, [0] * layout.nclass, sums)
+        sums["char_eulerlog"] = [ExactComplexSum() for _ in layout.char_labels]
+        return cls(q, at, at, layout, [0] * layout.nclass, sums)
 
     def fold(self, part: _SegmentPartial, c: int) -> None:
         """Add chunk c of a segment; its chunk 0 must start where this range ends.
@@ -680,11 +662,10 @@ class TallyPartial:
                 sums["invp"][i].add(part.invp[c, i])
                 for name in _CLASS_FIELDS:
                     stale[name].add(i)
-        for name in _CHAR_FIELDS:
-            col = getattr(part, "char_" + name)[c].tolist()
-            for e, z in zip(sums["char_" + name], col):
-                e.add(z)
-            stale["char_" + name].update(range(len(col)))
+        col = part.char_eulerlog[c].tolist()
+        for e, z in zip(sums["char_eulerlog"], col):
+            e.add(z)
+        stale["char_eulerlog"].update(range(len(col)))
 
     def fold_powers(self, powers: Sequence[tuple[int, int, float]], start: int, x: float) -> int:
         """Add log p to psi for powers[start:] up to x; return the next index."""
@@ -716,17 +697,19 @@ class TallyPartial:
             stale.clear()
             dtype = np.complex128 if name.startswith("char_") else np.float64
             out[name] = np.array(values, dtype=dtype)
+        out["char_invsqrt"] = np.sum(self.layout.chi_class * out["invsqrt"], axis=1)
+        out["char_mertens"] = np.sum(self.layout.chi2_class * out["invp"], axis=1)
         return out
 
     def copy(self) -> "TallyPartial":
-        return deepcopy(self)
+        return deepcopy(self, {id(self.layout): self.layout})
 
     def to_state(self) -> dict:
-        """The exact sums as the sidecar's JSON "state" (format 1)."""
+        """The exact sums as the sidecar's JSON "state" (format 3)."""
         return {
             "counts": list(self.counts),
             "class": {n: [e.to_hex() for e in self.sums[n]] for n in _CLASS_FIELDS},
-            "char": {n: [e.to_hex() for e in self.sums["char_" + n]] for n in _CHAR_FIELDS},
+            "char": {"eulerlog": [e.to_hex() for e in self.sums["char_eulerlog"]]},
             "expected_lo": self.hi,
         }
 
@@ -734,14 +717,14 @@ class TallyPartial:
     def from_state(cls, state: Mapping, q: int, *, layout: _Layout | None = None) -> "TallyPartial":
         """Inverse of to_state, for a range that starts at 2.
 
-        Older sidecars store expected_lo None when no segment was folded yet.
+        Formats 1 and 2 also hold exact char invsqrt and mertens sums, which
+        totals() derives and this does not read.  Older sidecars store
+        expected_lo None when no segment was folded yet.
         """
         layout = layout or _Layout(q)
         sums = {n: [ExactSum.from_hex(h) for h in state["class"][n]] for n in _CLASS_FIELDS}
-        sums.update({"char_" + n: [ExactComplexSum.from_hex(h) for h in state["char"][n]]
-                     for n in _CHAR_FIELDS})
-        return cls(q, 2, state["expected_lo"] or 2, layout.units, layout.char_labels,
-                   [int(c) for c in state["counts"]], sums)
+        sums["char_eulerlog"] = [ExactComplexSum.from_hex(h) for h in state["char"]["eulerlog"]]
+        return cls(q, 2, state["expected_lo"] or 2, layout, [int(c) for c in state["counts"]], sums)
 
 
 def _power_terms(layout: _Layout, lo: int, hi: int) -> list[tuple[int, int, float]]:
@@ -792,43 +775,34 @@ def read_series_csv(path: str | Path) -> CheckpointSeries:
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     units = [int(c[2:]) for c in header if c.startswith("n_")]
-    char_labels = []
-    for c in header:
-        if c.startswith("chi_") and c.endswith("_invsqrt_re"):
-            char_labels.append(c[len("chi_"):-len("_invsqrt_re")])
+    char_labels = [c[len("chi_"):-len("_invsqrt_re")] for c in header
+                   if c.startswith("chi_") and c.endswith("_invsqrt_re")]
     if not units:
         raise ValueError(f"{path}: no per-class columns found")
     q = int(char_labels[0].split(".")[0]) if char_labels else max(units) + 1
-    ncl, nchar = len(units), len(char_labels)
-    checkpoints = []
-    for row in rows:
-        vals = row
-        x, y = float(vals[0]), float(vals[1])
-        counts = np.array([int(vals[2 + 4 * i]) for i in range(ncl)], dtype=np.int64)
-        invsqrt = np.array([float(vals[3 + 4 * i]) for i in range(ncl)])
-        theta = np.array([float(vals[4 + 4 * i]) for i in range(ncl)])
-        psi = np.array([float(vals[5 + 4 * i]) for i in range(ncl)])
-        base = 2 + 4 * ncl
-        cvals = []
-        for j in range(nchar):
-            trip = []
-            for k in range(3):
-                re = float(vals[base + 6 * j + 2 * k])
-                im = float(vals[base + 6 * j + 2 * k + 1])
-                trip.append(complex(re, im))
-            cvals.append(trip)
-        checkpoints.append(
-            TallyCheckpoint(
-                q=q, x=x, y=y, units=tuple(units), char_labels=tuple(char_labels),
-                counts=counts, invsqrt=invsqrt, theta=theta, psi=psi,
-                char_invsqrt=np.array([c[0] for c in cvals], dtype=np.complex128),
-                char_mertens=np.array([c[1] for c in cvals], dtype=np.complex128),
-                char_eulerlog=np.array([c[2] for c in cvals], dtype=np.complex128),
-            )
+    # numpy parses each cell to the double float() gives, -0.0 included; a
+    # header with no rows reads as shape (0, 1)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).reshape(-1, len(header))
+    col = {name: k for k, name in enumerate(header)}
+
+    def columns(names) -> np.ndarray:
+        return np.ascontiguousarray(data[:, [col[n] for n in names]])
+
+    # per field, its column for every class, or its (re, im) pair for every character
+    cls = {f: columns(f"{f}_{a}" for a in units) for f in ("n", "invsqrt", "theta", "psi")}
+    chars = {f: columns(f"chi_{label}_{f}_{part}" for label in char_labels for part in ("re", "im"))
+             .view(np.complex128) for f in _CHAR_FIELDS}
+    counts = cls["n"].astype(np.int64)  # exact below 2^53
+    checkpoints = [
+        TallyCheckpoint(
+            q=q, x=x, y=y, units=tuple(units), char_labels=tuple(char_labels),
+            counts=counts[k], invsqrt=cls["invsqrt"][k], theta=cls["theta"][k], psi=cls["psi"][k],
+            **{f"char_{f}": chars[f][k] for f in _CHAR_FIELDS},
         )
-    ys = np.array([c.y for c in checkpoints])
+        for k, (x, y) in enumerate(data[:, :2].tolist())
+    ]
+    ys = data[:, 1]
     if len(ys) > 1:
         h = float((ys[-1] - ys[0]) / (len(ys) - 1))
     else:
@@ -878,15 +852,17 @@ def accumulate(
     sequentially, so the summary equals, bit for bit, the one that a single
     cumsum over every race prime in ascending order gives, for any
     segment_odds, thread count or resume point.  persist writes the
-    checkpoint CSV plus a JSON sidecar (format 2) as the run goes, with the
-    summary of the race, keyed by its reduced classes.  resume=True
-    continues a previously interrupted persisted run from the sidecar's
-    state, or reads a finished one; it reads format 1 too.  A race the
-    sidecar recorded is read back with it, and any other race is folded
-    again from a re-sieve of the segments tallied so far and, on a finished
-    run, recorded.  An interrupted run carries only the race it is resumed
-    with.  max_segments stops early after that many segments (the persisted
-    state stays resumable).
+    checkpoint CSV plus a JSON sidecar as the run goes, with the summary of
+    the race, keyed by its reduced classes: format 3 while the run is
+    partial, and format 2 once it is complete, since a complete sidecar
+    holds no state.  resume=True continues a previously interrupted
+    persisted run from the sidecar's state, or reads a finished one; it
+    reads formats 1 and 2 too.  A race the sidecar recorded is read back
+    with it, and any other race is folded again from a re-sieve of the
+    segments tallied so far and, on a finished run, recorded.  An
+    interrupted run carries only the race it is resumed with.  max_segments
+    stops early after that many segments (the persisted state stays
+    resumable).
     """
     layout = _Layout(q)
     if x_hi is None:
@@ -915,7 +891,8 @@ def accumulate(
         return grid_x[np.searchsorted(grid_x, a, side="left"):np.searchsorted(grid_x, b, side="left")]
 
     def race_job(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _race_terms(sieve_segment(a, b, base), q, race, boundaries(a, b))
+        primes = sieve_segment(a, b, base)
+        return _race_terms(primes, primes % q, race, boundaries(a, b))
 
     def race_summary() -> RaceSummary | None:
         return race_fold.summary(grid_x) if race_fold is not None else None
@@ -969,10 +946,11 @@ def accumulate(
 
     def job(a: int, b: int) -> tuple[_SegmentPartial, tuple | None]:
         primes = sieve_segment(a, b, base)
+        residues = primes % q
         cuts = boundaries(a, b)
         # the race terms are built once the reduction's temporaries are freed
-        part = _segment_partial(primes, a, b, cuts, layout)
-        return part, _race_terms(primes, q, race, cuts) if race is not None else None
+        part = _segment_partial(primes, a, b, cuts, layout, residues)
+        return part, _race_terms(primes, residues, race, cuts) if race is not None else None
 
     def snapshot() -> None:
         nonlocal next_j, pw_ptr
@@ -994,7 +972,8 @@ def accumulate(
             rows_written += len(new_rows)
         next_lo = bounds[done_idx][0] if done_idx < len(bounds) else x_hi
         payload = {
-            "format": 2, "q": q, "h": grid.h, "n": grid.n,
+            # format 3 changed only the state, which a complete sidecar omits
+            "format": 2 if complete else 3, "q": q, "h": grid.h, "n": grid.n,
             "segment_odds": segment_odds, "x_hi": x_hi,
             "complete": complete, "next_segment_index": done_idx,
             "rows_written": rows_written, "last_completed_prime": next_lo - 1,

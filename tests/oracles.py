@@ -291,9 +291,9 @@ def reference_segment_partial(primes, boundaries, layout, race=None):
     """One np.sum per (chunk, class, character): the per-chunk sums of a segment.
 
     layout is a primerace.tally._Layout.  Returns the _SegmentPartial fields
-    (counts, invsqrt, theta, invp, char_invsqrt, char_mertens, char_eulerlog,
-    race) as a dict; race = (a, b), reduced residues, gives the segment's race
-    stream through race_jump_weights.
+    (counts, invsqrt, theta, invp, char_eulerlog, race) as a dict; race =
+    (a, b), reduced residues, gives the segment's race stream through
+    race_jump_weights.
     """
     nb = len(boundaries)
     nch = nb + 1
@@ -302,8 +302,6 @@ def reference_segment_partial(primes, boundaries, layout, race=None):
     invsqrt = np.zeros((nch, ncl))
     theta = np.zeros((nch, ncl))
     invp = np.zeros((nch, ncl))
-    ch_inv = np.zeros((nch, nchar), dtype=np.complex128)
-    ch_mer = np.zeros((nch, nchar), dtype=np.complex128)
     ch_eul = np.zeros((nch, nchar), dtype=np.complex128)
     jumps = {a: np.empty(0, dtype=np.int64) for a in race or ()}
     if len(primes):
@@ -337,20 +335,8 @@ def reference_segment_partial(primes, boundaries, layout, race=None):
                         else:
                             ch_eul[c, j] += -np.sum(np.log(1.0 - z * sa[sl]))
                 prev = e
-        if nchar:
-            edges_all = np.searchsorted(primes, boundaries, side="right")
-            for j in range(nchar):
-                terms_inv = layout.chi_tab[j][r] * s_all
-                terms_mer = layout.chi2_tab[j][r] / pf
-                prev = 0
-                for c in range(nch):
-                    e = edges_all[c] if c < nb else len(primes)
-                    if e > prev:
-                        ch_inv[c, j] = np.sum(terms_inv[prev:e])
-                        ch_mer[c, j] = np.sum(terms_mer[prev:e])
-                    prev = e
     return {
         "counts": counts, "invsqrt": invsqrt, "theta": theta, "invp": invp,
-        "char_invsqrt": ch_inv, "char_mertens": ch_mer, "char_eulerlog": ch_eul,
+        "char_eulerlog": ch_eul,
         "race": race_jump_weights(jumps[race[0]], jumps[race[1]]) if race else None,
     }

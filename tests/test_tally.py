@@ -57,6 +57,8 @@ DATA = Path(__file__).resolve().parent / "data"
 
 ALL_ARRAYS = ("counts", "invsqrt", "theta", "psi",
               "char_invsqrt", "char_mertens", "char_eulerlog")
+# the character columns that totals() derives from the class sums
+DERIVED = ("char_invsqrt", "char_mertens")
 
 
 def checkpoint_at(series, x):
@@ -494,8 +496,7 @@ def assert_same_totals(a, b):
         assert np.array_equal(ta[k], tb[k]), k
 
 
-SEGMENT_FIELDS = ("counts", "invsqrt", "theta", "invp",
-                  "char_invsqrt", "char_mertens", "char_eulerlog")
+SEGMENT_FIELDS = ("counts", "invsqrt", "theta", "invp", "char_eulerlog")
 
 
 def assert_segment_matches_reference(primes, lo, hi, boundaries, q):
@@ -509,7 +510,7 @@ def assert_segment_matches_reference(primes, lo, hi, boundaries, q):
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
     # the race terms: the segment's race stream and w*p behind the carry slot
-    p, terms, cut = _race_terms(primes, q, race, boundaries)
+    p, terms, cut = _race_terms(primes, primes % q, race, boundaries)
     pos, w = want["race"]
     assert np.array_equal(p, pos)
     assert np.array_equal(terms[0, 1:].view(np.uint64), w.view(np.uint64))
@@ -537,13 +538,6 @@ class TestSegmentReduction:
         sizes = part.counts[part.counts > 0]
         assert sizes.min() < 8 and sizes.max() > 128
         assert np.any((sizes >= 8) & (sizes <= 128))
-
-    @pytest.mark.parametrize("q", [24, 105])
-    def test_row_groups_under_a_small_budget(self, q, monkeypatch):
-        # 50 terms: one or a few character rows per group, and a single row
-        # (over budget) for every chunk longer than 50 primes
-        monkeypatch.setattr(tally, "_BLOCK_TERMS", 50)
-        self.test_matches_the_loop_per_character(q)
 
     def test_whole_segment_chunk_memory_is_bounded(self):
         # a grid step wider than the segment: the chunk is the whole segment
@@ -618,6 +612,23 @@ class TestTallyState:
                 pw = state.fold_powers(powers, pw, end)
                 fresh = TallyPartial.from_state(state.to_state(), q, layout=layout)
                 assert_same_totals(state, fresh)
+
+    @pytest.mark.parametrize("q", [4, 12, 24, 105])
+    def test_linear_character_columns_derive_from_the_class_sums(self, q):
+        # char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
+        # sum_a chi(a^2) invp_a, one pairwise np.sum per character over the
+        # units in order, bit for bit; a real character's parts stay +0.0
+        part = range_partial(2, 40_000, q, segment_odds=512)
+        tot = part.totals()
+        units = np.array(part.units)
+        for j, chi in enumerate(enumerate_characters(q)[1:]):
+            for name, table, residues in (("char_invsqrt", tot["invsqrt"], units),
+                                          ("char_mertens", tot["invp"], units * units % q)):
+                want = np.sum(chi.values[residues] * table)
+                got = tot[name][j:j + 1]
+                assert np.array_equal(got.view(np.uint64), np.array([want]).view(np.uint64)), (name, j)
+                if chi.is_real:
+                    assert got.imag.view(np.uint64)[0] == 0, (name, j)
 
     def test_state_that_does_not_meet_the_next_segment_rejected(self, tmp_path):
         grid = CheckpointGrid.from_xmax(20_000, h=0.02)
@@ -732,7 +743,9 @@ class TestPersistence:
         grid = CheckpointGrid.from_xmax(20_000, h=0.1)
         path = tmp_path / "q12.csv"
         accumulate(grid, 12, segment_odds=512, persist=path, max_segments=5)
-        state = json.loads((tmp_path / "q12.meta.json").read_text())["state"]
+        meta = json.loads((tmp_path / "q12.meta.json").read_text())
+        state = meta["state"]
+        assert meta["format"] == 3 and list(state["char"]) == ["eulerlog"]
         for name, sums in state["char"].items():
             for re, im in sums:
                 assert re and im == [], name
@@ -803,34 +816,92 @@ class TestCheckpointOps:
         assert vec[j] == pytest.approx(pi_half(ck, t), rel=1e-14)
 
 
+def assert_resumed_from_fixture(resumed, fixture, fresh):
+    """A resumed CSV keeps the fixture's rows and goes on with a fresh run's.
+
+    Flushed rows are never rewritten, so the fixture's rows keep the
+    char_invsqrt and char_mertens cells that its release summed per chunk:
+    those agree with the fresh run's derived cells at the oracle tolerance,
+    and every other cell byte for byte.  Returns the number of fixture rows.
+    """
+    old = fixture.read_bytes().splitlines(keepends=True)
+    new = fresh.read_bytes().splitlines(keepends=True)
+    assert len(old) < len(new)
+    assert resumed.read_bytes() == b"".join(old + new[len(old):])
+    header = old[0].decode().rstrip("\n").split(",")
+    derived = [name.startswith("chi_") and name.split("_")[-2] in ("invsqrt", "mertens")
+               for name in header]
+    for a, b in zip(old[1:], new[1:]):
+        for name, is_derived, u, v in zip(header, derived, a.split(b","), b.split(b",")):
+            if is_derived:
+                assert float(u) == pytest.approx(float(v), rel=1e-11, abs=1e-12), name
+            else:
+                assert u == v, name
+    return len(old) - 1
+
+
+def assert_series_from_fixture(got, want, inherited):
+    """assert_resumed_from_fixture's split, on the series' arrays."""
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        for attr in ALL_ARRAYS:
+            u, v = getattr(a, attr), getattr(b, attr)
+            if k < inherited and attr in DERIVED:
+                assert u == pytest.approx(v, rel=1e-11, abs=1e-12), (k, attr)
+            else:
+                assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), (k, attr)
+
+
 class TestCrossVersionResume:
-    """tests/data/resume_q12.* is a run interrupted by the release before the
-    tally state was unified (commit b55212d), written by
+    """Partial runs written by earlier releases, which summed char_invsqrt and
+    char_mertens per chunk instead of deriving them.  Resuming one must
+    continue it as a fresh run would: the fixture's 79 rows stay as they
+    were written, and every later row is a fresh run's.
+
+    tests/data/resume_q12.* (format 1) was written by the release before
+    the tally state was unified (commit b55212d) by
 
         accumulate(CheckpointGrid.from_xmax(20_000, h=0.1), 12,
                    segment_odds=512, persist="resume_q12.csv", max_segments=5)
 
-    Resuming it must give a fresh run's CSV bytes, which pins sidecar format 1.
+    and tests/data/resume_q4_race.* (format 2, with a recorded race) by the
+    release before the two columns were derived (commit 3c2a832) by
+
+        accumulate(CheckpointGrid.from_xmax(20_000, h=0.1), 4,
+                   segment_odds=512, persist="resume_q4_race.csv",
+                   race=(3, 1), max_segments=5)
     """
+
+    def resume(self, tmp_path, name, q, race):
+        """Resume a copy of fixture name; return the result, a fresh run, the work directory."""
+        grid = CheckpointGrid.from_xmax(20_000, h=0.1)
+        work = tmp_path / str(race)
+        work.mkdir()
+        for suffix in (".csv", ".meta.json"):
+            shutil.copy(DATA / (name + suffix), work / (name + suffix))
+        res = accumulate(grid, q, segment_odds=512, persist=work / (name + ".csv"),
+                         resume=True, race=race)
+        assert res.completed
+        direct = accumulate(grid, q, segment_odds=512, persist=work / "fresh.csv", race=race)
+        inherited = assert_resumed_from_fixture(work / (name + ".csv"), DATA / (name + ".csv"),
+                                                work / "fresh.csv")
+        assert inherited == 79
+        assert_series_from_fixture(res.series, direct.series, inherited)
+        return res, direct, work
 
     def test_format_1_sidecar_resumes_byte_identically(self, tmp_path):
         # a format-1 sidecar records no race: one is folded again from the sieve
-        grid = CheckpointGrid.from_xmax(20_000, h=0.1)
+        meta = json.loads((DATA / "resume_q12.meta.json").read_text())
+        assert meta["format"] == 1 and not meta["complete"]
         for race in (None, (5, 1)):
-            work = tmp_path / str(race)
-            work.mkdir()
-            for name in ("resume_q12.csv", "resume_q12.meta.json"):
-                shutil.copy(DATA / name, work / name)
-            meta = json.loads((work / "resume_q12.meta.json").read_text())
-            assert meta["format"] == 1 and not meta["complete"]
-            res = accumulate(grid, 12, segment_odds=512, persist=work / "resume_q12.csv",
-                             resume=True, race=race)
-            assert res.completed
-            fresh = work / "fresh.csv"
-            direct = accumulate(grid, 12, segment_odds=512, persist=fresh, race=race)
-            assert (work / "resume_q12.csv").read_bytes() == fresh.read_bytes()
-            for a, b in zip(res.series, direct.series):
-                for attr in ALL_ARRAYS:
-                    assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+            res, direct, _ = self.resume(tmp_path, "resume_q12", 12, race)
             if race is not None:
                 assert_same_summary(res.race, direct.race)
+
+    def test_format_2_sidecar_resumes_its_recorded_race(self, tmp_path):
+        meta = json.loads((DATA / "resume_q4_race.meta.json").read_text())
+        assert meta["format"] == 2 and not meta["complete"] and list(meta["races"]) == ["3,1"]
+        res, direct, work = self.resume(tmp_path, "resume_q4_race", 4, (3, 1))
+        assert_same_summary(res.race, direct.race)
+        # complete, the two sidecars hold the same race and the same counts
+        assert (work / "resume_q4_race.meta.json").read_bytes() == (work / "fresh.meta.json").read_bytes()
