@@ -51,7 +51,6 @@ from .tally import (
     mertens_chi_square,
     pi_half,
     pi_weighted,
-    psi_char,
     psi_of,
     range_partial,
     read_series_csv,
@@ -111,7 +110,7 @@ __all__ = [
     "LOG2", "CheckpointGrid", "CheckpointSeries", "TallyCheckpoint",
     "TallyOrderError", "TallyPartial", "TallyResult", "RaceSummary",
     "accumulate", "char_sum", "euler_product_partial", "merge", "mertens_chi_square",
-    "pi_half", "pi_weighted", "psi_char", "psi_of", "range_partial",
+    "pi_half", "pi_weighted", "psi_of", "range_partial",
     "read_series_csv", "theta_of", "write_series_csv",
     # ingest
     "CoverageWarning", "ExpandedZero", "ZeroDataset", "ZeroFileError",

@@ -81,35 +81,40 @@ class RunConfig:
     finite_size: bool = True
 
     def validate(self, command: str) -> None:
-        """Reject impossible settings; race classes only where command races them."""
-        if self.q < 3:
-            raise UsageError(f"modulus must be at least 3, got {self.q}")
+        """Reject impossible values of the settings command reads.
+
+        Each check states the condition that must hold, so NaN, which
+        satisfies no comparison, fails it; float bounds also exclude infinity.
+        """
+        reads = _READS[command]
+
+        def need(key: str, holds: bool, message: str) -> None:
+            if key in reads and not holds:
+                raise UsageError(message)
+
+        need("q", self.q >= 3, f"modulus must be at least 3, got {self.q}")
         if command in _RACES:
             if math.gcd(self.a, self.q) != 1 or math.gcd(self.b, self.q) != 1:
                 raise UsageError(
                     f"race classes must be units mod {self.q}, got a={self.a} b={self.b}")
             if self.a % self.q == self.b % self.q:
                 raise UsageError(f"race needs two distinct classes, got a=b={self.a}")
-        if self.x_max < 100:
-            raise UsageError(f"xmax must be at least 100, got {self.x_max}")
-        if not (0 < self.h <= 0.1):
-            raise UsageError(f"grid spacing must lie in (0, 0.1], got {self.h}")
-        if not (0 < self.tail_fraction <= 0.5):
-            raise UsageError(f"tail fraction must lie in (0, 0.5], got {self.tail_fraction}")
-        if self.eps <= 0:
-            raise UsageError(f"eps must be positive, got {self.eps}")
-        if self.K is not None and self.K <= 1:
-            raise UsageError(f"K must exceed 1, got {self.K}")
+        need("x_max", 100 <= self.x_max < math.inf,
+             f"xmax must be finite and at least 100, got {self.x_max}")
+        need("h", 0 < self.h <= 0.1, f"grid spacing must lie in (0, 0.1], got {self.h}")
+        need("tail_fraction", 0 < self.tail_fraction <= 0.5,
+             f"tail fraction must lie in (0, 0.5], got {self.tail_fraction}")
+        need("eps", 0 < self.eps < math.inf, f"eps must be positive and finite, got {self.eps}")
+        need("K", self.K is None or 1 < self.K < math.inf,
+             f"K must be finite and exceed 1, got {self.K}")
         for k in self.k_values:
-            if k < 1 or k > 6:
-                raise UsageError(f"moment orders must lie in 1..6, got k={k}")
+            need("k", 1 <= k <= 6, f"moment orders must lie in 1..6, got k={k}")
         for T in self.T_values:
-            if T <= 0:
-                raise UsageError(f"truncation heights must be positive, got T={T}")
-        if self.threads < 1:
+            need("T", 0 < T < math.inf, f"truncation heights must be positive and finite, got T={T}")
+        need("segment_odds", self.segment_odds >= 16,
+             f"segment size too small: {self.segment_odds}")
+        if command in _NEEDS_CHECKPOINTS and self.threads < 1:
             raise UsageError(f"thread count must be positive, got {self.threads}")
-        if self.segment_odds < 16:
-            raise UsageError(f"segment size too small: {self.segment_odds}")
 
     def public_dict(self, command: str) -> dict:
         """The settings command reads that determine the mathematics.
@@ -147,17 +152,11 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad number list {raw!r}: {exc}") from None
+    return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad integer list {raw!r}: {exc}") from None
+    return tuple(int(part) for part in raw.split(",") if part.strip())
 
 
 def _parse_mchi_item(raw: str) -> tuple[str, int]:
@@ -173,11 +172,30 @@ def _parse_mchi_item(raw: str) -> tuple[str, int]:
     return label.strip(), order
 
 
+# every valued setting: (flag and config-file key, RunConfig field, type, help)
+_OPTIONS = [
+    ("q", "q", int, "modulus (default 4)"),
+    ("a", "a", int, "leading race class (default 3)"),
+    ("b", "b", int, "trailing race class (default 1)"),
+    ("xmax", "x_max", float, "upper end of the x range"),
+    ("grid-h", "h", float, "checkpoint spacing in y = log x (default 0.01)"),
+    ("zeros", "zeros", str, "zero dataset file"),
+    ("chi", "chi", str, "character label q.k (euler)"),
+    ("eps", "eps", float, "envelope exponent offset (default 0.5)"),
+    ("K", "K", float, "log-envelope constant (default: calibrated)"),
+    ("tail-fraction", "tail_fraction", float,
+     "fraction of the range used for tail fits (default 0.25)"),
+    ("T", "T_values", _parse_floats, "comma-separated truncation heights (delta)"),
+    ("k", "k_values", _parse_ints, "comma-separated moment orders (moments)"),
+    ("threads", "threads", int, "sieve worker threads (default: PRL_THREADS or 1)"),
+    ("segment-odds", "segment_odds", int, "odd numbers per sieve segment"),
+    ("out", "out", str, "output directory (default .)"),
+]
+
+
 def read_config_file(path: str) -> dict:
     """key=value lines; '#' comments; unknown keys rejected."""
-    known = {"q", "a", "b", "xmax", "grid-h", "zeros", "chi", "mchi", "eps",
-             "K", "tail-fraction", "T", "k", "threads", "segment-odds",
-             "out", "resume", "raw"}
+    known = {key for key, *_ in _OPTIONS} | {"mchi", "resume", "raw"}
     values: dict = {}
     try:
         text = Path(path).read_text()
@@ -206,35 +224,15 @@ def read_config_file(path: str) -> dict:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     file_values = read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, file_key: str, convert):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_values:
-            raw = file_values[file_key]
-            return convert(raw) if isinstance(raw, str) else raw
-        return None
-
-    def setattr_if(name, value):
+    for key, name, convert, _ in _OPTIONS:
+        value = getattr(args, name)
+        if value is None and key in file_values:
+            try:
+                value = convert(file_values[key])
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from None
         if value is not None:
             setattr(cfg, name, value)
-
-    setattr_if("q", pick(args.q, "q", int))
-    setattr_if("a", pick(args.a, "a", int))
-    setattr_if("b", pick(args.b, "b", int))
-    setattr_if("x_max", pick(args.xmax, "xmax", float))
-    setattr_if("h", pick(args.grid_h, "grid-h", float))
-    setattr_if("zeros", pick(args.zeros, "zeros", str))
-    setattr_if("chi", pick(args.chi, "chi", str))
-    setattr_if("eps", pick(args.eps, "eps", float))
-    setattr_if("K", pick(args.K, "K", float))
-    setattr_if("tail_fraction", pick(args.tail_fraction, "tail-fraction", float))
-    setattr_if("T_values", pick(
-        tuple(args.T) if args.T is not None else None, "T", _parse_floats))
-    setattr_if("k_values", pick(
-        tuple(args.k) if args.k is not None else None, "k", _parse_ints))
-    setattr_if("segment_odds", pick(args.segment_odds, "segment-odds", int))
-    setattr_if("out", pick(args.out, "out", str))
     if args.resume:
         cfg.resume = True
     elif "resume" in file_values:
@@ -250,21 +248,12 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         mchi[label] = order
     cfg.mchi = mchi
 
-    threads = pick(args.threads, "threads", int)
-    if threads is None:
-        env = os.environ.get("PRL_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise UsageError(f"PRL_THREADS must be an integer, got {env!r}") from None
-    cfg.threads = threads if threads is not None else 1
-
-    try:
-        cfg.T_values = tuple(float(T) for T in cfg.T_values)
-        cfg.k_values = tuple(int(k) for k in cfg.k_values)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from None
+    env = os.environ.get("PRL_THREADS", "").strip()
+    if args.threads is None and "threads" not in file_values and env:
+        try:
+            cfg.threads = int(env)
+        except ValueError:
+            raise UsageError(f"PRL_THREADS must be an integer, got {env!r}") from None
     cfg.validate(args.command)
     return cfg
 
@@ -648,13 +637,14 @@ def cmd_zeros_validate(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     return {"dataset": dataset, "summary": payload, "files": list(emit.written)}
 
 
+# each subcommand: its handler and its help line
 _HANDLERS = {
-    "bias": cmd_bias,
-    "euler": cmd_euler,
-    "delta": cmd_delta,
-    "moments": cmd_moments,
-    "mean": cmd_mean,
-    "zeros-validate": cmd_zeros_validate,
+    "bias": (cmd_bias, "race pipeline: D series, C estimates, envelope and race densities"),
+    "euler": (cmd_euler, "partial Euler product series and stabilization check"),
+    "delta": (cmd_delta, "exact fluctuation vs zero-sum reconstruction"),
+    "moments": (cmd_moments, "even moments of the fluctuation and growth-constant fit"),
+    "mean": (cmd_mean, "exact mean integral and mean-route C estimate"),
+    "zeros-validate": (cmd_zeros_validate, "parse a zero dataset and summarize it"),
 }
 
 _PLANNED = {
@@ -665,8 +655,6 @@ _PLANNED = {
     "mean": ["mean_trace.csv", "mean_fit.json"],
     "zeros-validate": ["zeros_summary.json"],
 }
-
-_NEEDS_CHECKPOINTS = {"bias", "euler", "delta", "moments", "mean"}
 
 # the public_dict settings each subcommand reads
 _TALLY_KEYS = ("q", "x_max", "h", "segment_odds")
@@ -679,6 +667,7 @@ _READS = {
     "zeros-validate": ("q", "zeros"),
 }
 _RACES = {command for command, keys in _READS.items() if "a" in keys}
+_NEEDS_CHECKPOINTS = {command for command, keys in _READS.items() if "x_max" in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -692,39 +681,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "Euler products, and zero-sum reconstructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("bias", "race pipeline: D series, C estimates, envelope and race densities"),
-        ("euler", "partial Euler product series and stabilization check"),
-        ("delta", "exact fluctuation vs zero-sum reconstruction"),
-        ("moments", "even moments of the fluctuation and growth-constant fit"),
-        ("mean", "exact mean integral and mean-route C estimate"),
-        ("zeros-validate", "parse a zero dataset and summarize it"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, summary) in _HANDLERS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--q", type=int, help="modulus (default 4)")
-        p.add_argument("--a", type=int, help="leading race class (default 3)")
-        p.add_argument("--b", type=int, help="trailing race class (default 1)")
-        p.add_argument("--xmax", type=float, help="upper end of the x range")
-        p.add_argument("--grid-h", dest="grid_h", type=float,
-                       help="checkpoint spacing in y = log x (default 0.01)")
-        p.add_argument("--zeros", help="zero dataset file")
-        p.add_argument("--chi", help="character label q.k (euler)")
+        for key, name, convert, help_text in _OPTIONS:
+            p.add_argument(f"--{key}", dest=name, type=convert,
+                           metavar=key.upper().replace("-", "_"), help=help_text)
         p.add_argument("--mchi", action="append", metavar="LABEL=ORDER",
                        help="central vanishing order override; repeatable")
-        p.add_argument("--eps", type=float, help="envelope exponent offset (default 0.5)")
-        p.add_argument("--K", type=float, help="log-envelope constant (default: calibrated)")
-        p.add_argument("--tail-fraction", dest="tail_fraction", type=float,
-                       help="fraction of the range used for tail fits (default 0.25)")
-        p.add_argument("--T", type=_parse_floats,
-                       help="comma-separated truncation heights (delta)")
-        p.add_argument("--k", type=_parse_ints,
-                       help="comma-separated moment orders (moments)")
-        p.add_argument("--threads", type=int,
-                       help="sieve worker threads (default: PRL_THREADS or 1)")
-        p.add_argument("--segment-odds", dest="segment_odds", type=int,
-                       help="odd numbers per sieve segment")
-        p.add_argument("--out", help="output directory (default .)")
         p.add_argument("--resume", action="store_true",
                        help="continue from the persisted checkpoint file")
         p.add_argument("--raw", action="store_true",
@@ -763,7 +727,7 @@ def main(argv=None) -> int:
         return 0
     emit = _Emitter(cfg.out)
     try:
-        bundle = _HANDLERS[args.command](cfg, emit)
+        bundle = _HANDLERS[args.command][0](cfg, emit)
     except UsageError as exc:
         emit.cleanup()
         print(f"error: {exc}", file=sys.stderr)

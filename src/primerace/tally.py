@@ -78,7 +78,6 @@ __all__ = [
     "pi_weighted",
     "theta_of",
     "psi_of",
-    "psi_char",
     "char_sum",
     "euler_product_partial",
     "mertens_chi_square",
@@ -421,11 +420,6 @@ def psi_of(ckpt: TallyCheckpoint, t) -> complex:
     return _class_combination(ckpt, ckpt.psi, t)
 
 
-def psi_char(ckpt: TallyCheckpoint, chi: Character) -> complex:
-    """psi twisted by a character, via the per-class sums."""
-    return _class_combination(ckpt, ckpt.psi, chi)
-
-
 def char_sum(ckpt: TallyCheckpoint, chi: Character, kind: str) -> complex:
     """Stored per-character sum: kind is invsqrt, mertens, or eulerlog."""
     col = ckpt.char_column(chi)
@@ -582,7 +576,8 @@ class _RaceFold:
 class TallyResult:
     """accumulate() output: the series, the race summary, run status.
 
-    race is the RaceSummary of the primes below x_hi, with sums at every
+    series holds every grid point snapshotted so far, from the first, also
+    after a resume that stopped early.  race is the RaceSummary of the primes below x_hi, with sums at every
     grid point of series, or None when no race was asked for.
     """
 
@@ -884,6 +879,7 @@ def accumulate(
     race_fold = _RaceFold() if race is not None else None
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
     start_idx = rows_written = 0  # first segment to sieve; data rows in the CSV
+    checkpoints: list[TallyCheckpoint] = []  # one per grid point snapshotted, flushed ones too
     base = _base_primes(x_hi)
 
     def boundaries(a: int, b: int) -> np.ndarray:
@@ -937,12 +933,11 @@ def accumulate(
         state = TallyPartial.from_state(meta["state"], q, layout=layout)
         next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
         _truncate_csv(csv_path, rows_written)
+        # the rows flushed before; np.loadtxt warns on a header alone
+        checkpoints = read_series_csv(csv_path).checkpoints if rows_written else []
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
             fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
-
-    row_offset = rows_written  # rows an earlier process flushed
-    checkpoints: list[TallyCheckpoint] = []  # rows from this process only
 
     def job(a: int, b: int) -> tuple[_SegmentPartial, tuple | None]:
         primes = sieve_segment(a, b, base)
@@ -964,7 +959,7 @@ def accumulate(
 
     def flush(done_idx: int, complete: bool) -> None:
         nonlocal rows_written
-        new_rows = checkpoints[rows_written - row_offset:]
+        new_rows = checkpoints[rows_written:]
         if new_rows:
             with open(csv_path, "a") as fh:
                 for ck in new_rows:
@@ -1008,9 +1003,6 @@ def accumulate(
     completed = done_idx == len(bounds)
     if csv_path is not None:
         flush(done_idx, complete=completed)
-        if row_offset and completed:
-            # a resumed run holds only the new rows in memory; the CSV has them all
-            checkpoints = read_series_csv(csv_path).checkpoints
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, checkpoints)
     return TallyResult(series=series, race=race_summary(), completed=completed, x_hi=x_hi)
 

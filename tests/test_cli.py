@@ -1,4 +1,5 @@
 """Contract tests for the command-line front end."""
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -41,6 +42,16 @@ class TestRunConfig:
         (["moments", "--k", "7"], "1..6"),
         (["delta", "--T", "-5"], "positive"),
         (["bias", "--threads", "0"], "positive"),
+        (["bias", "--xmax", "nan"], "at least 100"),
+        (["bias", "--xmax", "inf"], "at least 100"),
+        (["bias", "--grid-h", "nan"], "(0, 0.1]"),
+        (["bias", "--eps", "nan"], "positive"),
+        (["bias", "--eps", "inf"], "finite"),
+        (["bias", "--K", "nan"], "exceed 1"),
+        (["bias", "--K", "inf"], "finite"),
+        (["bias", "--tail-fraction", "inf"], "(0, 0.5]"),
+        (["delta", "--T", "nan"], "positive"),
+        (["delta", "--T", "10,inf"], "finite"),
     ])
     def test_validation_messages(self, argv, fragment):
         with pytest.raises(UsageError, match=None) as err:
@@ -52,6 +63,7 @@ class TestRunConfig:
         assert config_of(["bias"]).threads == 7
         assert config_of(["bias", "--threads", "2"]).threads == 2
         monkeypatch.setenv("PRL_THREADS", "not-a-number")
+        assert config_of(["bias", "--threads", "2"]).threads == 2
         with pytest.raises(UsageError, match="PRL_THREADS"):
             config_of(["bias"])
 
@@ -107,6 +119,34 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="cannot read config file"):
             config_of(["bias", "--config", "/nonexistent/run.conf"])
 
+    # one value per option row that differs from the default and that bias accepts
+    SAMPLES = {"q": "5", "a": "7", "b": "5", "xmax": "2000", "grid-h": "0.02",
+               "zeros": "zeros.txt", "chi": "4.1", "eps": "0.25", "K": "3.5",
+               "tail-fraction": "0.3", "T": "10,20", "k": "1,2", "threads": "2",
+               "segment-odds": "4096", "out": "reports"}
+
+    def test_every_option_row_has_one_field(self):
+        names = sorted(name for _, name, _, _ in cli._OPTIONS)
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert names == sorted(fields - {"mchi", "resume", "finite_size"})
+        assert sorted(self.SAMPLES) == sorted(key for key, *_ in cli._OPTIONS)
+
+    @pytest.mark.parametrize("key", [key for key, *_ in cli._OPTIONS])
+    def test_flag_and_file_key_agree(self, tmp_path, monkeypatch, key):
+        monkeypatch.delenv("PRL_THREADS", raising=False)
+        value = self.SAMPLES[key]
+        from_flag = config_of(["bias", f"--{key}", value])
+        from_file = config_of(["bias", "--config", self.write(tmp_path, f"{key} = {value}\n")])
+        assert from_flag == from_file != RunConfig()
+
+    @pytest.mark.parametrize("key,value", [("q", "abc"), ("xmax", "1e4x"), ("T", "10,x")])
+    def test_malformed_value_exits_two(self, tmp_path, capsys, key, value):
+        path = self.write(tmp_path, f"{key} = {value}\n")
+        assert main(["bias", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r}")
+        assert "Traceback" not in err
+
 
 class TestUsageExits:
     def test_distinct_classes_required(self, capsys):
@@ -119,6 +159,19 @@ class TestUsageExits:
         capsys.readouterr()
         assert main(["bias", "--q", "105", "--dry-run"]) == 2
         assert "race classes must be units mod 105" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["zeros-validate", "--q", "4", "--xmax", "50"],
+        ["zeros-validate", "--threads", "0"],
+        ["euler", "--k", "7"],
+    ])
+    def test_settings_checked_only_where_read(self, argv, capsys):
+        assert main(argv + ["--dry-run"]) == 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_xmax_exits_two_under_dry_run(self, value, capsys):
+        assert main(["bias", "--xmax", value, "--dry-run"]) == 2
+        assert "at least 100" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         assert main([]) == 2

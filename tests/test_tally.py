@@ -685,6 +685,20 @@ class TestPersistence:
             for attr in ALL_ARRAYS:
                 assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
 
+    def test_interrupted_resume_returns_the_series_from_the_start(self, tmp_path):
+        grid = self.grid()
+        split = tmp_path / "split.csv"
+        first = accumulate(grid, 4, segment_odds=512, persist=split, max_segments=4)
+        res = accumulate(grid, 4, segment_odds=512, persist=split, resume=True,
+                         max_segments=4)
+        assert not res.completed and len(first.series) < len(res.series) < grid.n
+        direct = accumulate(grid, 4, segment_odds=512)
+        for a, b in zip(res.series, direct.series[:len(res.series)], strict=True):
+            assert a.x == b.x and a.y == b.y
+            for attr in ALL_ARRAYS:
+                u, v = getattr(a, attr), getattr(b, attr)
+                assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), attr
+
     def test_resume_of_finished_run_is_a_read(self, tmp_path):
         grid = self.grid()
         path = tmp_path / "done.csv"
