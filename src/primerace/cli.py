@@ -151,12 +151,23 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise UsageError(f"config key {key!r} wants a boolean, got {raw!r}")
 
 
+def _parse_items(raw: str, convert, kind: str) -> tuple:
+    """Comma-separated values; the error names the item that does not convert."""
+    items = []
+    for part in filter(str.strip, raw.split(",")):
+        try:
+            items.append(convert(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part.strip()!r} is not {kind}") from None
+    return tuple(items)
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in raw.split(",") if part.strip())
+    return _parse_items(raw, float, "a number")
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
+    return _parse_items(raw, int, "an integer")
 
 
 def _parse_mchi_item(raw: str) -> tuple[str, int]:
@@ -229,7 +240,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         if value is None and key in file_values:
             try:
                 value = convert(file_values[key])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from None
         if value is not None:
             setattr(cfg, name, value)

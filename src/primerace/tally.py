@@ -20,8 +20,18 @@ Each chunk value is one pairwise np.sum over a slice of one C-contiguous
 row of per-prime terms (see _segment_partial).  The Euler-log terms of all
 characters sit in one block per class, reduced with a single axis=1 sum,
 so a segment costs O(chunks + nonempty class-chunks) numpy calls whatever
-the number of characters; the exact fold then costs one Python-level add
-per class and per character for each chunk that holds a prime.
+the number of characters; the class-chunks that hold one prime take no sum
+at all, only one gather per class.  The exact fold then costs one
+Python-level add per class and per character for each chunk that holds a
+prime.
+
+Each grid point is snapshotted, and persisted as one CSV row, at a cost
+set by what changed since the one before.  TallyPartial.totals() rebuilds
+only the fields folded into and hands on the previous read-only arrays
+for the rest, and the row writer formats again only the class blocks
+folded into and, when any prime was, the character section; a grid point
+that gained no prime and no prime power reuses the whole previous row but
+for x and y.
 
 A race (a, b) also yields its RaceSummary: the runs of primes where the
 race leads, and the sums of w = +-1/sqrt(p) and w*p at every grid point.
@@ -38,10 +48,11 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import nullcontext
 from copy import deepcopy
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +63,7 @@ from .characters import (
     race_weight,
     unit_residues,
 )
+from .exact import ExactComplexSum, ExactSum
 from .sieve import (
     DEFAULT_SEGMENT_ODDS,
     ordered_map,
@@ -93,86 +105,6 @@ _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
 
 class TallyOrderError(RuntimeError):
     """An input stream violated the ascending-order contract."""
-
-
-# ---------------------------------------------------------------------------
-# exact summation
-
-
-class ExactSum:
-    """Error-free streaming sum of doubles.
-
-    Keeps a list of non-overlapping partials (Shewchuk's algorithm, as in
-    math.fsum); value() is the correctly rounded total.  The represented sum
-    is exact, so folding order cannot change the outcome.
-    """
-
-    __slots__ = ("partials",)
-
-    def __init__(self, partials: Iterable[float] = ()):  # noqa: D107
-        self.partials = list(partials)
-
-    def add(self, x: float) -> None:
-        partials = self.partials
-        x = float(x)
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-
-    def merge(self, other: "ExactSum") -> None:
-        for p in list(other.partials):
-            self.add(p)
-
-    def value(self) -> float:
-        return math.fsum(self.partials) if self.partials else 0.0
-
-    def copy(self) -> "ExactSum":
-        return ExactSum(self.partials)
-
-    def to_hex(self) -> list[str]:
-        return [p.hex() for p in self.partials]
-
-    @classmethod
-    def from_hex(cls, hexes: Iterable[str]) -> "ExactSum":
-        return cls(float.fromhex(h) for h in hexes)
-
-
-class ExactComplexSum:
-    """A pair of ExactSums for the real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: ExactSum | None = None, im: ExactSum | None = None):
-        self.re = re or ExactSum()
-        self.im = im or ExactSum()
-
-    def add(self, z: complex) -> None:
-        self.re.add(z.real)
-        if z.imag:
-            # zeros change no sum; a real character's imaginary part stays empty
-            self.im.add(z.imag)
-
-    def merge(self, other: "ExactComplexSum") -> None:
-        self.re.merge(other.re)
-        self.im.merge(other.im)
-
-    def value(self) -> complex:
-        return complex(self.re.value(), self.im.value())
-
-    def to_hex(self) -> list[list[str]]:
-        return [self.re.to_hex(), self.im.to_hex()]
-
-    @classmethod
-    def from_hex(cls, pair) -> "ExactComplexSum":
-        return cls(ExactSum.from_hex(pair[0]), ExactSum.from_hex(pair[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +233,14 @@ def _segment_partial(
     slice of one C-contiguous row of per-prime terms, and a chunk's Euler-log
     value adds the per-class values in class order.  The terms are built per
     class (invsqrt, theta, invp and the Euler-log rows) and each class-chunk
-    is reduced with one axis=1 sum, so a segment costs O(chunks + nonempty
-    class-chunks) numpy calls whatever the number of characters.  Any future
-    vectorisation has to keep the contract: np.add.reduceat sums
-    sequentially and a Fortran-ordered block sums across rows, and both
-    change the last bits.
+    of two or more primes is reduced with one axis=1 sum, so a segment costs
+    O(chunks + nonempty class-chunks) numpy calls whatever the number of
+    characters.  The class-chunks of one prime take their term columns with
+    one gather per class: a one-element np.sum adds its element to +0.0,
+    which returns the element for every double but -0.0, and no term is
+    -0.0, so the contract and every bit hold.  Any future vectorisation has
+    to keep the contract: np.add.reduceat sums sequentially and a
+    Fortran-ordered block sums across rows, and both change the last bits.
     """
     nch = len(boundaries) + 1
     ncl, nchar = layout.nclass, layout.nchar
@@ -332,10 +267,16 @@ def _segment_partial(
         np.log1p(neg_re[:, None] * sa, out=terms[3:])
         cterms = np.log(1.0 - z[:, None] * sa)
         ends = np.append(np.searchsorted(pa, boundaries, side="right"), len(pa))
-        counts[:, i] = np.diff(ends, prepend=0)
+        counts[:, i] = sizes = np.diff(ends, prepend=0)
+        # the one-prime chunks take their term columns in one gather
+        one = np.flatnonzero(sizes == 1)
+        at = ends[one] - 1
+        invsqrt[one, i], theta[one, i], invp[one, i] = terms[:3, at]
+        ch_eul[np.ix_(one, real)] += -terms[3:, at].T
+        ch_eul[np.ix_(one, cplx)] += -cterms[:, at].T
         prev = 0
         for c, e in enumerate(ends.tolist()):
-            if e > prev:
+            if e > prev + 1:
                 sums = np.sum(terms[:, prev:e], axis=1)
                 invsqrt[c, i], theta[c, i], invp[c, i] = sums[:3]
                 ch_eul[c, real] += -sums[3:]
@@ -603,9 +544,9 @@ class TallyPartial:
     totals() gives char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
     sum_a chi(a)^2 invp_a, each as one axis=1 np.sum over the layout's
     C-contiguous (nchar, nclass) table, so no BLAS call sets their bits.
-    totals() keeps the last value() of every sum and recomputes only the
-    stale ones, those folded since the previous call: value() depends only
-    on the partials, so a cached value is the value.
+    totals() keeps its last arrays and recomputes only the stale entries,
+    those folded since the previous call: value() depends only on the
+    partials, so a cached value is the value.
     """
 
     q: int
@@ -614,11 +555,11 @@ class TallyPartial:
     layout: _Layout
     counts: list[int]
     sums: dict[str, list]
-    _values: dict[str, list] = field(init=False, repr=False)
+    _totals: dict[str, np.ndarray] = field(init=False, repr=False)
     _stale: dict[str, set[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._values = {n: [None] * len(e) for n, e in self.sums.items()}
+        self._totals = {}
         self._stale = {n: set(range(len(e))) for n, e in self.sums.items()}
 
     @property
@@ -683,18 +624,37 @@ class TallyPartial:
             self._stale[name].update(range(len(sums)))
         return self
 
+    def stale_classes(self) -> set[int]:
+        """The class slots folded since the previous totals()."""
+        return set().union(*(self._stale[n] for n in _CLASS_FIELDS))
+
     def totals(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {"counts": np.array(self.counts, dtype=np.int64)}
+        """The totals of every field, as read-only arrays.
+
+        A field with nothing folded since the previous call keeps the array
+        that call returned, so consecutive snapshots share it.  counts and
+        char_invsqrt are built again only when an invsqrt sum changed, and
+        char_mertens only when an invp sum changed.
+        """
+        out = self._totals
         for name, sums in self.sums.items():
-            values, stale = self._values[name], self._stale[name]
-            for k in stale:
-                values[k] = sums[k].value()
-            stale.clear()
+            stale = self._stale[name]
+            if name in out and not stale:
+                continue
             dtype = np.complex128 if name.startswith("char_") else np.float64
-            out[name] = np.array(values, dtype=dtype)
-        out["char_invsqrt"] = np.sum(self.layout.chi_class * out["invsqrt"], axis=1)
-        out["char_mertens"] = np.sum(self.layout.chi2_class * out["invp"], axis=1)
-        return out
+            arr = out[name].copy() if name in out else np.zeros(len(sums), dtype=dtype)
+            for k in stale:
+                arr[k] = sums[k].value()
+            stale.clear()
+            out[name] = arr
+            if name == "invsqrt":  # fold and merge add to counts with invsqrt
+                out["counts"] = np.array(self.counts, dtype=np.int64)
+                out["char_invsqrt"] = np.sum(self.layout.chi_class * arr, axis=1)
+            elif name == "invp":
+                out["char_mertens"] = np.sum(self.layout.chi2_class * arr, axis=1)
+        for arr in out.values():
+            arr.flags.writeable = False
+        return dict(out)
 
     def copy(self) -> "TallyPartial":
         return deepcopy(self, {id(self.layout): self.layout})
@@ -747,38 +707,70 @@ def _csv_columns(units, char_labels) -> list[str]:
     return cols
 
 
-def _format_row(ck: TallyCheckpoint) -> str:
-    parts = [repr(ck.x), repr(ck.y)]
-    for n, s, t, p in zip(ck.counts.tolist(), ck.invsqrt.tolist(),
-                          ck.theta.tolist(), ck.psi.tolist()):
-        parts += [str(n), repr(s), repr(t), repr(p)]
-    # per character: invsqrt, mertens, eulerlog, each as (re, im)
-    chars = np.stack([ck.char_invsqrt, ck.char_mertens, ck.char_eulerlog], axis=1)
-    parts += map(repr, chars.view(np.float64).ravel().tolist())
-    return ",".join(parts)
+class _RowWriter:
+    """The checkpoint CSV's data rows, one line per checkpoint in grid order.
+
+    Keeps the previous row's text of each class block (n, invsqrt, theta
+    and psi of one class) and of the character section (per character:
+    invsqrt, mertens, eulerlog, each as re, im), and formats again only
+    what changed: the class blocks of the slots in changed, and the
+    character section when any of its three arrays is not the previous
+    row's.  TallyPartial.totals() hands every snapshot the same arrays for
+    a field that nothing was folded into, so no values are compared.
+    """
+
+    def __init__(self):
+        self.chars: tuple = ()  # the previous row's character arrays
+        self.blocks: list[str] = []
+        self.text = ""
+
+    def line(self, ck: TallyCheckpoint, changed: Collection[int]) -> str:
+        """The row of ck; changed holds the class slots that may differ from the last row."""
+        first = not self.chars
+        if first:
+            self.blocks = [""] * len(ck.units)
+            changed = range(len(ck.units))
+        if changed:
+            n, s, t, p = ck.counts.tolist(), ck.invsqrt.tolist(), ck.theta.tolist(), ck.psi.tolist()
+            for i in changed:
+                self.blocks[i] = f"{n[i]},{s[i]!r},{t[i]!r},{p[i]!r}"
+        chars = ck.char_invsqrt, ck.char_mertens, ck.char_eulerlog
+        if first or any(a is not b for a, b in zip(chars, self.chars)):
+            cells = np.stack(chars, axis=1).view(np.float64).ravel().tolist()
+            self.text = ",".join(["", *map(repr, cells)])
+        self.chars = chars
+        return f"{ck.x!r},{ck.y!r},{','.join(self.blocks)}{self.text}\n"
 
 
 def write_series_csv(series: CheckpointSeries, path: str | Path) -> None:
     path = Path(path)
+    rows = _RowWriter()
     with open(path, "w") as fh:
         fh.write(",".join(_csv_columns(series.units, series.char_labels)) + "\n")
         for ck in series.checkpoints:
-            fh.write(_format_row(ck) + "\n")
+            fh.write(rows.line(ck, range(len(series.units))))
 
 
 def read_series_csv(path: str | Path) -> CheckpointSeries:
+    """The series of a checkpoint CSV.
+
+    A header with no rows reads as an empty series on a one-point grid: a
+    series may hold fewer points than its grid, as an interrupted run's does.
+    """
     path = Path(path)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        has_rows = any(map(str.strip, fh))
     units = [int(c[2:]) for c in header if c.startswith("n_")]
     char_labels = [c[len("chi_"):-len("_invsqrt_re")] for c in header
                    if c.startswith("chi_") and c.endswith("_invsqrt_re")]
     if not units:
         raise ValueError(f"{path}: no per-class columns found")
     q = int(char_labels[0].split(".")[0]) if char_labels else max(units) + 1
-    # numpy parses each cell to the double float() gives, -0.0 included; a
-    # header with no rows reads as shape (0, 1)
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).reshape(-1, len(header))
+    # numpy parses each cell to the double float() gives, -0.0 included, and
+    # warns on a file with no rows
+    data = (np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) if has_rows
+            else np.empty(0)).reshape(-1, len(header))
     col = {name: k for k, name in enumerate(header)}
 
     def columns(names) -> np.ndarray:
@@ -802,7 +794,7 @@ def read_series_csv(path: str | Path) -> CheckpointSeries:
         h = float((ys[-1] - ys[0]) / (len(ys) - 1))
     else:
         h = 0.01
-    grid = CheckpointGrid(h=h, n=len(ys))
+    grid = CheckpointGrid(h=h, n=max(len(ys), 1))
     return CheckpointSeries(q, grid, units, char_labels, checkpoints)
 
 
@@ -850,7 +842,10 @@ def accumulate(
     checkpoint CSV plus a JSON sidecar as the run goes, with the summary of
     the race, keyed by its reduced classes: format 3 while the run is
     partial, and format 2 once it is complete, since a complete sidecar
-    holds no state.  resume=True continues a previously interrupted
+    holds no state.  Each snapshot writes its CSV row at once; the sidecar,
+    written every flush_every segments and at the end, counts the rows
+    written so far, and a resume drops any row past that count.
+    resume=True continues a previously interrupted
     persisted run from the sidecar's state, or reads a finished one; it
     reads formats 1 and 2 too.  A race the sidecar recorded is read back
     with it, and any other race is folded again from a re-sieve of the
@@ -878,7 +873,7 @@ def accumulate(
     state = TallyPartial.empty(q, layout=layout)
     race_fold = _RaceFold() if race is not None else None
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
-    start_idx = rows_written = 0  # first segment to sieve; data rows in the CSV
+    start_idx = 0  # first segment to sieve
     checkpoints: list[TallyCheckpoint] = []  # one per grid point snapshotted, flushed ones too
     base = _base_primes(x_hi)
 
@@ -929,12 +924,10 @@ def accumulate(
                 _write_sidecar(meta_path, meta)
             series = CheckpointSeries(q, grid, layout.units, layout.char_labels, stored.checkpoints)
             return TallyResult(series=series, race=race_summary(), completed=True, x_hi=x_hi)
-        rows_written = int(meta["rows_written"])
         state = TallyPartial.from_state(meta["state"], q, layout=layout)
         next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
-        _truncate_csv(csv_path, rows_written)
-        # the rows flushed before; np.loadtxt warns on a header alone
-        checkpoints = read_series_csv(csv_path).checkpoints if rows_written else []
+        _truncate_csv(csv_path, int(meta["rows_written"]))
+        checkpoints = read_series_csv(csv_path).checkpoints  # the rows flushed before
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
             fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
@@ -947,31 +940,33 @@ def accumulate(
         part = _segment_partial(primes, a, b, cuts, layout, residues)
         return part, _race_terms(primes, residues, race, cuts) if race is not None else None
 
+    rows = _RowWriter()
+
     def snapshot() -> None:
+        """Snapshot the next grid point and, when persisting, write its row."""
         nonlocal next_j, pw_ptr
-        pw_ptr = state.fold_powers(powers, pw_ptr, float(grid_x[next_j]))
-        checkpoints.append(TallyCheckpoint(
-            q=q, x=float(grid_x[next_j]), y=float(LOG2 + grid.h * next_j),
+        x = float(grid_x[next_j])
+        pw_ptr = state.fold_powers(powers, pw_ptr, x)
+        changed = state.stale_classes()
+        ck = TallyCheckpoint(
+            q=q, x=x, y=float(LOG2 + grid.h * next_j),
             units=layout.units, char_labels=layout.char_labels,
             **{k: v for k, v in state.totals().items() if k != "invp"},
-        ))
+        )
+        checkpoints.append(ck)
+        if csv is not None:
+            csv.write(rows.line(ck, changed))
         next_j += 1
 
     def flush(done_idx: int, complete: bool) -> None:
-        nonlocal rows_written
-        new_rows = checkpoints[rows_written:]
-        if new_rows:
-            with open(csv_path, "a") as fh:
-                for ck in new_rows:
-                    fh.write(_format_row(ck) + "\n")
-            rows_written += len(new_rows)
+        csv.flush()  # every row the sidecar counts is in the file first
         next_lo = bounds[done_idx][0] if done_idx < len(bounds) else x_hi
         payload = {
             # format 3 changed only the state, which a complete sidecar omits
             "format": 2 if complete else 3, "q": q, "h": grid.h, "n": grid.n,
             "segment_odds": segment_odds, "x_hi": x_hi,
             "complete": complete, "next_segment_index": done_idx,
-            "rows_written": rows_written, "last_completed_prime": next_lo - 1,
+            "rows_written": len(checkpoints), "last_completed_prime": next_lo - 1,
         }
         if race_fold is not None:
             payload["races"] = {race_key: race_fold.to_state()}
@@ -984,25 +979,26 @@ def accumulate(
         todo = todo[: max(0, max_segments)]
     done_idx = start_idx
     since_flush = 0
-    for part, terms in ordered_map(job, todo, threads):
-        if race_fold is not None:
-            race_fold.fold(terms)
-            terms = None  # freed before the next segment is sieved
-        for c in range(part.nchunks):
-            state.fold(part, c)
-            if c < part.nchunks - 1:
-                snapshot()
-        done_idx += 1
-        since_flush += 1
-        if csv_path is not None and since_flush >= flush_every:
-            flush(done_idx, complete=False)
-            since_flush = 0
+    with open(csv_path, "a") if csv_path is not None else nullcontext() as csv:
+        for part, terms in ordered_map(job, todo, threads):
+            if race_fold is not None:
+                race_fold.fold(terms)
+                terms = None  # freed before the next segment is sieved
+            for c in range(part.nchunks):
+                state.fold(part, c)
+                if c < part.nchunks - 1:
+                    snapshot()
+            done_idx += 1
+            since_flush += 1
+            if csv is not None and since_flush >= flush_every:
+                flush(done_idx, complete=False)
+                since_flush = 0
 
-    # the segments tile [2, x_hi), which holds every grid point, so a
-    # completed run has snapshotted them all
-    completed = done_idx == len(bounds)
-    if csv_path is not None:
-        flush(done_idx, complete=completed)
+        # the segments tile [2, x_hi), which holds every grid point, so a
+        # completed run has snapshotted them all
+        completed = done_idx == len(bounds)
+        if csv is not None:
+            flush(done_idx, complete=completed)
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, checkpoints)
     return TallyResult(series=series, race=race_summary(), completed=completed, x_hi=x_hi)
 

@@ -5,10 +5,11 @@ extended-precision direct sums.  None of it shares code with the package, so
 agreement is meaningful.  The exceptions are the package's earlier code,
 kept as bit-identity references: reference_segment_partial, the
 loop-per-character segment reduction; race_jump_weights, the stable
-argsort merge of per-class jump positions into the race stream; and the
+argsort merge of per-class jump positions into the race stream; the
 stream forms of the race analyses, stream_density_race and
 stream_mean_values, with stream_summary, which builds a race summary from
-the whole stream by one global cumsum.
+the whole stream by one global cumsum; and format_row, which formats every
+cell of a checkpoint CSV row.
 """
 from __future__ import annotations
 
@@ -340,3 +341,15 @@ def reference_segment_partial(primes, boundaries, layout, race=None):
         "char_eulerlog": ch_eul,
         "race": race_jump_weights(jumps[race[0]], jumps[race[1]]) if race else None,
     }
+
+
+def format_row(ck):
+    """One checkpoint CSV data row, every cell formatted, without its newline."""
+    parts = [repr(ck.x), repr(ck.y)]
+    for n, s, t, p in zip(ck.counts.tolist(), ck.invsqrt.tolist(),
+                          ck.theta.tolist(), ck.psi.tolist()):
+        parts += [str(n), repr(s), repr(t), repr(p)]
+    # per character: invsqrt, mertens, eulerlog, each as (re, im)
+    chars = np.stack([ck.char_invsqrt, ck.char_mertens, ck.char_eulerlog], axis=1)
+    parts += map(repr, chars.view(np.float64).ravel().tolist())
+    return ",".join(parts)

@@ -52,11 +52,12 @@ class TestRunConfig:
         (["bias", "--tail-fraction", "inf"], "(0, 0.5]"),
         (["delta", "--T", "nan"], "positive"),
         (["delta", "--T", "10,inf"], "finite"),
+        (["bias", "--T", "abc"], "argument --T: 'abc' is not a number"),
+        (["moments", "--k", "1,x2"], "argument --k: 'x2' is not an integer"),
     ])
-    def test_validation_messages(self, argv, fragment):
-        with pytest.raises(UsageError, match=None) as err:
-            config_of(argv)
-        assert fragment in str(err.value)
+    def test_validation_messages(self, argv, fragment, capsys):
+        assert main([*argv, "--dry-run"]) == 2
+        assert fragment in capsys.readouterr().err
 
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("PRL_THREADS", "7")

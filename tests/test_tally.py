@@ -46,6 +46,7 @@ from primerace.tally import (
 
 from oracles import (
     ReferenceTally,
+    format_row,
     race_jump_weights,
     reference_segment_partial,
     stream_density_race,
@@ -557,6 +558,24 @@ class TestSegmentReduction:
         assert part.counts.sum() == len(primes) > 100_000
         assert peak <= 100 * 2**20, peak / 2**20
 
+    @pytest.mark.parametrize("q", [4, 12, 24, 105])
+    @pytest.mark.parametrize("sizes", [
+        [1] * 150,
+        [1, 1, 2, 1, 3, 1, 1, 4, 5, 1, 6, 7, 1] * 12,
+    ], ids=["one-prime", "mixed"])
+    def test_one_prime_chunks(self, q, sizes):
+        # chunks of one prime each, so every nonempty class-chunk holds one
+        # prime; then such chunks mixed with chunks of 2-7 primes.  The
+        # segment ends at the last chunk's last prime.
+        ends = np.cumsum(sizes)
+        hi = int(sieve_segment(self.LO, self.HI, simple_sieve(1200))[ends[-1] - 1]) + 1
+        primes = sieve_segment(self.LO, hi, simple_sieve(1200))
+        boundaries = primes[ends[:-1] - 1].astype(np.float64)
+        part = assert_segment_matches_reference(primes, self.LO, hi, boundaries, q)
+        assert part.counts.sum(axis=1).tolist() == sizes
+        if max(sizes) == 1:
+            assert part.counts.max() == 1
+
     @settings(max_examples=8, deadline=None)
     @given(q=st.sampled_from([4, 12, 24, 105]),
            lo=st.integers(2, 300_000),
@@ -612,6 +631,28 @@ class TestTallyState:
                 pw = state.fold_powers(powers, pw, end)
                 fresh = TallyPartial.from_state(state.to_state(), q, layout=layout)
                 assert_same_totals(state, fresh)
+
+    def test_totals_with_nothing_folded_are_the_same_read_only_arrays(self):
+        q = 12
+        layout = _Layout(q)
+        part = range_partial(2, 5_000, q, segment_odds=512)
+        first = part.totals()
+        assert part.stale_classes() == set()
+        again = part.totals()
+        assert again.keys() == first.keys() == set(ALL_ARRAYS) | {"invp"}
+        for name, arr in first.items():
+            assert again[name] is arr and not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            first["invsqrt"][0] = 0.0
+        # a copy's are read-only too; a prime power changes psi alone
+        assert not any(a.flags.writeable for a in part.copy().totals().values())
+        slot = int(layout.slot[25 % q])
+        part.fold_powers([(25, slot, math.log(5.0))], 0, 25.0)
+        assert part.stale_classes() == {slot}
+        psi_only = part.totals()
+        for name, arr in psi_only.items():
+            assert (arr is first[name]) == (name != "psi"), name
+        assert psi_only["psi"][slot] > first["psi"][slot]
 
     @pytest.mark.parametrize("q", [4, 12, 24, 105])
     def test_linear_character_columns_derive_from_the_class_sums(self, q):
@@ -780,6 +821,57 @@ class TestPersistence:
         direct = accumulate(grid, 4, segment_odds=512)
         for a, b in zip(res.series, direct.series):
             assert np.array_equal(a.invsqrt, b.invsqrt)
+
+
+def oracle_csv(series) -> bytes:
+    """A checkpoint CSV with every cell formatted by the oracle."""
+    header = ",".join(tally._csv_columns(series.units, series.char_labels))
+    return "".join(f"{line}\n" for line in [header, *map(format_row, series)]).encode()
+
+
+class TestCsvRows:
+    """The checkpoint CSV's bytes against format_row, which formats every cell."""
+
+    @pytest.mark.parametrize("q", [4, 12, 24, 105])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rows_match_the_oracle(self, tmp_path, q, threads):
+        # h=0.02 to 2e4 over 5 segments, flushed 2 at a time: many grid
+        # points gain no prime, some gain only a prime power
+        grid = CheckpointGrid.from_xmax(20_000, h=0.02)
+        kw = dict(segment_odds=2048, threads=threads, flush_every=2)
+        path = tmp_path / "run.csv"
+        res = accumulate(grid, q, persist=path, **kw)
+        want = oracle_csv(res.series)
+        assert path.read_bytes() == want
+        tails = [line.split(",", 2)[2] for line in want.decode().splitlines()[1:]]
+        assert sum(a == b for a, b in zip(tails, tails[1:])) > 100
+        # stopped at max_segments, then resumed
+        split = tmp_path / "split.csv"
+        first = accumulate(grid, q, persist=split, max_segments=3, **kw)
+        assert 0 < len(first.series) < grid.n
+        assert split.read_bytes() == oracle_csv(first.series)
+        back = accumulate(grid, q, persist=split, resume=True, **kw)
+        assert back.completed and split.read_bytes() == want
+        # write_series_csv, of the series in memory and of the one read back
+        for series in (res.series, back.series, read_series_csv(path)):
+            out = tmp_path / "written.csv"
+            write_series_csv(series, out)
+            assert out.read_bytes() == want
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_csv_reads_as_an_empty_series(self, tmp_path):
+        grid = CheckpointGrid.from_xmax(20_000, h=0.02)
+        path = tmp_path / "none.csv"
+        res = accumulate(grid, 12, segment_odds=512, persist=path, max_segments=0)
+        assert len(res.series) == 0 and path.read_text().count("\n") == 1
+        back = read_series_csv(path)
+        assert len(back) == 0 and back.q == 12
+        assert (back.units, back.char_labels) == (res.series.units, res.series.char_labels)
+        done = accumulate(grid, 12, segment_odds=512, persist=path, resume=True)
+        assert done.completed
+        fresh = tmp_path / "fresh.csv"
+        accumulate(grid, 12, segment_odds=512, persist=fresh)
+        assert path.read_bytes() == fresh.read_bytes()
 
 
 class TestCheckpointOps:
