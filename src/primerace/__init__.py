@@ -39,22 +39,14 @@ from .tally import (
     LOG2,
     CheckpointGrid,
     CheckpointSeries,
-    TallyCheckpoint,
     TallyOrderError,
     TallyPartial,
     TallyResult,
     RaceSummary,
     accumulate,
-    char_sum,
-    euler_product_partial,
     merge,
-    mertens_chi_square,
-    pi_half,
-    pi_weighted,
-    psi_of,
     range_partial,
     read_series_csv,
-    theta_of,
     write_series_csv,
 )
 from .ingest import (
@@ -107,11 +99,9 @@ __all__ = [
     "DEFAULT_SEGMENT_ODDS", "PrimeEvent", "prime_powers", "segment_bounds",
     "sieve_segment", "simple_sieve", "stream_primes", "stream_segments",
     # tally
-    "LOG2", "CheckpointGrid", "CheckpointSeries", "TallyCheckpoint",
-    "TallyOrderError", "TallyPartial", "TallyResult", "RaceSummary",
-    "accumulate", "char_sum", "euler_product_partial", "merge", "mertens_chi_square",
-    "pi_half", "pi_weighted", "psi_of", "range_partial",
-    "read_series_csv", "theta_of", "write_series_csv",
+    "LOG2", "CheckpointGrid", "CheckpointSeries", "TallyOrderError",
+    "TallyPartial", "TallyResult", "RaceSummary", "accumulate", "merge",
+    "range_partial", "read_series_csv", "write_series_csv",
     # ingest
     "CoverageWarning", "ExpandedZero", "ZeroDataset", "ZeroFileError",
     "load_zeros", "parse_zeros", "serialize", "symmetric_expand",

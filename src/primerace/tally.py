@@ -31,7 +31,8 @@ only the fields folded into and hands on the previous read-only arrays
 for the rest, and the row writer formats again only the class blocks
 folded into and, when any prime was, the character section; a grid point
 that gained no prime and no prime power reuses the whole previous row but
-for x and y.
+for x and y.  The series keeps, per field, the arrays totals() returned,
+so no table of every grid point is built.
 
 A race (a, b) also yields its RaceSummary: the runs of primes where the
 race leads, and the sums of w = +-1/sqrt(p) and w*p at every grid point.
@@ -76,7 +77,6 @@ from .sieve import (
 __all__ = [
     "LOG2",
     "CheckpointGrid",
-    "TallyCheckpoint",
     "CheckpointSeries",
     "TallyResult",
     "RaceSummary",
@@ -86,13 +86,6 @@ __all__ = [
     "accumulate",
     "range_partial",
     "merge",
-    "pi_half",
-    "pi_weighted",
-    "theta_of",
-    "psi_of",
-    "char_sum",
-    "euler_product_partial",
-    "mertens_chi_square",
     "write_series_csv",
     "read_series_csv",
 ]
@@ -100,6 +93,8 @@ __all__ = [
 LOG2 = math.log(2.0)
 
 _CHAR_FIELDS = ("invsqrt", "mertens", "eulerlog")
+# a checkpoint row's fields, as CheckpointSeries.fields names them
+_ROW_FIELDS = ("counts", "invsqrt", "theta", "psi", *(f"char_{f}" for f in _CHAR_FIELDS))
 _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
 
 
@@ -290,37 +285,6 @@ def _segment_partial(
 # checkpoints
 
 
-@dataclass(frozen=True, eq=False)
-class TallyCheckpoint:
-    """Accumulated sums over primes (and prime powers, for psi) up to x."""
-
-    q: int
-    x: float
-    y: float
-    units: tuple[int, ...]
-    char_labels: tuple[str, ...]
-    counts: np.ndarray
-    invsqrt: np.ndarray
-    theta: np.ndarray
-    psi: np.ndarray
-    char_invsqrt: np.ndarray
-    char_mertens: np.ndarray
-    char_eulerlog: np.ndarray
-
-    def class_index(self, a: int) -> int:
-        try:
-            return self.units.index(a % self.q)
-        except ValueError:
-            raise ValueError(f"residue {a} is not a unit mod {self.q}") from None
-
-    def char_column(self, chi: Character) -> int:
-        if chi.modulus != self.q:
-            raise ValueError(f"modulus mismatch: checkpoint mod {self.q}, character mod {chi.modulus}")
-        if chi.is_principal:
-            raise ValueError("principal character has no stored column")
-        return self.char_labels.index(chi.label)
-
-
 def _weight_values(t, q: int) -> np.ndarray:
     if isinstance(t, (ClassFunction, Character)):
         if t.modulus != q:
@@ -329,114 +293,62 @@ def _weight_values(t, q: int) -> np.ndarray:
     raise TypeError(f"expected ClassFunction or Character, got {type(t).__name__}")
 
 
-def _class_combination(ckpt: TallyCheckpoint, table: np.ndarray, t) -> complex:
-    vals = _weight_values(t, ckpt.q)
-    total = 0j
-    for i, a in enumerate(ckpt.units):
-        total += vals[a] * table[i]
-    return total
-
-
-def pi_half(ckpt: TallyCheckpoint, t) -> complex:
-    """Weighted count sum_{p <= x} t(p) / sqrt(p)."""
-    return _class_combination(ckpt, ckpt.invsqrt, t)
-
-
-def pi_weighted(ckpt: TallyCheckpoint, t) -> complex:
-    """Plain weighted count sum_{p <= x} t(p)."""
-    return _class_combination(ckpt, ckpt.counts.astype(np.float64), t)
-
-
-def theta_of(ckpt: TallyCheckpoint, t) -> complex:
-    """sum_{p <= x} t(p) log p."""
-    return _class_combination(ckpt, ckpt.theta, t)
-
-
-def psi_of(ckpt: TallyCheckpoint, t) -> complex:
-    """sum over prime powers p^k <= x of t(p^k mod q) log p.
-
-    The weight sees the residue of the prime power itself, so 9 = 3*3
-    contributes t(9 mod q), not t(3 mod q).
-    """
-    return _class_combination(ckpt, ckpt.psi, t)
-
-
-def char_sum(ckpt: TallyCheckpoint, chi: Character, kind: str) -> complex:
-    """Stored per-character sum: kind is invsqrt, mertens, or eulerlog."""
-    col = ckpt.char_column(chi)
-    table = {
-        "invsqrt": ckpt.char_invsqrt,
-        "mertens": ckpt.char_mertens,
-        "eulerlog": ckpt.char_eulerlog,
-    }[kind]
-    return complex(table[col])
-
-
-def euler_product_partial(ckpt: TallyCheckpoint, chi: Character, vanishing_order: int = 0) -> complex:
-    """(log x)^m * prod_{p <= x} (1 - chi(p)/sqrt(p))^(-1), evaluated in log space."""
-    if chi.is_principal:
-        raise ValueError("Euler product on the critical line needs a nonprincipal character")
-    if vanishing_order < 0:
-        raise ValueError("vanishing order must be nonnegative")
-    col = ckpt.char_column(chi)
-    log_f = complex(ckpt.char_eulerlog[col])
-    scale = math.log(ckpt.x) ** vanishing_order
-    return scale * complex(np.exp(log_f))
-
-
-def mertens_chi_square(ckpt: TallyCheckpoint, chi: Character) -> complex:
-    """sum_{p <= x} chi(p^2) / p."""
-    col = ckpt.char_column(chi)
-    return complex(ckpt.char_mertens[col])
-
-
 class CheckpointSeries:
-    """Checkpoints for every grid point, with matrix views for analysis."""
+    """A tally's snapshots, one entry per grid point snapshotted, in grid order.
 
-    def __init__(self, q: int, grid: CheckpointGrid, units, char_labels, checkpoints):
+    x and y are lists of the points' coordinates.  fields maps each row
+    field to its entries: per class counts, invsqrt, theta and psi, and per
+    nonprincipal character char_invsqrt, char_mertens and char_eulerlog.
+    Grid point j is row j of every matrix below.  In a series from
+    accumulate the entries are the read-only arrays TallyPartial.totals()
+    returned, one object for consecutive points that nothing was folded
+    into; in one from read_series_csv each field is the 2-D table parsed
+    from the file.  A series may hold fewer points than its grid, as an
+    interrupted run's does.
+    """
+
+    def __init__(self, q: int, grid: CheckpointGrid, units, char_labels, x, y, fields):
         self.q = q
         self.grid = grid
         self.units = tuple(units)
         self.char_labels = tuple(char_labels)
-        self.checkpoints = list(checkpoints)
+        self.x, self.y = x, y
+        self.fields: dict[str, Sequence[np.ndarray]] = fields
 
     def __len__(self) -> int:
-        return len(self.checkpoints)
-
-    def __iter__(self):
-        return iter(self.checkpoints)
-
-    def __getitem__(self, i) -> TallyCheckpoint:
-        return self.checkpoints[i]
-
-    def _stack(self, attr: str) -> np.ndarray:
-        return np.stack([getattr(c, attr) for c in self.checkpoints])
+        return len(self.x)
 
     @property
     def counts(self) -> np.ndarray:
-        return self._stack("counts")
+        return np.asarray(self.fields["counts"])
 
     @property
     def invsqrt(self) -> np.ndarray:
-        return self._stack("invsqrt")
+        return np.asarray(self.fields["invsqrt"])
 
     @property
     def theta(self) -> np.ndarray:
-        return self._stack("theta")
+        return np.asarray(self.fields["theta"])
 
     @property
     def psi(self) -> np.ndarray:
-        return self._stack("psi")
+        return np.asarray(self.fields["psi"])
 
     def char_matrix(self, kind: str) -> np.ndarray:
-        return self._stack(f"char_{kind}")
+        """Per-character sums of kind invsqrt, mertens or eulerlog, one row per point."""
+        return np.asarray(self.fields[f"char_{kind}"])
 
     def weighted(self, t, table: str = "invsqrt") -> np.ndarray:
-        """Per-checkpoint weighted class sums, as a complex vector."""
+        """Per-checkpoint weighted class sums of one field, as a complex vector.
+
+        Entry j of weighted(t, "invsqrt") is the sum over p <= x_j of
+        t(p)/sqrt(p); "counts" and "theta" weigh t(p) and t(p) log p, and
+        "psi" sums t(p^k mod q) log p over prime powers p^k <= x_j, so
+        9 = 3*3 counts in the class of 9, not of 3.
+        """
         vals = _weight_values(t, self.q)
         w = np.array([vals[a] for a in self.units])
-        mat = getattr(self, table)
-        return mat.astype(np.complex128) @ w
+        return np.asarray(self.fields[table]).astype(np.complex128) @ w
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,8 +430,9 @@ class TallyResult:
     """accumulate() output: the series, the race summary, run status.
 
     series holds every grid point snapshotted so far, from the first, also
-    after a resume that stopped early.  race is the RaceSummary of the primes below x_hi, with sums at every
-    grid point of series, or None when no race was asked for.
+    after a resume that stopped early.  race is the RaceSummary of the
+    primes below x_hi, with sums at every grid point of series, or None
+    when no race was asked for.
     """
 
     series: CheckpointSeries
@@ -724,22 +637,22 @@ class _RowWriter:
         self.blocks: list[str] = []
         self.text = ""
 
-    def line(self, ck: TallyCheckpoint, changed: Collection[int]) -> str:
-        """The row of ck; changed holds the class slots that may differ from the last row."""
+    def line(self, x: float, y: float, row: Mapping[str, np.ndarray], changed: Collection[int]) -> str:
+        """The row at x, y of row's fields; changed holds the class slots that may differ from the last."""
         first = not self.chars
         if first:
-            self.blocks = [""] * len(ck.units)
-            changed = range(len(ck.units))
+            self.blocks = [""] * len(row["counts"])
+            changed = range(len(self.blocks))
         if changed:
-            n, s, t, p = ck.counts.tolist(), ck.invsqrt.tolist(), ck.theta.tolist(), ck.psi.tolist()
+            n, s, t, p = (row[f].tolist() for f in ("counts", "invsqrt", "theta", "psi"))
             for i in changed:
                 self.blocks[i] = f"{n[i]},{s[i]!r},{t[i]!r},{p[i]!r}"
-        chars = ck.char_invsqrt, ck.char_mertens, ck.char_eulerlog
+        chars = tuple(row[f"char_{f}"] for f in _CHAR_FIELDS)
         if first or any(a is not b for a, b in zip(chars, self.chars)):
             cells = np.stack(chars, axis=1).view(np.float64).ravel().tolist()
             self.text = ",".join(["", *map(repr, cells)])
         self.chars = chars
-        return f"{ck.x!r},{ck.y!r},{','.join(self.blocks)}{self.text}\n"
+        return f"{x!r},{y!r},{','.join(self.blocks)}{self.text}\n"
 
 
 def write_series_csv(series: CheckpointSeries, path: str | Path) -> None:
@@ -747,15 +660,17 @@ def write_series_csv(series: CheckpointSeries, path: str | Path) -> None:
     rows = _RowWriter()
     with open(path, "w") as fh:
         fh.write(",".join(_csv_columns(series.units, series.char_labels)) + "\n")
-        for ck in series.checkpoints:
-            fh.write(rows.line(ck, range(len(series.units))))
+        for j, (x, y) in enumerate(zip(series.x, series.y)):
+            row = {f: entries[j] for f, entries in series.fields.items()}
+            fh.write(rows.line(x, y, row, range(len(series.units))))
 
 
 def read_series_csv(path: str | Path) -> CheckpointSeries:
-    """The series of a checkpoint CSV.
+    """The series of a checkpoint CSV, each field one read-only 2-D table.
 
-    A header with no rows reads as an empty series on a one-point grid: a
-    series may hold fewer points than its grid, as an interrupted run's does.
+    Every row must hold one cell per header column.  A header with no rows
+    reads as an empty series on a one-point grid: a series may hold fewer
+    points than its grid, as an interrupted run's does.
     """
     path = Path(path)
     with open(path) as fh:
@@ -770,32 +685,29 @@ def read_series_csv(path: str | Path) -> CheckpointSeries:
     # numpy parses each cell to the double float() gives, -0.0 included, and
     # warns on a file with no rows
     data = (np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) if has_rows
-            else np.empty(0)).reshape(-1, len(header))
+            else np.empty((0, len(header))))
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: rows hold {data.shape[1]} cells, but the header has {len(header)} columns")
     col = {name: k for k, name in enumerate(header)}
 
     def columns(names) -> np.ndarray:
         return np.ascontiguousarray(data[:, [col[n] for n in names]])
 
     # per field, its column for every class, or its (re, im) pair for every character
-    cls = {f: columns(f"{f}_{a}" for a in units) for f in ("n", "invsqrt", "theta", "psi")}
-    chars = {f: columns(f"chi_{label}_{f}_{part}" for label in char_labels for part in ("re", "im"))
-             .view(np.complex128) for f in _CHAR_FIELDS}
-    counts = cls["n"].astype(np.int64)  # exact below 2^53
-    checkpoints = [
-        TallyCheckpoint(
-            q=q, x=x, y=y, units=tuple(units), char_labels=tuple(char_labels),
-            counts=counts[k], invsqrt=cls["invsqrt"][k], theta=cls["theta"][k], psi=cls["psi"][k],
-            **{f"char_{f}": chars[f][k] for f in _CHAR_FIELDS},
-        )
-        for k, (x, y) in enumerate(data[:, :2].tolist())
-    ]
+    fields = {f: columns(f"{f}_{a}" for a in units) for f in ("invsqrt", "theta", "psi")}
+    fields["counts"] = columns(f"n_{a}" for a in units).astype(np.int64)  # exact below 2^53
+    for f in _CHAR_FIELDS:
+        fields[f"char_{f}"] = columns(f"chi_{label}_{f}_{part}" for label in char_labels
+                                      for part in ("re", "im")).view(np.complex128)
+    for table in fields.values():
+        table.flags.writeable = False
     ys = data[:, 1]
     if len(ys) > 1:
         h = float((ys[-1] - ys[0]) / (len(ys) - 1))
     else:
         h = 0.01
     grid = CheckpointGrid(h=h, n=max(len(ys), 1))
-    return CheckpointSeries(q, grid, units, char_labels, checkpoints)
+    return CheckpointSeries(q, grid, units, char_labels, data[:, 0].tolist(), ys.tolist(), fields)
 
 
 def _sidecar_path(csv_path: Path) -> Path:
@@ -827,28 +739,30 @@ def accumulate(
     flush_every: int = 64,
     max_segments: int | None = None,
 ) -> TallyResult:
-    """Single pass over the primes, emitting one checkpoint per grid point.
+    """Single pass over the primes, snapshotting the tally at every grid point.
 
     The segmented sieve drives the pass, optionally with a worker pool whose
     size never changes the output.  Each segment's chunks (split at grid
-    points) fold into one TallyPartial, whose totals are snapshotted at
-    every grid point.  race = (a, b), two distinct unit classes mod q, adds
-    the race's RaceSummary over the primes below x_hi.  Each worker returns
-    its segment's race terms and the fold takes one np.cumsum per segment,
-    seeded with the totals carried from the segments before: np.cumsum adds
-    sequentially, so the summary equals, bit for bit, the one that a single
-    cumsum over every race prime in ascending order gives, for any
-    segment_odds, thread count or resume point.  persist writes the
-    checkpoint CSV plus a JSON sidecar as the run goes, with the summary of
-    the race, keyed by its reduced classes: format 3 while the run is
-    partial, and format 2 once it is complete, since a complete sidecar
-    holds no state.  Each snapshot writes its CSV row at once; the sidecar,
-    written every flush_every segments and at the end, counts the rows
-    written so far, and a resume drops any row past that count.
-    resume=True continues a previously interrupted
-    persisted run from the sidecar's state, or reads a finished one; it
-    reads formats 1 and 2 too.  A race the sidecar recorded is read back
-    with it, and any other race is folded again from a re-sieve of the
+    points) fold into one TallyPartial, and the series takes its totals at
+    every grid point: the read-only arrays totals() returned, shared by
+    consecutive points that nothing was folded into.  race = (a, b), two
+    distinct unit classes mod q, adds the race's RaceSummary over the primes
+    below x_hi.  Each worker returns its segment's race terms and the fold
+    takes one np.cumsum per segment, seeded with the totals carried from the
+    segments before: np.cumsum adds sequentially, so the summary equals, bit
+    for bit, the one that a single cumsum over every race prime in ascending
+    order gives, for any segment_odds, thread count or resume point.
+    persist writes the checkpoint CSV plus a JSON sidecar as the run goes,
+    with the summary of the race, keyed by its reduced classes: format 3
+    while the run is partial, and format 2 once it is complete, since a
+    complete sidecar holds no state.  Each snapshot writes its CSV row at
+    once; the sidecar, written every flush_every segments and at the end,
+    counts the rows written so far, and a resume drops any row past that
+    count.  resume=True continues a previously interrupted persisted run
+    from the sidecar's state, after the rows read back from the CSV, or
+    reads a finished one, whose series then holds the tables the CSV parses
+    into; it reads formats 1 and 2 too.  A race the sidecar recorded is read
+    back with it, and any other race is folded again from a re-sieve of the
     segments tallied so far and, on a finished run, recorded.  An
     interrupted run carries only the race it is resumed with.  max_segments
     stops early after that many segments (the persisted state stays
@@ -874,7 +788,8 @@ def accumulate(
     race_fold = _RaceFold() if race is not None else None
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
     start_idx = 0  # first segment to sieve
-    checkpoints: list[TallyCheckpoint] = []  # one per grid point snapshotted, flushed ones too
+    # every grid point snapshotted, flushed ones too
+    series = CheckpointSeries(q, grid, layout.units, layout.char_labels, [], [], {f: [] for f in _ROW_FIELDS})
     base = _base_primes(x_hi)
 
     def boundaries(a: int, b: int) -> np.ndarray:
@@ -922,12 +837,14 @@ def accumulate(
                 meta["format"] = 2
                 meta.setdefault("races", {})[race_key] = race_fold.to_state()
                 _write_sidecar(meta_path, meta)
-            series = CheckpointSeries(q, grid, layout.units, layout.char_labels, stored.checkpoints)
+            series.x, series.y, series.fields = stored.x, stored.y, stored.fields
             return TallyResult(series=series, race=race_summary(), completed=True, x_hi=x_hi)
         state = TallyPartial.from_state(meta["state"], q, layout=layout)
         next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
         _truncate_csv(csv_path, int(meta["rows_written"]))
-        checkpoints = read_series_csv(csv_path).checkpoints  # the rows flushed before
+        stored = read_series_csv(csv_path)  # the rows flushed before; snapshots append to them
+        series.x, series.y = stored.x, stored.y
+        series.fields = {f: list(table) for f, table in stored.fields.items()}
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
             fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
@@ -947,15 +864,15 @@ def accumulate(
         nonlocal next_j, pw_ptr
         x = float(grid_x[next_j])
         pw_ptr = state.fold_powers(powers, pw_ptr, x)
+        y = float(LOG2 + grid.h * next_j)
         changed = state.stale_classes()
-        ck = TallyCheckpoint(
-            q=q, x=x, y=float(LOG2 + grid.h * next_j),
-            units=layout.units, char_labels=layout.char_labels,
-            **{k: v for k, v in state.totals().items() if k != "invp"},
-        )
-        checkpoints.append(ck)
+        row = state.totals()
+        series.x.append(x)
+        series.y.append(y)
+        for f, entries in series.fields.items():
+            entries.append(row[f])
         if csv is not None:
-            csv.write(rows.line(ck, changed))
+            csv.write(rows.line(x, y, row, changed))
         next_j += 1
 
     def flush(done_idx: int, complete: bool) -> None:
@@ -966,7 +883,7 @@ def accumulate(
             "format": 2 if complete else 3, "q": q, "h": grid.h, "n": grid.n,
             "segment_odds": segment_odds, "x_hi": x_hi,
             "complete": complete, "next_segment_index": done_idx,
-            "rows_written": len(checkpoints), "last_completed_prime": next_lo - 1,
+            "rows_written": len(series), "last_completed_prime": next_lo - 1,
         }
         if race_fold is not None:
             payload["races"] = {race_key: race_fold.to_state()}
@@ -999,7 +916,6 @@ def accumulate(
         completed = done_idx == len(bounds)
         if csv is not None:
             flush(done_idx, complete=completed)
-    series = CheckpointSeries(q, grid, layout.units, layout.char_labels, checkpoints)
     return TallyResult(series=series, race=race_summary(), completed=completed, x_hi=x_hi)
 
 

@@ -343,13 +343,17 @@ def reference_segment_partial(primes, boundaries, layout, race=None):
     }
 
 
-def format_row(ck):
-    """One checkpoint CSV data row, every cell formatted, without its newline."""
-    parts = [repr(ck.x), repr(ck.y)]
-    for n, s, t, p in zip(ck.counts.tolist(), ck.invsqrt.tolist(),
-                          ck.theta.tolist(), ck.psi.tolist()):
+def format_row(x, y, row):
+    """One checkpoint CSV data row at x, y, every cell formatted, without its newline.
+
+    row maps each field (counts, invsqrt, theta, psi, char_invsqrt,
+    char_mertens, char_eulerlog) to its values at that grid point.
+    """
+    parts = [repr(x), repr(y)]
+    for n, s, t, p in zip(row["counts"].tolist(), row["invsqrt"].tolist(),
+                          row["theta"].tolist(), row["psi"].tolist()):
         parts += [str(n), repr(s), repr(t), repr(p)]
     # per character: invsqrt, mertens, eulerlog, each as (re, im)
-    chars = np.stack([ck.char_invsqrt, ck.char_mertens, ck.char_eulerlog], axis=1)
+    chars = np.stack([row["char_invsqrt"], row["char_mertens"], row["char_eulerlog"]], axis=1)
     parts += map(repr, chars.view(np.float64).ravel().tolist())
     return ",".join(parts)

@@ -1,5 +1,4 @@
 """Streaming tally vs. brute-force reference sums and hand-checked values."""
-import dataclasses
 import itertools
 import json
 import math
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from primerace import tally
-from primerace.analysis import density_race, mean_values
+from primerace.analysis import density_race, euler_series, mean_values
 from primerace.characters import (
     ClassFunction,
     enumerate_characters,
@@ -26,16 +25,9 @@ from primerace.tally import (
     TallyOrderError,
     TallyPartial,
     accumulate,
-    euler_product_partial,
-    char_sum,
     merge,
-    mertens_chi_square,
-    pi_half,
-    pi_weighted,
-    psi_of,
     range_partial,
     read_series_csv,
-    theta_of,
     write_series_csv,
     _Layout,
     _RaceFold,
@@ -62,10 +54,20 @@ ALL_ARRAYS = ("counts", "invsqrt", "theta", "psi",
 DERIVED = ("char_invsqrt", "char_mertens")
 
 
-def checkpoint_at(series, x):
-    """Last checkpoint with grid point <= x."""
-    j = int(np.searchsorted(series.grid.x, x, side="right")) - 1
-    return series[j]
+def point_at(series, x):
+    """Index of the last grid point <= x."""
+    return int(np.searchsorted(series.grid.x, x, side="right")) - 1
+
+
+def matrix(series, name):
+    """The series' matrix of one field of ALL_ARRAYS, a grid point per row."""
+    return series.char_matrix(name[len("char_"):]) if name.startswith("char_") else getattr(series, name)
+
+
+def rows(series):
+    """(x, y, {field: values}) for each grid point of series, in order."""
+    for j, (x, y) in enumerate(zip(series.x, series.y)):
+        yield x, y, {f: entries[j] for f, entries in series.fields.items()}
 
 
 def assert_same_summary(got, want):
@@ -95,62 +97,65 @@ class TestWorkedValues:
     """Values checked by hand against the primes 2, 3, 5, 7 and 9 = 3*3."""
 
     def test_class_counts_at_ten(self, small_run):
-        ck = checkpoint_at(small_run.series, 10.0)
-        assert ck.counts[ck.class_index(1)] == 1  # 5
-        assert ck.counts[ck.class_index(3)] == 2  # 3, 7
+        series = small_run.series
+        j = point_at(series, 10.0)
+        assert series.counts[j, series.units.index(1)] == 1  # 5
+        assert series.counts[j, series.units.index(3)] == 2  # 3, 7
 
     def test_pi_half_class_three(self, small_run):
-        ck = checkpoint_at(small_run.series, 10.0)
+        series = small_run.series
+        j = point_at(series, 10.0)
         want = 1 / math.sqrt(3) + 1 / math.sqrt(7)
-        assert ck.invsqrt[ck.class_index(3)] == pytest.approx(want, rel=1e-14)
+        assert series.invsqrt[j, series.units.index(3)] == pytest.approx(want, rel=1e-14)
 
     def test_pi_half_race_weight(self, small_run):
-        ck = checkpoint_at(small_run.series, 10.0)
+        series = small_run.series
         t = race_weight(3, 1, 4)
         want = 1 / math.sqrt(3) + 1 / math.sqrt(7) - 1 / math.sqrt(5)
-        got = pi_half(ck, t)
+        got = series.weighted(t, "invsqrt")[point_at(series, 10.0)]
         assert abs(got.imag) < 1e-15
         assert got.real == pytest.approx(want, rel=1e-14)
 
     def test_psi_sees_the_residue_of_the_power(self, small_run):
         # 9 = 3*3 lands in class 1 with weight log 3, so the class-3 loss of
         # log 3 from the prime 3 cancels against it and log5 - log7 remains
-        ck = checkpoint_at(small_run.series, 10.0)
+        series = small_run.series
         t = race_weight(1, 3, 4)
-        got = psi_of(ck, t)
+        got = series.weighted(t, "psi")[point_at(series, 10.0)]
         assert got.real == pytest.approx(math.log(5) - math.log(7), rel=1e-12)
 
     def test_theta_splits_by_class(self, small_run):
-        ck = checkpoint_at(small_run.series, 10.0)
+        series = small_run.series
+        j = point_at(series, 10.0)
         ind1 = ClassFunction.from_pairs(4, {1: 1.0})
         ind3 = ClassFunction.from_pairs(4, {3: 1.0})
-        assert theta_of(ck, ind1).real == pytest.approx(math.log(5), rel=1e-14)
-        assert theta_of(ck, ind3).real == pytest.approx(math.log(3) + math.log(7), rel=1e-14)
+        assert series.weighted(ind1, "theta")[j].real == pytest.approx(math.log(5), rel=1e-14)
+        assert series.weighted(ind3, "theta")[j].real == pytest.approx(math.log(3) + math.log(7), rel=1e-14)
 
     def test_euler_product_at_three(self, small_run):
         # product over p <= 3.01..: the 2-factor is 1, the 3-factor is
         # (1 + 1/sqrt3)^(-1)
         series = small_run.series
         j = int(np.searchsorted(series.grid.x, 3.0, side="left"))
-        ck = series[j]
         chi = enumerate_characters(4)[1]
         want = 1 / (1 + 1 / math.sqrt(3))
-        got = euler_product_partial(ck, chi)
+        got = complex(euler_series(series, chi).values[j])
         assert abs(got.imag) < 1e-15
         assert got.real == pytest.approx(want, rel=1e-12)
-        lifted = euler_product_partial(ck, chi, vanishing_order=1)
-        assert lifted.real == pytest.approx(math.log(ck.x) * want, rel=1e-12)
+        lifted = complex(euler_series(series, chi, vanishing_order=1).values[j])
+        assert lifted.real == pytest.approx(math.log(series.x[j]) * want, rel=1e-12)
 
     def test_mertens_square_sum(self, small_run):
-        ck = checkpoint_at(small_run.series, 10.0)
+        series = small_run.series
         chi = enumerate_characters(4)[1]
         want = 1 / 3 + 1 / 5 + 1 / 7  # chi(p^2) = 1 for odd p, 0 for p = 2
-        assert mertens_chi_square(ck, chi).real == pytest.approx(want, rel=1e-14)
+        got = series.char_matrix("mertens")[point_at(series, 10.0), series.char_labels.index(chi.label)]
+        assert got.real == pytest.approx(want, rel=1e-14)
 
     def test_pi_weighted_counts(self, small_run):
-        ck = checkpoint_at(small_run.series, 10.0)
+        series = small_run.series
         t = race_weight(3, 1, 4)
-        assert pi_weighted(ck, t).real == pytest.approx(1.0)
+        assert series.weighted(t, "counts")[point_at(series, 10.0)].real == pytest.approx(1.0)
 
     def test_jump_positions(self, small_run):
         # the jumps 3, 5, 7 below x=10: the race leads from 3 on
@@ -175,19 +180,20 @@ class TestAgainstReference:
         ref = ReferenceTally(x_max, q, char_tables(q))
         chars = enumerate_characters(q)
         sample = list(range(0, grid.n, max(1, grid.n // 24))) + [grid.n - 1]
+        series = res.series
+        counts, invsqrt, theta, psi = series.counts, series.invsqrt, series.theta, series.psi
         for j in sorted(set(sample)):
-            ck = res.series[j]
-            for a in ck.units:
-                stats = ref.class_stats(a, ck.x)
-                i = ck.class_index(a)
-                assert int(ck.counts[i]) == stats["count"]
-                assert ck.invsqrt[i] == pytest.approx(stats["invsqrt"], rel=1e-12, abs=1e-15)
-                assert ck.theta[i] == pytest.approx(stats["log"], rel=1e-12, abs=1e-15)
-                assert ck.psi[i] == pytest.approx(stats["psi"], rel=1e-12, abs=1e-15)
+            x = series.x[j]
+            for i, a in enumerate(series.units):
+                stats = ref.class_stats(a, x)
+                assert int(counts[j, i]) == stats["count"]
+                assert invsqrt[j, i] == pytest.approx(stats["invsqrt"], rel=1e-12, abs=1e-15)
+                assert theta[j, i] == pytest.approx(stats["log"], rel=1e-12, abs=1e-15)
+                assert psi[j, i] == pytest.approx(stats["psi"], rel=1e-12, abs=1e-15)
             for chi in chars[1:]:
-                stats = ref.char_stats(chi.index, ck.x)
+                stats = ref.char_stats(chi.index, x)
                 for kind in ("invsqrt", "mertens", "eulerlog"):
-                    got = char_sum(ck, chi, kind)
+                    got = complex(series.char_matrix(kind)[j, series.char_labels.index(chi.label)])
                     assert got == pytest.approx(stats[kind], rel=1e-11, abs=1e-12)
 
 
@@ -211,13 +217,13 @@ class TestLinearity:
             return sum(vals[a] * np.conj(chi.values[a]) for a in range(q)
                        if math.gcd(a, q) == 1) / phi
 
+        series = res.series
         for j in (grid.n // 3, grid.n - 1):
-            ck = res.series[j]
-            direct = pi_half(ck, t)
-            total_units = float(np.sum(ck.invsqrt))
+            direct = series.weighted(t, "invsqrt")[j]
+            total_units = float(np.sum(series.invsqrt[j]))
             via_chars = coeff(chars[0]) * total_units
             for chi in chars[1:]:
-                via_chars += coeff(chi) * char_sum(ck, chi, "invsqrt")
+                via_chars += coeff(chi) * series.char_matrix("invsqrt")[j, series.char_labels.index(chi.label)]
             assert abs(direct - via_chars) <= 1e-9 * max(1.0, abs(direct))
 
 
@@ -242,12 +248,13 @@ class TestGrid:
         rc = accumulate(coarse, 4, x_hi=5_001)
         rf = accumulate(fine, 4, x_hi=5_001)
         assert np.array_equal(coarse.x, fine.x[::2])
-        for j in range(coarse.n):
-            a, b = rc.series[j], rf.series[2 * j]
-            assert np.array_equal(a.counts, b.counts)
-            assert np.allclose(a.invsqrt, b.invsqrt, rtol=1e-10)
-            assert np.allclose(a.psi, b.psi, rtol=1e-10)
-            assert np.allclose(a.char_eulerlog, b.char_eulerlog, rtol=1e-10, atol=1e-12)
+        a, b = rc.series, rf.series
+        assert len(a) == coarse.n and len(b) == fine.n
+        assert np.array_equal(a.counts, b.counts[::2])
+        assert np.allclose(a.invsqrt, b.invsqrt[::2], rtol=1e-10)
+        assert np.allclose(a.psi, b.psi[::2], rtol=1e-10)
+        assert np.allclose(a.char_matrix("eulerlog"), b.char_matrix("eulerlog")[::2],
+                           rtol=1e-10, atol=1e-12)
 
     def test_grid_beyond_sieved_range_rejected(self):
         grid = CheckpointGrid.from_xmax(1000, h=0.1)
@@ -260,9 +267,9 @@ class TestThreadInvariance:
         grid = CheckpointGrid.from_xmax(100_000, h=0.02)
         r1 = accumulate(grid, 4, segment_odds=1 << 12, threads=1)
         r4 = accumulate(grid, 4, segment_odds=1 << 12, threads=4)
-        for a, b in zip(r1.series, r4.series):
-            for attr in ALL_ARRAYS:
-                assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+        assert len(r1.series) == len(r4.series) == grid.n
+        for attr in ALL_ARRAYS:
+            assert np.array_equal(matrix(r1.series, attr), matrix(r4.series, attr)), attr
 
     def test_jumps_identical(self):
         grid = CheckpointGrid.from_xmax(30_000, h=0.1)
@@ -697,10 +704,9 @@ class TestPersistence:
         assert back.units == res.series.units
         assert back.char_labels == res.series.char_labels
         assert len(back) == len(res.series)
-        for a, b in zip(res.series, back):
-            assert a.x == b.x and a.y == b.y
-            for attr in ALL_ARRAYS:
-                assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+        assert back.x == res.series.x and back.y == res.series.y
+        for attr in ALL_ARRAYS:
+            assert np.array_equal(matrix(res.series, attr), matrix(back, attr)), attr
 
     def test_interrupted_run_resumes_byte_identically(self, tmp_path):
         grid = self.grid()
@@ -722,9 +728,8 @@ class TestPersistence:
         res = accumulate(grid, 4, segment_odds=512, persist=split, resume=True)
         direct = accumulate(grid, 4, segment_odds=512)
         assert len(res.series) == grid.n
-        for a, b in zip(res.series, direct.series):
-            for attr in ALL_ARRAYS:
-                assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+        for attr in ALL_ARRAYS:
+            assert np.array_equal(matrix(res.series, attr), matrix(direct.series, attr)), attr
 
     def test_interrupted_resume_returns_the_series_from_the_start(self, tmp_path):
         grid = self.grid()
@@ -734,11 +739,12 @@ class TestPersistence:
                          max_segments=4)
         assert not res.completed and len(first.series) < len(res.series) < grid.n
         direct = accumulate(grid, 4, segment_odds=512)
-        for a, b in zip(res.series, direct.series[:len(res.series)], strict=True):
-            assert a.x == b.x and a.y == b.y
-            for attr in ALL_ARRAYS:
-                u, v = getattr(a, attr), getattr(b, attr)
-                assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), attr
+        n = len(res.series)
+        assert res.series.x == direct.series.x[:n] and res.series.y == direct.series.y[:n]
+        for attr in ALL_ARRAYS:
+            u, v = matrix(res.series, attr), matrix(direct.series, attr)[:n]
+            assert u.shape == v.shape, attr
+            assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), attr
 
     def test_resume_of_finished_run_is_a_read(self, tmp_path):
         grid = self.grid()
@@ -752,23 +758,48 @@ class TestPersistence:
 
     @pytest.mark.parametrize("stop", [4, None])
     def test_fresh_and_resumed_series_agree(self, tmp_path, stop):
-        # a fresh series and the same run read back through the CSV are the
-        # same kind of object: same fields, arrays equal bit for bit
+        # a fresh series and the same run read back through the CSV hold the
+        # same fields and points: matrices equal bit for bit, x and y floats
         grid = self.grid()
         path = tmp_path / "same.csv"
         fresh = accumulate(grid, 12, segment_odds=512, persist=tmp_path / "fresh.csv").series
         accumulate(grid, 12, segment_odds=512, persist=path, max_segments=stop)
         back = accumulate(grid, 12, segment_odds=512, persist=path, resume=True).series
         assert len(fresh) == len(back) == grid.n
-        for a, b in zip(fresh, back):
-            assert type(a) is type(b)
-            for f in dataclasses.fields(a):
-                u, v = getattr(a, f.name), getattr(b, f.name)
-                if isinstance(u, np.ndarray):
-                    assert u.dtype == v.dtype and u.shape == v.shape, f.name
-                    assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), f.name
-                else:
-                    assert type(u) is type(v) and u == v, f.name
+        for name in ("q", "grid", "units", "char_labels", "x", "y"):
+            assert getattr(fresh, name) == getattr(back, name), name
+        assert {type(v) for v in fresh.x + fresh.y + back.x + back.y} == {float}
+        assert fresh.fields.keys() == back.fields.keys() == set(ALL_ARRAYS)
+        for attr in ALL_ARRAYS:
+            u, v = matrix(fresh, attr), matrix(back, attr)
+            assert u.dtype == v.dtype and u.shape == v.shape, attr
+            assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), attr
+
+    def test_points_that_gain_nothing_share_the_previous_arrays(self, tmp_path):
+        # the series keeps no dense table: a grid point that gained no prime
+        # holds the previous point's read-only arrays (psi aside, when it
+        # gained a prime power), and the CSV reads back as equal matrices
+        grid = self.grid()
+        path = tmp_path / "share.csv"
+        series = accumulate(grid, 12, segment_odds=512, persist=path).series
+        counts, psi = series.counts, series.psi
+        quiet = powers_only = 0
+        for j in range(1, len(series)):
+            if not np.array_equal(counts[j], counts[j - 1]):
+                continue
+            same_psi = np.array_equal(psi[j], psi[j - 1])
+            quiet += same_psi
+            powers_only += not same_psi
+            for f, entries in series.fields.items():
+                assert (entries[j] is entries[j - 1]) == (same_psi or f != "psi"), (j, f)
+        assert quiet > 100 and powers_only > 0
+        assert not any(e.flags.writeable for entries in series.fields.values() for e in entries)
+        back = read_series_csv(path)
+        assert back.x == series.x and back.y == series.y
+        for attr in ALL_ARRAYS:
+            u, v = matrix(back, attr), matrix(series, attr)
+            assert u.dtype == v.dtype and u.shape == v.shape, attr
+            assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), attr
 
     def test_resume_jumps_cover_presieved_segments(self, tmp_path):
         grid = self.grid()
@@ -819,14 +850,13 @@ class TestPersistence:
         res = accumulate(grid, 4, segment_odds=512, persist=path, resume=True)
         assert res.completed
         direct = accumulate(grid, 4, segment_odds=512)
-        for a, b in zip(res.series, direct.series):
-            assert np.array_equal(a.invsqrt, b.invsqrt)
+        assert np.array_equal(res.series.invsqrt, direct.series.invsqrt)
 
 
 def oracle_csv(series) -> bytes:
     """A checkpoint CSV with every cell formatted by the oracle."""
     header = ",".join(tally._csv_columns(series.units, series.char_labels))
-    return "".join(f"{line}\n" for line in [header, *map(format_row, series)]).encode()
+    return "".join(f"{line}\n" for line in [header, *(format_row(*r) for r in rows(series))]).encode()
 
 
 class TestCsvRows:
@@ -874,32 +904,36 @@ class TestCsvRows:
         assert path.read_bytes() == fresh.read_bytes()
 
 
-class TestCheckpointOps:
-    def test_non_unit_class_rejected(self, small_run):
-        ck = small_run.series[-1]
-        with pytest.raises(ValueError, match="unit"):
-            ck.class_index(2)
+    def test_rows_of_the_wrong_width_rejected(self, tmp_path):
+        # 8 rows of 6 cells under q=4's 16 columns: 48 cells, which would
+        # otherwise re-cut into 3 rows of 16
+        path = tmp_path / "narrow.csv"
+        layout = _Layout(4)
+        header = ",".join(tally._csv_columns(layout.units, layout.char_labels))
+        assert header.count(",") == 15
+        path.write_text(header + "\n" + "".join(f"{2.0 + k},0.{k},1,0.5,0.25,0.125\n" for k in range(8)))
+        with pytest.raises(ValueError, match=r"narrow\.csv: rows hold 6 cells, but the header has 16 columns"):
+            read_series_csv(path)
 
+
+class TestCheckpointOps:
     def test_principal_euler_rejected(self, small_run):
-        ck = small_run.series[-1]
         principal = enumerate_characters(4)[0]
         with pytest.raises(ValueError, match="nonprincipal"):
-            euler_product_partial(ck, principal)
+            euler_series(small_run.series, principal)
 
     def test_negative_vanishing_order_rejected(self, small_run):
-        ck = small_run.series[-1]
         chi = enumerate_characters(4)[1]
         with pytest.raises(ValueError, match="nonnegative"):
-            euler_product_partial(ck, chi, vanishing_order=-1)
+            euler_series(small_run.series, chi, vanishing_order=-1)
 
     def test_modulus_mismatch_rejected(self, small_run):
-        ck = small_run.series[-1]
         chi5 = enumerate_characters(5)[1]
         with pytest.raises(ValueError, match="modulus"):
-            char_sum(ck, chi5, "invsqrt")
+            small_run.series.weighted(chi5, "invsqrt")
         t5 = race_weight(2, 1, 5)
         with pytest.raises(ValueError, match="modulus"):
-            pi_half(ck, t5)
+            small_run.series.weighted(t5)
 
     def test_race_requires_units(self):
         grid = CheckpointGrid.from_xmax(100, h=0.1)
@@ -915,11 +949,15 @@ class TestCheckpointOps:
 
     def test_weighted_series_view(self, small_run):
         t = race_weight(3, 1, 4)
-        vec = small_run.series.weighted(t)
-        assert len(vec) == len(small_run.series)
-        ck = checkpoint_at(small_run.series, 10.0)
-        j = int(np.searchsorted(small_run.series.grid.x, 10.0, side="right")) - 1
-        assert vec[j] == pytest.approx(pi_half(ck, t), rel=1e-14)
+        series = small_run.series
+        vec = series.weighted(t)
+        assert len(vec) == len(series)
+        j = point_at(series, 10.0)
+        # the sum over classes, one complex add at a time
+        want = 0j
+        for i, a in enumerate(series.units):
+            want += t.values[a] * series.invsqrt[j, i]
+        assert vec[j] == pytest.approx(want, rel=1e-14)
 
 
 def assert_resumed_from_fixture(resumed, fixture, fresh):
@@ -949,13 +987,14 @@ def assert_resumed_from_fixture(resumed, fixture, fresh):
 def assert_series_from_fixture(got, want, inherited):
     """assert_resumed_from_fixture's split, on the series' arrays."""
     assert len(got) == len(want)
-    for k, (a, b) in enumerate(zip(got, want)):
-        for attr in ALL_ARRAYS:
-            u, v = getattr(a, attr), getattr(b, attr)
+    for attr in ALL_ARRAYS:
+        u, v = matrix(got, attr), matrix(want, attr)
+        assert u.shape == v.shape, attr
+        for k in range(len(got)):
             if k < inherited and attr in DERIVED:
-                assert u == pytest.approx(v, rel=1e-11, abs=1e-12), (k, attr)
+                assert u[k] == pytest.approx(v[k], rel=1e-11, abs=1e-12), (k, attr)
             else:
-                assert np.array_equal(u.view(np.uint64), v.view(np.uint64)), (k, attr)
+                assert np.array_equal(u[k].view(np.uint64), v[k].view(np.uint64)), (k, attr)
 
 
 class TestCrossVersionResume:
