@@ -27,13 +27,10 @@ from .characters import (
 )
 from .sieve import (
     DEFAULT_SEGMENT_ODDS,
-    PrimeEvent,
     prime_powers,
     segment_bounds,
     sieve_segment,
     simple_sieve,
-    stream_primes,
-    stream_segments,
 )
 from .tally import (
     LOG2,
@@ -96,8 +93,8 @@ __all__ = [
     "euler_phi", "inner_product", "parse_label", "race_weight",
     "square_root_count", "unit_residues",
     # sieve
-    "DEFAULT_SEGMENT_ODDS", "PrimeEvent", "prime_powers", "segment_bounds",
-    "sieve_segment", "simple_sieve", "stream_primes", "stream_segments",
+    "DEFAULT_SEGMENT_ODDS", "prime_powers", "segment_bounds", "sieve_segment",
+    "simple_sieve",
     # tally
     "LOG2", "CheckpointGrid", "CheckpointSeries", "TallyOrderError",
     "TallyPartial", "TallyResult", "RaceSummary", "accumulate", "merge",

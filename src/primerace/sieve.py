@@ -1,10 +1,10 @@
-"""Segmented prime enumeration with residue annotation.
+"""Segmented prime enumeration.
 
 The workhorse is an odd-only boolean sieve over fixed-width segments.
-Segments are anchored at the stream's lower bound, tile the range without
-gaps or overlaps, and are independent of one another, so they can be sieved
-by a worker pool; the stream always hands segments to the consumer in
-ascending order regardless of the worker count.
+segment_bounds tiles a range [lo, hi) with segments anchored at lo, without
+gaps or overlaps.  Segments are independent of one another, so they can be
+sieved by a worker pool; ordered_map hands their results back in ascending
+order regardless of the worker count.
 
 Default segment width is 2**20 odd entries (2**21 integers), which keeps the
 working set inside L2-ish cache territory while amortizing setup cost.
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -22,26 +21,14 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_SEGMENT_ODDS",
-    "PrimeEvent",
     "simple_sieve",
     "segment_bounds",
     "sieve_segment",
-    "stream_segments",
-    "stream_primes",
     "prime_powers",
     "ordered_map",
 ]
 
 DEFAULT_SEGMENT_ODDS = 1 << 20
-
-
-@dataclass(frozen=True)
-class PrimeEvent:
-    """One prime with its residue class mod q."""
-
-    p: int
-    residue: int
-    is_unit: bool
 
 
 def simple_sieve(limit: int) -> np.ndarray:
@@ -60,14 +47,16 @@ def simple_sieve(limit: int) -> np.ndarray:
     return np.concatenate(([2], odds)).astype(np.int64)
 
 
-def segment_bounds(lo: int, hi: int, segment_odds: int) -> Iterator[tuple[int, int]]:
+def segment_bounds(lo: int, hi: int, segment_odds: int) -> list[tuple[int, int]]:
     """Boundaries [a, b) tiling [lo, hi), anchored at lo, span 2*segment_odds."""
+    if segment_odds < 1:
+        raise ValueError(f"segment size must be positive, got {segment_odds}")
+    if lo < 2:
+        raise ValueError(f"range must start at 2 or above, got {lo}")
+    if hi < lo:
+        raise ValueError(f"inverted range [{lo}, {hi})")
     span = 2 * segment_odds
-    a = lo
-    while a < hi:
-        b = min(a + span, hi)
-        yield a, b
-        a = b
+    return [(a, min(a + span, hi)) for a in range(lo, hi, span)]
 
 
 def sieve_segment(a: int, b: int, base: np.ndarray) -> np.ndarray:
@@ -98,15 +87,6 @@ def sieve_segment(a: int, b: int, base: np.ndarray) -> np.ndarray:
     return primes
 
 
-def _validate_range(lo: int, hi: int, segment_odds: int) -> None:
-    if segment_odds < 1:
-        raise ValueError(f"segment size must be positive, got {segment_odds}")
-    if lo < 2:
-        raise ValueError(f"stream must start at 2 or above, got {lo}")
-    if hi < lo:
-        raise ValueError(f"inverted range [{lo}, {hi})")
-
-
 def ordered_map(fn, jobs: Sequence[tuple], threads: int) -> Iterator:
     """Map fn over argument tuples on a worker pool, yielding results in job order.
 
@@ -124,48 +104,6 @@ def ordered_map(fn, jobs: Sequence[tuple], threads: int) -> Iterator:
             fut = pending.popleft()
             pending.extend(pool.submit(fn, *job) for job in islice(it, 1))
             yield fut.result()
-
-
-def stream_segments(
-    lo: int,
-    hi: int,
-    *,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    threads: int = 1,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (a, b, primes-in-[a,b)) segments in ascending order.
-
-    With threads > 1 segments are sieved concurrently but still delivered
-    in order, so downstream folds are independent of the worker count.
-    """
-    _validate_range(lo, hi, segment_odds)
-    if hi == lo:
-        return
-    base = simple_sieve(math.isqrt(hi - 1))
-
-    def job(a: int, b: int) -> tuple[int, int, np.ndarray]:
-        return a, b, sieve_segment(a, b, base)
-
-    yield from ordered_map(job, list(segment_bounds(lo, hi, segment_odds)), threads)
-
-
-def stream_primes(
-    lo: int,
-    hi: int,
-    q: int,
-    *,
-    segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    threads: int = 1,
-) -> Iterator[PrimeEvent]:
-    """Every prime in [lo, hi) exactly once, ascending, tagged with p mod q."""
-    if q < 1:
-        raise ValueError(f"invalid modulus {q}")
-    for _a, _b, primes in stream_segments(
-        lo, hi, segment_odds=segment_odds, threads=threads
-    ):
-        residues = primes % q
-        for p, r in zip(primes.tolist(), residues.tolist()):
-            yield PrimeEvent(p=p, residue=r, is_unit=math.gcd(r, q) == 1)
 
 
 def prime_powers(x_max: int) -> list[tuple[int, int, int]]:

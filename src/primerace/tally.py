@@ -318,25 +318,34 @@ class CheckpointSeries:
     def __len__(self) -> int:
         return len(self.x)
 
+    def _table(self, field: str) -> np.ndarray:
+        """A field's entries as a matrix, row j for point j; with no point, a header-only CSV's (0, width) table."""
+        entries = self.fields[field]
+        if len(entries):
+            return np.asarray(entries)
+        chars = field.startswith("char_")
+        dtype = np.complex128 if chars else np.int64 if field == "counts" else np.float64
+        return np.empty((0, len(self.char_labels if chars else self.units)), dtype=dtype)
+
     @property
     def counts(self) -> np.ndarray:
-        return np.asarray(self.fields["counts"])
+        return self._table("counts")
 
     @property
     def invsqrt(self) -> np.ndarray:
-        return np.asarray(self.fields["invsqrt"])
+        return self._table("invsqrt")
 
     @property
     def theta(self) -> np.ndarray:
-        return np.asarray(self.fields["theta"])
+        return self._table("theta")
 
     @property
     def psi(self) -> np.ndarray:
-        return np.asarray(self.fields["psi"])
+        return self._table("psi")
 
     def char_matrix(self, kind: str) -> np.ndarray:
         """Per-character sums of kind invsqrt, mertens or eulerlog, one row per point."""
-        return np.asarray(self.fields[f"char_{kind}"])
+        return self._table(f"char_{kind}")
 
     def weighted(self, t, table: str = "invsqrt") -> np.ndarray:
         """Per-checkpoint weighted class sums of one field, as a complex vector.
@@ -348,7 +357,7 @@ class CheckpointSeries:
         """
         vals = _weight_values(t, self.q)
         w = np.array([vals[a] for a in self.units])
-        return np.asarray(self.fields[table]).astype(np.complex128) @ w
+        return self._table(table).astype(np.complex128) @ w
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,11 +610,6 @@ def _power_terms(layout: _Layout, lo: int, hi: int) -> list[tuple[int, int, floa
             for v, p, _k in prime_powers(hi - 1) if v >= lo]
 
 
-def _base_primes(hi: int) -> np.ndarray:
-    """Sieving primes for every segment below hi."""
-    return simple_sieve(math.isqrt(hi - 1)) if hi > 4 else np.array([2], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -781,7 +785,7 @@ def accumulate(
         race_key = f"{race[0]},{race[1]}"  # its key in the sidecar's races
     grid_x = grid.x
     powers = _power_terms(layout, 2, x_hi)
-    bounds = list(segment_bounds(2, x_hi, segment_odds))
+    bounds = segment_bounds(2, x_hi, segment_odds)
     csv_path = Path(persist) if persist is not None else None
     meta_path = _sidecar_path(csv_path) if csv_path is not None else None
     state = TallyPartial.empty(q, layout=layout)
@@ -790,7 +794,7 @@ def accumulate(
     start_idx = 0  # first segment to sieve
     # every grid point snapshotted, flushed ones too
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, [], [], {f: [] for f in _ROW_FIELDS})
-    base = _base_primes(x_hi)
+    base = simple_sieve(math.isqrt(x_hi - 1))
 
     def boundaries(a: int, b: int) -> np.ndarray:
         """The grid points in [a, b)."""
@@ -944,15 +948,10 @@ def range_partial(
     threads: int = 1,
 ) -> TallyPartial:
     """Tally sums over primes in [lo, hi), folded per segment in order."""
-    if lo < 2:
-        raise ValueError(f"range must start at 2 or above, got {lo}")
-    if hi < lo:
-        raise ValueError(f"inverted range [{lo}, {hi})")
+    bounds = segment_bounds(lo, hi, segment_odds)
     layout = _Layout(q)
     out = TallyPartial.empty(q, lo, layout=layout)
-    if hi == lo:
-        return out
-    base = _base_primes(hi)
+    base = simple_sieve(math.isqrt(hi - 1))
     powers = _power_terms(layout, lo, hi)
     pw_ptr = 0
     none = np.empty(0, dtype=np.float64)
@@ -960,7 +959,7 @@ def range_partial(
     def job(a: int, b: int) -> _SegmentPartial:
         return _segment_partial(sieve_segment(a, b, base), a, b, none, layout)
 
-    for part in ordered_map(job, list(segment_bounds(lo, hi, segment_odds)), threads):
+    for part in ordered_map(job, bounds, threads):
         out.fold(part, 0)
         pw_ptr = out.fold_powers(powers, pw_ptr, part.hi - 1)
     return out

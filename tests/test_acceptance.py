@@ -32,7 +32,7 @@ from primerace.characters import (
 )
 from primerace.cli import RunConfig, cmd_bias, cmd_delta, cmd_euler
 from primerace.ingest import symmetric_expand, load_zeros
-from primerace.sieve import stream_primes
+from primerace.sieve import simple_sieve
 from primerace.tally import CheckpointGrid, accumulate, merge, range_partial
 
 from oracles import ReferenceTally
@@ -277,7 +277,7 @@ class TestCriterion07:
         win = (y >= 5.0) & (y <= 15.0)
         yw = y[win]
         lim = int(math.exp(15.0 / 2.0)) + 2
-        ps = np.array([ev.p for ev in stream_primes(2, lim, 4)], dtype=np.int64)
+        ps = simple_sieve(lim - 1)
         pcount = np.searchsorted(ps, np.exp(yw / 2.0), side="right")
         drift = yw * (pcount - 1) / 2.0 / np.exp(yw / 2.0) - 1.0
 

@@ -1,4 +1,6 @@
 """The README's library examples run, and the package exports what it lists."""
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -20,5 +22,9 @@ def test_readme_python_block_runs(source, capsys):
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in primerace.__all__ if not hasattr(primerace, name)]
+    # the package and each submodule, so `from primerace.<module> import *` works too
+    modules = [primerace, *(importlib.import_module(f"primerace.{m.name}")
+                            for m in pkgutil.iter_modules(primerace.__path__))]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing

@@ -1,20 +1,35 @@
 """Segmented sieve: correctness against trial division, tiling, invariance."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from primerace.sieve import (
     DEFAULT_SEGMENT_ODDS,
-    PrimeEvent,
+    ordered_map,
     prime_powers,
     segment_bounds,
+    sieve_segment,
     simple_sieve,
-    stream_primes,
-    stream_segments,
 )
 
 import oracles
+
+
+def sieved(lo, hi, segment_odds=DEFAULT_SEGMENT_ODDS, threads=1):
+    """(a, b, primes in [a, b)) for each segment of [lo, hi), in order, as the tally sieves them."""
+    base = simple_sieve(math.isqrt(hi - 1))
+
+    def job(a, b):
+        return a, b, sieve_segment(a, b, base)
+
+    return list(ordered_map(job, segment_bounds(lo, hi, segment_odds), threads))
+
+
+def primes_of(segments):
+    return [p for _a, _b, seg in segments for p in seg.tolist()]
 
 
 class TestSimpleSieve:
@@ -32,51 +47,43 @@ class TestSimpleSieve:
 
 
 class TestStreamPrimes:
+    """The primes of a range, segment by segment, in the order the tally folds them."""
+
     def test_window_above_a_million(self):
-        events = list(stream_primes(10**6, 10**6 + 100, 4))
-        assert [e.p for e in events] == [
+        primes = primes_of(sieved(10**6, 10**6 + 100))
+        assert primes == [
             1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
         ]
-        assert [e.residue for e in events] == [3, 1, 1, 3, 1, 3]
-        assert all(e.is_unit for e in events)
+        assert [p % 4 for p in primes] == [3, 1, 1, 3, 1, 3]
         # cross-check by trial division
-        assert [e.p for e in events] == oracles.primes_in(10**6, 10**6 + 100)
+        assert primes == oracles.primes_in(10**6, 10**6 + 100)
 
     def test_empty_range(self):
-        assert list(stream_primes(2, 2, 4)) == []
+        assert sieved(2, 2) == []
 
     def test_exactly_once_in_order(self):
-        seen = [e.p for e in stream_primes(2, 5000, 3, segment_odds=64)]
+        seen = primes_of(sieved(2, 5000, segment_odds=64))
         assert seen == sorted(set(seen))
         assert seen == list(oracles.primes_upto(4999))
 
-    def test_primes_dividing_q_flagged(self):
-        events = {e.p: e for e in stream_primes(2, 20, 6)}
-        assert not events[2].is_unit
-        assert not events[3].is_unit
-        assert events[5].is_unit and events[5].residue == 5
-        assert events[7].is_unit and events[7].residue == 1
-
     def test_sampled_values_pass_primality_check(self):
-        primes = [e.p for e in stream_primes(2, 3 * 10**5, 4, segment_odds=2048)]
+        primes = primes_of(sieved(2, 3 * 10**5, segment_odds=2048))
         rng = np.random.default_rng(7)
         for p in rng.choice(primes, size=50, replace=False).tolist():
             assert oracles.is_prime(int(p))
 
     def test_errors(self):
         with pytest.raises(ValueError, match="start at 2"):
-            list(stream_primes(1, 10, 4))
+            segment_bounds(1, 10, 4)
         with pytest.raises(ValueError, match="inverted"):
-            list(stream_primes(10, 5, 4))
+            segment_bounds(10, 5, 4)
         with pytest.raises(ValueError, match="segment size"):
-            list(stream_primes(2, 10, 4, segment_odds=0))
-        with pytest.raises(ValueError, match="invalid modulus"):
-            list(stream_primes(2, 10, 0))
+            segment_bounds(2, 10, 0)
 
 
 class TestSegmentation:
     def test_bounds_tile_without_gaps(self):
-        bounds = list(segment_bounds(2, 10**5 + 17, 1 << 12))
+        bounds = segment_bounds(2, 10**5 + 17, 1 << 12)
         assert bounds[0][0] == 2
         assert bounds[-1][1] == 10**5 + 17
         for (a1, b1), (a2, _b2) in zip(bounds, bounds[1:]):
@@ -85,19 +92,17 @@ class TestSegmentation:
 
     @pytest.mark.parametrize("segment_odds", [16, 499, 4096, DEFAULT_SEGMENT_ODDS])
     def test_event_multiset_independent_of_segment_size(self, segment_odds):
-        primes = [e.p for e in stream_primes(2, 30000, 5, segment_odds=segment_odds)]
+        primes = primes_of(sieved(2, 30000, segment_odds=segment_odds))
         assert primes == list(oracles.primes_upto(29999))
 
     def test_threaded_stream_matches_sequential(self):
-        seq = [p for _a, _b, seg in stream_segments(2, 10**6, segment_odds=1 << 14)
-               for p in seg.tolist()]
-        par = [p for _a, _b, seg in stream_segments(2, 10**6, segment_odds=1 << 14, threads=4)
-               for p in seg.tolist()]
+        seq = primes_of(sieved(2, 10**6, segment_odds=1 << 14))
+        par = primes_of(sieved(2, 10**6, segment_odds=1 << 14, threads=4))
         assert seq == par
         assert len(seq) == 78498  # pi(10**6)
 
     def test_segment_arrays_are_sorted_and_in_bounds(self):
-        for a, b, seg in stream_segments(2, 200000, segment_odds=1 << 10):
+        for a, b, seg in sieved(2, 200000, segment_odds=1 << 10):
             if len(seg):
                 assert seg[0] >= a and seg[-1] < b
                 assert np.all(np.diff(seg) > 0)
@@ -107,7 +112,7 @@ class TestPrimeCounts:
     def test_pi_at_powers_of_ten(self):
         # independent second implementation: the non-segmented simple sieve
         for x, expected in [(10**4, 1229), (10**6, 78498)]:
-            streamed = sum(len(s) for _a, _b, s in stream_segments(2, x + 1))
+            streamed = sum(len(s) for _a, _b, s in sieved(2, x + 1))
             assert streamed == len(simple_sieve(x)) == expected
 
 

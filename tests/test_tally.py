@@ -18,7 +18,7 @@ from primerace.characters import (
     enumerate_characters,
     race_weight,
 )
-from primerace.sieve import simple_sieve, sieve_segment
+from primerace.sieve import segment_bounds, simple_sieve, sieve_segment
 from primerace.tally import (
     LOG2,
     CheckpointGrid,
@@ -416,7 +416,7 @@ class TestRaceResume:
         calls = self.sieve_calls(monkeypatch)
         res = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(7, 5))
         # only the segments an interrupted run had not tallied yet
-        bounds = list(tally.segment_bounds(2, res.x_hi, 512))
+        bounds = tally.segment_bounds(2, res.x_hi, 512)
         assert calls == ([] if stop is None else bounds[stop:])
         assert_same_summary(res.race, accumulate(grid, 4, segment_odds=512, race=(3, 1)).race)
         if stop is None:
@@ -431,9 +431,9 @@ class TestRaceResume:
         accumulate(grid, 4, segment_odds=512, persist=path, race=recorded)
         calls = self.sieve_calls(monkeypatch)
         res = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(1, 3))
-        assert calls == list(tally.segment_bounds(2, res.x_hi, 512))
+        assert calls == tally.segment_bounds(2, res.x_hi, 512)
         again = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(1, 3))
-        assert len(calls) == len(list(tally.segment_bounds(2, res.x_hi, 512)))
+        assert len(calls) == len(tally.segment_bounds(2, res.x_hi, 512))
         direct = accumulate(grid, 4, segment_odds=512, race=(1, 3)).race
         assert_same_summary(res.race, direct)
         assert_same_summary(again.race, direct)
@@ -495,6 +495,17 @@ class TestMergePartials:
             range_partial(1, 100, 4)
         with pytest.raises(ValueError, match="inverted"):
             range_partial(100, 50, 4)
+
+    @pytest.mark.parametrize("segment_odds", [0, -1])
+    @pytest.mark.parametrize("run", [
+        lambda odds: segment_bounds(2, 100, odds),
+        lambda odds: range_partial(2, 100, 4, segment_odds=odds),
+        lambda odds: accumulate(CheckpointGrid.from_xmax(1e3), 4, segment_odds=odds),
+    ], ids=["segment_bounds", "range_partial", "accumulate"])
+    def test_bad_segment_width_rejected(self, run, segment_odds):
+        # a width below 1 would tile the range with empty segments forever
+        with pytest.raises(ValueError, match="segment size"):
+            run(segment_odds)
 
 
 def assert_same_totals(a, b):
@@ -903,6 +914,21 @@ class TestCsvRows:
         accumulate(grid, 12, segment_odds=512, persist=fresh)
         assert path.read_bytes() == fresh.read_bytes()
 
+    @pytest.mark.parametrize("q", [4, 12])
+    def test_empty_series_tables_match_a_header_only_csv(self, tmp_path, q):
+        grid = CheckpointGrid.from_xmax(1e3)
+        path = tmp_path / "none.csv"
+        empty = accumulate(grid, q, persist=path, max_segments=0).series
+        back = read_series_csv(path)
+        for series in (empty, back):
+            tables = [series.counts, series.invsqrt, series.theta, series.psi,
+                      *(series.char_matrix(kind) for kind in ("invsqrt", "mertens", "eulerlog"))]
+            assert [(t.shape, t.dtype) for t in tables] == [
+                *[((0, len(series.units)), np.dtype(d)) for d in ("int64", "float64", "float64", "float64")],
+                *[((0, len(series.char_labels)), np.dtype("complex128"))] * 3,
+            ]
+            for field in ("invsqrt", "counts", "theta", "psi"):
+                assert series.weighted(race_weight(q - 1, 1, q), field).shape == (0,)
 
     def test_rows_of_the_wrong_width_rejected(self, tmp_path):
         # 8 rows of 6 cells under q=4's 16 columns: 48 cells, which would
