@@ -46,7 +46,7 @@ from .analysis import (
 from .characters import bias_constant, character_by_label, race_weight
 from .ingest import load_zeros, symmetric_expand
 from .sieve import DEFAULT_SEGMENT_ODDS
-from .tally import CheckpointGrid, accumulate
+from .tally import CheckpointGrid, _sidecar_path, accumulate
 
 __all__ = ["RunConfig", "UsageError", "main",
            "cmd_bias", "cmd_euler", "cmd_delta", "cmd_moments", "cmd_mean",
@@ -347,10 +347,19 @@ def checkpoint_name(cfg: RunConfig) -> str:
     return f"checkpoints_q{cfg.q}_h{cfg.h!r}_x{int(math.floor(cfg.x_max))}.csv"
 
 
+def _checkpoint_path(cfg: RunConfig) -> Path:
+    """The run's checkpoint CSV; with --resume its sidecar must exist."""
+    path = Path(cfg.out) / checkpoint_name(cfg)
+    meta = _sidecar_path(path)
+    if cfg.resume and not meta.exists():
+        raise UsageError(f"no sidecar at {meta} to resume from")
+    return path
+
+
 def _run_tally(cfg: RunConfig, race=None):
     grid = CheckpointGrid.from_xmax(cfg.x_max, cfg.h)
+    persist = str(_checkpoint_path(cfg))
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    persist = str(Path(cfg.out) / checkpoint_name(cfg))
     return accumulate(
         grid, cfg.q,
         segment_odds=cfg.segment_odds,
@@ -710,14 +719,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_plan(command: str, cfg: RunConfig) -> None:
+    ck = _checkpoint_path(cfg) if command in _NEEDS_CHECKPOINTS else None
     print(f"plan: {command}")
     for key, value in sorted(cfg.public_dict(command).items()):
         print(f"  {key} = {value}")
     out = Path(cfg.out)
-    if command in _NEEDS_CHECKPOINTS:
-        ck = out / checkpoint_name(cfg)
-        state = "resume" if (cfg.resume and ck.exists()) else "fresh"
-        print(f"  checkpoints -> {ck} ({state})")
+    if ck is not None:
+        print(f"  checkpoints -> {ck} ({'resume' if cfg.resume else 'fresh'})")
     for name in _PLANNED[command]:
         print(f"  write -> {out / name}")
 
@@ -730,12 +738,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         cfg = _config_from(args)
+        if args.dry_run:
+            _print_plan(args.command, cfg)
+            return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.dry_run:
-        _print_plan(args.command, cfg)
-        return 0
     emit = _Emitter(cfg.out)
     try:
         bundle = _HANDLERS[args.command][0](cfg, emit)

@@ -1,78 +1,40 @@
-"""Error-free streaming sums of doubles, for the exact tally fold."""
+"""Exact sums of doubles, held as Python ints in units of 2**-1074.
+
+Every finite double is an integer multiple of 2**-1074, the smallest
+subnormal, so a sum of exact(x) ints is exact in any order, and rounded(n)
+is its correctly rounded double, as CPython's int / int is.  The sidecar
+holds a sum as a list of float.hex strings (to_hex, from_hex).
+"""
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
+__all__ = ["exact", "rounded", "to_hex", "from_hex"]
 
-class ExactSum:
-    """Error-free streaming sum of doubles.
-
-    Keeps a list of non-overlapping partials (Shewchuk's algorithm, as in
-    math.fsum); value() is the correctly rounded total.  The represented sum
-    is exact, so folding order cannot change the outcome.
-    """
-
-    __slots__ = ("partials",)
-
-    def __init__(self, partials: Iterable[float] = ()):  # noqa: D107
-        self.partials = list(partials)
-
-    def add(self, x: float) -> None:
-        partials = self.partials
-        x = float(x)
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-
-    def merge(self, other: "ExactSum") -> None:
-        for p in list(other.partials):
-            self.add(p)
-
-    def value(self) -> float:
-        return math.fsum(self.partials) if self.partials else 0.0
-
-    def to_hex(self) -> list[str]:
-        return [p.hex() for p in self.partials]
-
-    @classmethod
-    def from_hex(cls, hexes: Iterable[str]) -> "ExactSum":
-        return cls(float.fromhex(h) for h in hexes)
+_UNIT = 1 << 1074  # 1.0 in units of 2**-1074
 
 
-class ExactComplexSum:
-    """A pair of ExactSums for the real and imaginary parts."""
+def exact(x: float) -> int:
+    """x as an integer multiple of 2**-1074; exact for every finite double."""
+    n, d = x.as_integer_ratio()  # d = 2**e with e <= 1074
+    return n << (1075 - d.bit_length())
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re: ExactSum | None = None, im: ExactSum | None = None):
-        self.re = re or ExactSum()
-        self.im = im or ExactSum()
+def rounded(n: int) -> float:
+    """The double nearest n * 2**-1074, ties to even."""
+    return n / _UNIT
 
-    def add(self, z: complex) -> None:
-        self.re.add(z.real)
-        if z.imag:
-            # zeros change no sum; a real character's imaginary part stays empty
-            self.im.add(z.imag)
 
-    def merge(self, other: "ExactComplexSum") -> None:
-        self.re.merge(other.re)
-        self.im.merge(other.im)
+def to_hex(n: int) -> list[str]:
+    """float.hex strings of doubles whose exact sum is n * 2**-1074; none for 0."""
+    hexes = []
+    while n:
+        x = rounded(n)
+        hexes.append(x.hex())
+        n -= exact(x)
+    return hexes
 
-    def value(self) -> complex:
-        return complex(self.re.value(), self.im.value())
 
-    def to_hex(self) -> list[list[str]]:
-        return [self.re.to_hex(), self.im.to_hex()]
-
-    @classmethod
-    def from_hex(cls, pair) -> "ExactComplexSum":
-        return cls(ExactSum.from_hex(pair[0]), ExactSum.from_hex(pair[1]))
+def from_hex(hexes: Iterable[str]) -> int:
+    """The exact sum of a list of float.hex strings, in units of 2**-1074."""
+    return sum(exact(float.fromhex(h)) for h in hexes)

@@ -9,12 +9,12 @@ are linear in the class sums of 1/sqrt(p) and 1/p, and each snapshot
 derives them from those.
 
 Segments are cut into chunks at grid points, each chunk is reduced with
-np.sum, and one TallyPartial folds the per-chunk values by error-free
-summation (Shewchuk partials): every summed total is the correctly rounded
-exact sum of those per-chunk values, and the derived columns are a fixed
-combination of those totals.  Chunks depend on the segment width, so for
-a fixed segment_odds any worker pool and any resumed run reproduce the
-totals bit for bit; a merge does so only at a split on a segment boundary.
+np.sum, and one TallyPartial adds the per-chunk values exactly, as Python
+ints (see exact.py): every summed total is the correctly rounded exact sum
+of those per-chunk values, and the derived columns are a fixed combination
+of those totals.  Chunks depend on the segment width, so for a fixed
+segment_odds any worker pool and any resumed run reproduce the totals bit
+for bit; a merge does so only at a split on a segment boundary.
 
 Each chunk value is one pairwise np.sum over a slice of one C-contiguous
 row of per-prime terms (see _segment_partial).  The Euler-log terms of all
@@ -64,7 +64,7 @@ from .characters import (
     race_weight,
     unit_residues,
 )
-from .exact import ExactComplexSum, ExactSum
+from .exact import exact, from_hex, rounded, to_hex
 from .sieve import (
     DEFAULT_SEGMENT_ODDS,
     ordered_map,
@@ -82,7 +82,6 @@ __all__ = [
     "RaceSummary",
     "TallyPartial",
     "TallyOrderError",
-    "ExactSum",
     "accumulate",
     "range_partial",
     "merge",
@@ -99,7 +98,7 @@ _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
 
 
 class TallyOrderError(RuntimeError):
-    """An input stream violated the ascending-order contract."""
+    """TallyPartial.fold got a segment that does not start where its range ends."""
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +459,17 @@ class TallyPartial:
 
     The one holder of exact tally state: accumulate, range_partial, merge
     and resume all fold, merge and serialise through it.  sums maps each
-    summed field to one ExactSum per class (invsqrt, theta, psi, invp) or
-    one ExactComplexSum per character (char_eulerlog).  The two character
+    summed field to its exact sums as ints in units of 2**-1074 (exact.py):
+    one per class for invsqrt, theta, psi and invp, and for char_eulerlog
+    the real and the imaginary part of each character in turn, as the
+    float64 view of a complex128 array lays them out.  The two character
     sums that are linear in the class sums are derived, not summed:
     totals() gives char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
     sum_a chi(a)^2 invp_a, each as one axis=1 np.sum over the layout's
     C-contiguous (nchar, nclass) table, so no BLAS call sets their bits.
     totals() keeps its last arrays and recomputes only the stale entries,
-    those folded since the previous call: value() depends only on the
-    partials, so a cached value is the value.
+    those folded since the previous call: an int that did not change
+    rounds to the same double.
     """
 
     q: int
@@ -491,8 +492,8 @@ class TallyPartial:
     @classmethod
     def empty(cls, q: int, at: int = 2, *, layout: _Layout | None = None) -> "TallyPartial":
         layout = layout or _Layout(q)
-        sums = {n: [ExactSum() for _ in layout.units] for n in _CLASS_FIELDS}
-        sums["char_eulerlog"] = [ExactComplexSum() for _ in layout.char_labels]
+        sums = {n: [0] * layout.nclass for n in _CLASS_FIELDS}
+        sums["char_eulerlog"] = [0] * (2 * layout.nchar)
         return cls(q, at, at, layout, [0] * layout.nclass, sums)
 
     def fold(self, part: _SegmentPartial, c: int) -> None:
@@ -514,15 +515,15 @@ class TallyPartial:
         for i, n in enumerate(row):
             if n:
                 self.counts[i] += n
-                sums["invsqrt"][i].add(part.invsqrt[c, i])
-                sums["theta"][i].add(part.theta[c, i])
-                sums["psi"][i].add(part.theta[c, i])
-                sums["invp"][i].add(part.invp[c, i])
+                sums["invsqrt"][i] += exact(part.invsqrt[c, i])
+                theta = exact(part.theta[c, i])
+                sums["theta"][i] += theta
+                sums["psi"][i] += theta
+                sums["invp"][i] += exact(part.invp[c, i])
                 for name in _CLASS_FIELDS:
                     stale[name].add(i)
-        col = part.char_eulerlog[c].tolist()
-        for e, z in zip(sums["char_eulerlog"], col):
-            e.add(z)
+        col = part.char_eulerlog[c].view(np.float64).tolist()  # re, im per character
+        sums["char_eulerlog"] = [s + exact(v) for s, v in zip(sums["char_eulerlog"], col)]
         stale["char_eulerlog"].update(range(len(col)))
 
     def fold_powers(self, powers: Sequence[tuple[int, int, float]], start: int, x: float) -> int:
@@ -531,7 +532,7 @@ class TallyPartial:
         while start < len(powers) and powers[start][0] <= x:
             _v, slot, lg = powers[start]
             if slot >= 0:
-                psi[slot].add(lg)
+                psi[slot] += exact(lg)
                 self._stale["psi"].add(slot)
             start += 1
         return start
@@ -540,10 +541,9 @@ class TallyPartial:
         """Add the sums of the adjacent range just above this one, in place."""
         self.hi = other.hi
         self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        for name, sums in self.sums.items():
-            for e, f in zip(sums, other.sums[name]):
-                e.merge(f)
-            self._stale[name].update(range(len(sums)))
+        for name, theirs in other.sums.items():
+            self.sums[name] = [a + b for a, b in zip(self.sums[name], theirs)]
+            self._stale[name].update(range(len(theirs)))
         return self
 
     def stale_classes(self) -> set[int]:
@@ -564,9 +564,10 @@ class TallyPartial:
             if name in out and not stale:
                 continue
             dtype = np.complex128 if name.startswith("char_") else np.float64
-            arr = out[name].copy() if name in out else np.zeros(len(sums), dtype=dtype)
+            arr = out[name].copy() if name in out else np.zeros(len(sums)).view(dtype)
+            flat = arr.view(np.float64)  # a character's sums are its re, im pair
             for k in stale:
-                arr[k] = sums[k].value()
+                flat[k] = rounded(sums[k])
             stale.clear()
             out[name] = arr
             if name == "invsqrt":  # fold and merge add to counts with invsqrt
@@ -583,10 +584,11 @@ class TallyPartial:
 
     def to_state(self) -> dict:
         """The exact sums as the sidecar's JSON "state" (format 3)."""
+        eul = list(map(to_hex, self.sums["char_eulerlog"]))
         return {
             "counts": list(self.counts),
-            "class": {n: [e.to_hex() for e in self.sums[n]] for n in _CLASS_FIELDS},
-            "char": {"eulerlog": [e.to_hex() for e in self.sums["char_eulerlog"]]},
+            "class": {n: list(map(to_hex, self.sums[n])) for n in _CLASS_FIELDS},
+            "char": {"eulerlog": [eul[k:k + 2] for k in range(0, len(eul), 2)]},
             "expected_lo": self.hi,
         }
 
@@ -599,8 +601,8 @@ class TallyPartial:
         expected_lo None when no segment was folded yet.
         """
         layout = layout or _Layout(q)
-        sums = {n: [ExactSum.from_hex(h) for h in state["class"][n]] for n in _CLASS_FIELDS}
-        sums["char_eulerlog"] = [ExactComplexSum.from_hex(h) for h in state["char"]["eulerlog"]]
+        sums = {n: list(map(from_hex, state["class"][n])) for n in _CLASS_FIELDS}
+        sums["char_eulerlog"] = [from_hex(h) for pair in state["char"]["eulerlog"] for h in pair]
         return cls(q, 2, state["expected_lo"] or 2, layout, [int(c) for c in state["counts"]], sums)
 
 

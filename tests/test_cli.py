@@ -222,6 +222,23 @@ class TestDryRun:
         assert "bias_fit.json" in text
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+    def test_resume_without_a_checkpoint_exits_two(self, tmp_path, capsys, dry_run):
+        argv = ["bias", "--xmax", "1e4", "--out", str(tmp_path), "--resume"]
+        assert main(argv + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        meta = (tmp_path / checkpoint_name(RunConfig(x_max=1e4))).with_suffix(".meta.json")
+        assert f"no sidecar at {meta} to resume from" in captured.err
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
+    def test_resume_of_a_mismatched_checkpoint_exits_one(self, tmp_path, capsys):
+        assert main(["bias", "--xmax", "1e4", "--segment-odds", "4096", "--out", str(tmp_path)]) == 0
+        assert main(["bias", "--xmax", "1e4", "--resume", "--dry-run", "--out", str(tmp_path)]) == 0
+        assert "(resume)" in capsys.readouterr().out
+        assert main(["bias", "--xmax", "1e4", "--resume", "--out", str(tmp_path)]) == 1
+        assert "does not match the requested configuration" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def bias_dir(tmp_path_factory):
