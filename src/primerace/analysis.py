@@ -164,29 +164,54 @@ def delta_exact(ckpts: CheckpointSeries, t: ClassFunction | Character, M) -> Sam
 def delta_zero_sum(
     grid: CheckpointGrid,
     zeros: Sequence[ExpandedZero],
-    T: float | None = None,
+    T: float | Sequence[float] | None = None,
     *,
     strict: bool = False,
-) -> SampleSeries:
-    """-sum over |gamma| <= T of a_n e^(iy gamma_n) / (1/2 + i gamma_n)."""
+) -> SampleSeries | list[SampleSeries]:
+    """-sum over |gamma| <= T of a_n e^(iy gamma_n) / (1/2 + i gamma_n).
+
+    T defaults to the dataset's height; a T above it warns (TruncationWarning)
+    or, with strict, raises.  T may also be a sequence of heights: the result
+    is then a list of one series per height, in the order given, and the
+    warnings come in that order.  Each height's sum is one matrix product per
+    chunk of at most 1024 of its zeros, in dataset order, over a C-contiguous
+    table of e^(iy gamma), so each series equals, bit for bit, the one a call
+    with that height alone gives.  The heights are summed from the largest
+    down, and the table of the last chunk computed is kept: a chunk whose
+    zeros all lie in it takes a copy of their columns instead of computing
+    e^(iy gamma) again.  With at most 1024 zeros below the largest height,
+    each e^(iy gamma) is thus computed once for all heights, and no more
+    than one chunk's table and one such copy are held at a time.
+    """
     height = max((abs(z.gamma) for z in zeros), default=0.0)
-    if T is None:
-        T = height
-    elif T > height and zeros:
-        message = (f"requested height {T} exceeds the dataset's {height}; "
-                   f"the sum is truncated at what is available")
-        if strict:
-            raise ValueError(message)
-        warnings.warn(message, TruncationWarning, stacklevel=2)
-    selected = [z for z in zeros if abs(z.gamma) <= T]
+    single = T is None or np.ndim(T) == 0
+    heights = [height if T is None else T] if single else list(T)
+    for T in heights:
+        if T > height and zeros:
+            message = (f"requested height {T} exceeds the dataset's {height}; "
+                       f"the sum is truncated at what is available")
+            if strict:
+                raise ValueError(message)
+            warnings.warn(message, TruncationWarning, stacklevel=2)
     y = grid.y
-    total = np.zeros(grid.n, dtype=np.complex128)
-    for start in range(0, len(selected), 1024):
-        chunk = selected[start:start + 1024]
-        gam = np.array([z.gamma for z in chunk])
-        coef = np.array([z.coefficient / z.rho for z in chunk], dtype=np.complex128)
-        total += np.exp(1j * np.outer(y, gam)) @ coef
-    return SampleSeries(grid, -total, kind="delta-zerosum")
+    gam = np.array([z.gamma for z in zeros], dtype=np.float64)
+    coef = np.array([z.coefficient / z.rho for z in zeros], dtype=np.complex128)
+    kept, table = np.empty(0, dtype=np.intp), None  # the last chunk's zeros and table
+    out: list[SampleSeries] = [None] * len(heights)
+    for i in sorted(range(len(heights)), key=heights.__getitem__, reverse=True):
+        selected = np.flatnonzero(np.abs(gam) <= heights[i])
+        total = np.zeros(grid.n, dtype=np.complex128)
+        for start in range(0, len(selected), 1024):
+            chunk = selected[start:start + 1024]
+            if not np.isin(chunk, kept).all():
+                table = None  # freed before the next one is built
+                kept, table = chunk, np.exp(1j * np.outer(y, gam[chunk]))
+            if len(chunk) == len(kept):
+                total += table @ coef[chunk]
+            else:
+                total += np.take(table, np.searchsorted(kept, chunk), axis=1) @ coef[chunk]
+        out[i] = SampleSeries(grid, -total, kind="delta-zerosum")
+    return out[0] if single else out
 
 
 def g_of(delta: SampleSeries) -> SampleSeries:

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import analysis
 from .analysis import (
-    SampleSeries,
     calibrate_K,
     delta_exact,
     delta_zero_sum,
@@ -292,10 +291,15 @@ def _plain(obj):
     return obj
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _column_text(column) -> map:
+    """The CSV text of each entry: str of an integer, repr of anything else as a double."""
+    column = np.asarray(column)
+    if column.dtype.kind in "iu":
+        return map(str, column.tolist())
+    return map(repr, column.astype(np.float64).tolist())
+
+
+_CSV_BLOCK = 512  # report rows formatted at once
 
 
 class _Emitter:
@@ -316,12 +320,18 @@ class _Emitter:
         return path
 
     def csv(self, name: str, header: list[str], columns: list[np.ndarray]) -> Path:
+        """One line per row, as many rows as the shortest column has.
+
+        Rows are formatted a block at a time, each column of a block by one
+        conversion, so no file's whole text is held at once.
+        """
         path = self._target(name)
-        rows = zip(*columns)
+        n = min(map(len, columns), default=0)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_cell(v) for v in row) + "\n")
+            for lo in range(0, n, _CSV_BLOCK):
+                cells = [_column_text(c[lo:lo + _CSV_BLOCK]) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return path
 
     def json(self, name: str, payload: dict) -> Path:
@@ -524,12 +534,10 @@ def cmd_delta(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     heights = cfg.T_values or ((dataset.height(),) if len(dataset) else (0.0,))
     heights = tuple(sorted(set(heights)))
     grid = series.grid
-    recon: dict[float, SampleSeries] = {}
-    for T in heights:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            recon[T] = delta_zero_sum(grid, expanded, T=T)
-        notes.extend(str(w.message) for w in caught)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        recon = dict(zip(heights, delta_zero_sum(grid, expanded, T=heights)))
+    notes.extend(str(w.message) for w in caught)
 
     y_hi = min(15.0, grid.y_max)
     rms_rows = []
@@ -700,21 +708,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted prime races: tallies, bias constants, envelopes, "
                     "Euler products, and zero-sum reconstructions.",
     )
+    # every subcommand takes the same options, built once and shared
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="key=value config file; flags override it")
+    for key, name, convert, help_text in _OPTIONS:
+        shared.add_argument(f"--{key}", dest=name, type=convert,
+                            metavar=key.upper().replace("-", "_"), help=help_text)
+    shared.add_argument("--mchi", action="append", metavar="LABEL=ORDER",
+                        help="central vanishing order override; repeatable")
+    shared.add_argument("--resume", action="store_true",
+                        help="continue from the persisted checkpoint file")
+    shared.add_argument("--raw", action="store_true",
+                        help="disable finite-size corrections in C estimates")
+    shared.add_argument("--dry-run", dest="dry_run", action="store_true",
+                        help="print the plan and write nothing")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, summary) in _HANDLERS.items():
-        p = sub.add_parser(command, help=summary)
-        p.add_argument("--config", help="key=value config file; flags override it")
-        for key, name, convert, help_text in _OPTIONS:
-            p.add_argument(f"--{key}", dest=name, type=convert,
-                           metavar=key.upper().replace("-", "_"), help=help_text)
-        p.add_argument("--mchi", action="append", metavar="LABEL=ORDER",
-                       help="central vanishing order override; repeatable")
-        p.add_argument("--resume", action="store_true",
-                       help="continue from the persisted checkpoint file")
-        p.add_argument("--raw", action="store_true",
-                       help="disable finite-size corrections in C estimates")
-        p.add_argument("--dry-run", dest="dry_run", action="store_true",
-                       help="print the plan and write nothing")
+        sub.add_parser(command, help=summary, parents=[shared])
     return parser
 
 

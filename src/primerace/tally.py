@@ -770,9 +770,11 @@ def accumulate(
     into; it reads formats 1 and 2 too.  A race the sidecar recorded is read
     back with it, and any other race is folded again from a re-sieve of the
     segments tallied so far and, on a finished run, recorded.  An
-    interrupted run carries only the race it is resumed with.  max_segments
-    stops early after that many segments (the persisted state stays
-    resumable).
+    interrupted run carries only the race it is resumed with.  The sieving
+    primes and the prime powers are found only when a segment is sieved, so
+    reading back a finished run with its race recorded finds no primes at
+    all.  max_segments stops early after that many segments (the persisted
+    state stays resumable).
     """
     layout = _Layout(q)
     if x_hi is None:
@@ -786,7 +788,6 @@ def accumulate(
         race = (race[0] % q, race[1] % q)
         race_key = f"{race[0]},{race[1]}"  # its key in the sidecar's races
     grid_x = grid.x
-    powers = _power_terms(layout, 2, x_hi)
     bounds = segment_bounds(2, x_hi, segment_odds)
     csv_path = Path(persist) if persist is not None else None
     meta_path = _sidecar_path(csv_path) if csv_path is not None else None
@@ -796,7 +797,7 @@ def accumulate(
     start_idx = 0  # first segment to sieve
     # every grid point snapshotted, flushed ones too
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, [], [], {f: [] for f in _ROW_FIELDS})
-    base = simple_sieve(math.isqrt(x_hi - 1))
+    base = None  # the sieving primes, found only once a segment must be sieved
 
     def boundaries(a: int, b: int) -> np.ndarray:
         """The grid points in [a, b)."""
@@ -830,6 +831,7 @@ def accumulate(
         if recorded:
             race_fold = _RaceFold.from_state(meta["races"][race_key])
         elif race is not None:
+            base = simple_sieve(math.isqrt(x_hi - 1))
             for terms in ordered_map(race_job, bounds[:start_idx], threads):
                 race_fold.fold(terms)
         if meta["complete"]:
@@ -854,6 +856,9 @@ def accumulate(
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
             fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
+    if base is None:
+        base = simple_sieve(math.isqrt(x_hi - 1))
+    powers = _power_terms(layout, 2, x_hi)
 
     def job(a: int, b: int) -> tuple[_SegmentPartial, tuple | None]:
         primes = sieve_segment(a, b, base)

@@ -2,6 +2,8 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from primerace.analysis import (
 )
 from primerace.characters import bias_constant, character_by_label, race_weight
 from primerace.cli import RunConfig, cmd_bias, cmd_mean
-from primerace.ingest import ExpandedZero
+from primerace.ingest import ExpandedZero, load_zeros, symmetric_expand
 from primerace.sieve import simple_sieve
 from primerace.tally import CheckpointGrid, RaceSummary, accumulate
 
@@ -49,6 +51,7 @@ from oracles import (
 )
 
 LOG2 = math.log(2.0)
+ZEROS_PATH = Path(__file__).resolve().parent.parent / "data" / "zeros_q4_T200.txt"
 M_RACE = -0.5  # mod-4 race constant, one square root of unity
 
 
@@ -170,6 +173,66 @@ class TestDeltaZeroSum:
         grid = grid_to(6.0)
         s = delta_zero_sum(grid, [])
         assert np.all(s.values == 0)
+
+
+def zero_sum_loop(grid, zeros, T):
+    """The zero sum at one height as a loop of chunks, each with its own table."""
+    selected = [z for z in zeros if abs(z.gamma) <= T]
+    total = np.zeros(grid.n, dtype=np.complex128)
+    for start in range(0, len(selected), 1024):
+        chunk = selected[start:start + 1024]
+        gam = np.array([z.gamma for z in chunk])
+        coef = np.array([z.coefficient / z.rho for z in chunk], dtype=np.complex128)
+        total += np.exp(1j * np.outer(grid.y, gam)) @ coef
+    return -total
+
+
+class TestDeltaZeroSumHeights:
+    """Several heights in one call: each series as a call with that height alone."""
+
+    def assert_as_single_calls(self, grid, zeros, heights):
+        """The warnings of the one call, after checking its series bit for bit."""
+        with warnings.catch_warnings(record=True) as together:
+            warnings.simplefilter("always")
+            got = delta_zero_sum(grid, zeros, T=heights)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            want = [delta_zero_sum(grid, zeros, T=T) for T in heights]
+        assert len(got) == len(heights)
+        for T, g, w in zip(heights, got, want):
+            assert g.kind == w.kind == "delta-zerosum"
+            assert np.array_equal(g.values.view(np.float64), w.values.view(np.float64)), T
+            assert np.array_equal(g.values.view(np.float64),
+                                  zero_sum_loop(grid, zeros, T).view(np.float64)), T
+        assert [str(w.message) for w in together] == [str(w.message) for w in alone]
+        assert all(w.category is TruncationWarning for w in together)
+        return [str(w.message) for w in together]
+
+    def test_committed_q4_dataset(self):
+        zeros = symmetric_expand(load_zeros(str(ZEROS_PATH), 4), race_weight(3, 1, 4))
+        grid = CheckpointGrid.from_xmax(1e8)
+        assert self.assert_as_single_calls(grid, zeros, (25.0, 50.0, 100.0, 200.0)) == [
+            "requested height 200.0 exceeds the dataset's 198.80647573614692; "
+            "the sum is truncated at what is available"]
+
+    def test_heights_above_the_dataset_warn_in_the_order_given(self):
+        zeros = symmetric_expand(load_zeros(str(ZEROS_PATH), 4), race_weight(3, 1, 4))
+        messages = self.assert_as_single_calls(grid_to(10.0), zeros, (300.0, 25.0, 250.0, 300.0))
+        assert [m.split()[2] for m in messages] == ["300.0", "250.0", "300.0"]
+
+    def test_lower_selections_that_are_not_prefixes(self):
+        # more than one chunk of 1024 zeros, ordinates in no order, so the
+        # zeros below a lower height are scattered through the list
+        rng = np.random.default_rng(14)
+        zeros = [ExpandedZero(coefficient=complex(*rng.normal(size=2)), gamma=float(g), label="x")
+                 for g in rng.uniform(-300.0, 300.0, 2600)]
+        self.assert_as_single_calls(grid_to(8.0), zeros, (40.0, 150.0, 299.0, 300.0, 5.0, 150.0))
+
+    def test_empty_list(self):
+        got = delta_zero_sum(grid_to(6.0), [], T=(10.0, 5.0))
+        assert [np.all(s.values == 0) for s in got] == [True, True]
+        self.assert_as_single_calls(grid_to(6.0), [], (10.0, 5.0))
+        assert delta_zero_sum(grid_to(6.0), [], T=()) == []
 
 
 class TestCumulative:

@@ -331,6 +331,50 @@ class TestDeterminismAndResume:
         assert f"records {rows} for a grid of {rows} points" in err
 
 
+def cell_text(value) -> str:
+    """One report cell as the per-cell writer formatted it."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+class TestReportCsv:
+    """The column-wise writer gives the per-cell text, row for row."""
+
+    SPECIAL = [-0.0, 5e-324, 1e-5, 1e16, math.nan, math.inf, -math.inf, 0.1, -2.5, 1.0]
+
+    def written(self, tmp_path, columns):
+        header = [f"c{i}" for i in range(len(columns))]
+        path = cli._Emitter(str(tmp_path)).csv("t.csv", header, columns)
+        want = "".join(",".join(map(cell_text, row)) + "\n" for row in zip(*columns))
+        assert path.read_text() == ",".join(header) + "\n" + want
+        return path.read_text().splitlines()
+
+    def test_integer_columns(self, tmp_path):
+        big = np.iinfo(np.int64)
+        lines = self.written(tmp_path, [np.array([0, -7, big.max, big.min], dtype=np.int64),
+                                        np.arange(4, dtype=np.uint8)])
+        assert lines[1:] == ["0,0", "-7,1", f"{big.max},2", f"{big.min},3"]
+
+    def test_float_columns(self, tmp_path):
+        lines = self.written(tmp_path, [np.array(self.SPECIAL), np.array(self.SPECIAL[::-1])])
+        assert lines[1] == "-0.0,1.0"
+        assert [line.split(",")[0] for line in lines[2:7]] == ["5e-324", "1e-05", "1e+16", "nan", "inf"]
+
+    def test_bool_columns_are_written_as_doubles(self, tmp_path):
+        lines = self.written(tmp_path, [np.array([True, False]), np.array([3, 4])])
+        assert lines[1:] == ["1.0,3", "0.0,4"]
+
+    def test_unequal_columns_stop_at_the_shortest(self, tmp_path):
+        # more rows than one formatted block, so a block boundary is crossed
+        n = 3 * cli._CSV_BLOCK + 5
+        rng = np.random.default_rng(3)
+        columns = [rng.normal(size=n + 9), np.arange(n + 1), rng.normal(size=n)]
+        assert len(self.written(tmp_path, columns)) == n + 1
+        assert len(self.written(tmp_path, [np.arange(5), np.arange(0.0)])) == 1
+        assert self.written(tmp_path, []) == [""]
+
+
 class TestFailureCleanup:
     def test_reports_removed_checkpoints_kept(self, tmp_path, monkeypatch, capsys):
         real = cli._Emitter.json

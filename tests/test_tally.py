@@ -438,6 +438,47 @@ class TestRaceResume:
         assert_same_summary(res.race, direct)
         assert_same_summary(again.race, direct)
 
+    def refuse_primes(self, monkeypatch):
+        """Make finding the prime powers fail; count the base-prime sieves."""
+        calls = []
+
+        def refuse(*args):
+            raise AssertionError("a finished run needs no prime powers")
+
+        def counted(limit):
+            calls.append(limit)
+            return simple_sieve(limit)
+
+        monkeypatch.setattr(tally, "prime_powers", refuse)
+        monkeypatch.setattr(tally, "simple_sieve", counted)
+        return calls
+
+    def test_finished_run_with_its_race_recorded_finds_no_primes(self, tmp_path, monkeypatch):
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        path = tmp_path / "f.csv"
+        first = accumulate(grid, 4, segment_odds=512, persist=path, race=(3, 1))
+        calls = self.refuse_primes(monkeypatch)
+        for race in [(3, 1), (7, 5), None]:
+            res = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=race)
+            assert res.completed
+            assert len(res.series) == grid.n
+            assert np.array_equal(res.series.invsqrt, first.series.invsqrt)
+            if race is not None:
+                assert_same_summary(res.race, first.race)
+        assert calls == []
+
+    def test_unrecorded_race_finds_the_base_primes_once(self, tmp_path, monkeypatch):
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        path = tmp_path / "g.csv"
+        accumulate(grid, 4, segment_odds=512, persist=path)
+        calls = self.refuse_primes(monkeypatch)
+        res = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(1, 3))
+        assert calls == [math.isqrt(res.x_hi - 1)]
+        assert "1,3" in json.loads(tally._sidecar_path(path).read_text())["races"]
+        again = accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(1, 3))
+        assert len(calls) == 1
+        assert_same_summary(again.race, res.race)
+
 
 class TestMergePartials:
     def test_identity(self):
