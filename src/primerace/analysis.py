@@ -59,6 +59,8 @@ __all__ = [
 
 # li(2), the offset logarithmic integral at 2
 LI_TWO = 1.0451637801174927
+_VIA_L_FROM_Y = 10.0  # below it the trace of delta(u)/u has not settled
+_BLOCK_Y0 = 10.0  # density reports: Y0 of the dyadic blocks, and where satisfied_fraction starts
 
 
 class TruncationWarning(UserWarning):
@@ -93,11 +95,12 @@ class SampleSeries:
             return float(np.max(np.abs(v.imag))) if len(v) else 0.0
         return 0.0
 
-    def as_real(self, tol: float = 1e-9) -> np.ndarray:
+    def as_real(self) -> np.ndarray:
+        """The values as doubles; an imaginary part above 1e-9 anywhere raises."""
         leak = self.max_abs_imag()
-        if leak > tol:
+        if leak > 1e-9:
             raise ValueError(
-                f"{self.kind or 'series'} has imaginary residue {leak:.3e} above {tol:.1e}"
+                f"{self.kind or 'series'} has imaginary residue {leak:.3e} above 1.0e-09"
             )
         return np.real(np.asarray(self.values)).astype(np.float64)
 
@@ -165,13 +168,11 @@ def delta_zero_sum(
     grid: CheckpointGrid,
     zeros: Sequence[ExpandedZero],
     T: float | Sequence[float] | None = None,
-    *,
-    strict: bool = False,
 ) -> SampleSeries | list[SampleSeries]:
     """-sum over |gamma| <= T of a_n e^(iy gamma_n) / (1/2 + i gamma_n).
 
     T defaults to the dataset's height; a T above it warns (TruncationWarning)
-    or, with strict, raises.  T may also be a sequence of heights: the result
+    and sums the zeros there are.  T may also be a sequence of heights: the result
     is then a list of one series per height, in the order given, and the
     warnings come in that order.  Each height's sum is one matrix product per
     chunk of at most 1024 of its zeros, in dataset order, over a C-contiguous
@@ -188,11 +189,9 @@ def delta_zero_sum(
     heights = [height if T is None else T] if single else list(T)
     for T in heights:
         if T > height and zeros:
-            message = (f"requested height {T} exceeds the dataset's {height}; "
-                       f"the sum is truncated at what is available")
-            if strict:
-                raise ValueError(message)
-            warnings.warn(message, TruncationWarning, stacklevel=2)
+            warnings.warn(f"requested height {T} exceeds the dataset's {height}; "
+                          f"the sum is truncated at what is available",
+                          TruncationWarning, stacklevel=2)
     y = grid.y
     gam = np.array([z.gamma for z in zeros], dtype=np.float64)
     coef = np.array([z.coefficient / z.rho for z in zeros], dtype=np.complex128)
@@ -214,13 +213,15 @@ def delta_zero_sum(
     return out[0] if single else out
 
 
+def _cumulative_trapezoid(v: np.ndarray, h: float) -> np.ndarray:
+    """Running trapezoid integral of v at step h, from a zero of v's type at v[0]."""
+    return np.concatenate([0.0 * v[:1], np.cumsum(h * (v[1:] + v[:-1]) / 2.0)])
+
+
 def g_of(delta: SampleSeries) -> SampleSeries:
     """Cumulative trapezoid of the fluctuation, zero at the grid start."""
-    v = np.asarray(delta.values)
-    h = delta.grid.h
-    steps = h * (v[1:] + v[:-1]) / 2.0
-    vals = np.concatenate([[0.0 * v.flat[0]], np.cumsum(steps)])
-    return SampleSeries(delta.grid, vals, kind="G")
+    return SampleSeries(delta.grid, _cumulative_trapezoid(np.asarray(delta.values), delta.grid.h),
+                        kind="G")
 
 
 def rms_window(a: SampleSeries, b: SampleSeries, y_lo: float, y_hi: float) -> float:
@@ -244,6 +245,12 @@ def _tail_window(grid: CheckpointGrid, tail_fraction: float) -> np.ndarray:
     return np.arange(max(0, j0), grid.n)
 
 
+def _tail_median(grid: CheckpointGrid, values: np.ndarray, tail_fraction: float) -> complex:
+    """Componentwise median of values over the top tail_fraction of the grid."""
+    tail = values[_tail_window(grid, tail_fraction)]
+    return complex(float(np.median(tail.real)), float(np.median(tail.imag)))
+
+
 def estimate_L(delta: SampleSeries, tail_fraction: float = 0.25):
     """Tail-stabilized value of integral(delta(u)/u du) plus its trace.
 
@@ -253,21 +260,12 @@ def estimate_L(delta: SampleSeries, tail_fraction: float = 0.25):
     trace carries at any finite height).
     """
     grid = delta.grid
-    if grid.y_max < 10.0:
+    if grid.y_max < _VIA_L_FROM_Y:
         raise ValueError(
-            f"insufficient range: the grid ends at y={grid.y_max:.2f}, need 10"
+            f"insufficient range: the grid ends at y={grid.y_max:.2f}, need {_VIA_L_FROM_Y:g}"
         )
-    v = np.asarray(delta.values) / grid.y
-    steps = grid.h * (v[1:] + v[:-1]) / 2.0
-    vals = np.concatenate([[0.0 * v.flat[0]], np.cumsum(steps)])
-    trace = SampleSeries(grid, vals, kind="L-trace")
-    window = _tail_window(grid, tail_fraction)
-    tail = vals[window]
-    if np.iscomplexobj(tail):
-        L_hat = complex(np.median(tail.real), np.median(tail.imag))
-    else:
-        L_hat = complex(float(np.median(tail)), 0.0)
-    return L_hat, trace
+    vals = _cumulative_trapezoid(np.asarray(delta.values) / grid.y, grid.h)
+    return _tail_median(grid, vals, tail_fraction), SampleSeries(grid, vals, kind="L-trace")
 
 
 def _li_over_x(y: float) -> float:
@@ -371,11 +369,16 @@ def estimate_C_all(
     tail_fraction: float = 0.25,
     finite_size: bool = True,
 ) -> dict:
-    """All three estimates plus their maximum pairwise spread."""
+    """Every estimate the grid supports, plus their maximum pairwise spread.
+
+    via-L needs the grid to reach y=10, so a shorter grid gives only
+    pointwise-tail and mean.
+    """
+    via_L = ("via-L",) if delta.grid.y_max >= _VIA_L_FROM_Y else ()
     fits = {
         name: estimate_C(D, M, name, delta=delta, race=race,
                          tail_fraction=tail_fraction, finite_size=finite_size)
-        for name in ("pointwise-tail", "via-L", "mean")
+        for name in ("pointwise-tail", *via_L, "mean")
     }
     values = [f.C_hat for f in fits.values()]
     fits["spread"] = max(abs(a - b) for a in values for b in values)
@@ -400,14 +403,14 @@ def _grid_densities(y: np.ndarray, x: np.ndarray, ok: np.ndarray):
     return nat, logd
 
 
-def _dyadic_blocks(y: np.ndarray, bad: np.ndarray, h: float, Y0: float):
-    """y-measure of violations per block 2^(k-1) Y0 <= y < 2^k Y0."""
+def _dyadic_blocks(y: np.ndarray, bad: np.ndarray, h: float):
+    """y-measure of violations per block 2^(k-1) Y0 <= y < 2^k Y0, Y0 = _BLOCK_Y0."""
     y_lo, y_hi = float(y[0]), float(y[-1])
-    k_lo = int(math.floor(math.log2(y_lo / Y0))) + 1
-    k_hi = int(math.floor(math.log2(y_hi / Y0))) + 1
+    k_lo = int(math.floor(math.log2(y_lo / _BLOCK_Y0))) + 1
+    k_hi = int(math.floor(math.log2(y_hi / _BLOCK_Y0))) + 1
     blocks = []
     for k in range(k_lo, k_hi + 1):
-        lo, hi = (2.0 ** (k - 1)) * Y0, (2.0 ** k) * Y0
+        lo, hi = (2.0 ** (k - 1)) * _BLOCK_Y0, (2.0 ** k) * _BLOCK_Y0
         mask = (y >= lo) & (y < hi)
         if not mask.any():
             continue
@@ -426,20 +429,18 @@ def _predicate_report(
     x: np.ndarray,
     ok: np.ndarray,
     h: float,
-    Y0: float,
-    fraction_floor: float,
     flags: tuple[str, ...] = (),
 ) -> DensityReport:
     bad = ~ok
     nat, logd = _grid_densities(y, x, ok)
-    tail = y >= fraction_floor
+    tail = y >= _BLOCK_Y0
     fraction = float(np.mean(ok[tail])) if tail.any() else None
     return DensityReport(
         natural_estimate=nat,
         logarithmic_estimate=logd,
         exceedance_measure=float(h * np.sum(bad)),
         window=(float(y[0]), float(y[-1])),
-        blocks=_dyadic_blocks(y, bad, h, Y0),
+        blocks=_dyadic_blocks(y, bad, h),
         satisfied_fraction=fraction,
         flags=flags,
     )
@@ -471,8 +472,6 @@ def envelope_check(
     envelope: str = "theorem-main",
     *,
     K: float | None = None,
-    Y0: float = 10.0,
-    fraction_floor: float = 10.0,
 ) -> DensityReport:
     """How much of the range satisfies |D + M log y - C| <= envelope(y).
 
@@ -480,7 +479,8 @@ def envelope_check(
     K log y / y, with K calibrated from the first half of the range when
     not supplied.  Densities are window-normalized (see module docstring);
     exceedance is reported in y-measure, overall and per dyadic block
-    [2^(k-1) Y0, 2^k Y0).
+    [2^(k-1) Y0, 2^k Y0) with Y0 = 10, and satisfied_fraction is taken over
+    y >= 10.
     """
     m = _m_value(M)
     y = D.grid.y
@@ -502,7 +502,7 @@ def envelope_check(
     else:
         raise ValueError(f"unknown envelope {envelope!r}")
     ok = resid <= bound
-    return _predicate_report(y, x, ok, D.grid.h, Y0, fraction_floor)
+    return _predicate_report(y, x, ok, D.grid.h)
 
 
 def density_race(
@@ -568,8 +568,8 @@ def moment(delta: SampleSeries, k: int, Y: float) -> float:
     return float(np.trapezoid(f, y) / y[-1])
 
 
-def weighted_second_moment(delta: SampleSeries, Y: float | None = None):
-    """(1/Y) integral from y=2 of |delta|^2 / log y, plus its full trace.
+def weighted_second_moment(delta: SampleSeries):
+    """(1/Y) integral from y=2 to the grid end Y of |delta|^2 / log y, plus its full trace.
 
     Returns (value_at_Y, trace) where the trace series holds the running
     value at every grid point (NaN before the integral's lower limit y=2).
@@ -579,35 +579,28 @@ def weighted_second_moment(delta: SampleSeries, Y: float | None = None):
     j2 = int(np.searchsorted(y, 2.0, side="left"))
     if j2 >= grid.n - 1:
         raise ValueError(f"grid ends at y={grid.y_max:.3f}, before the lower limit 2")
-    f = np.abs(np.asarray(delta.values)) ** 2 / np.log(y)
-    steps = grid.h * (f[1:] + f[:-1]) / 2.0
-    cum = np.concatenate([[0.0], np.cumsum(steps[j2:])])
+    f = np.abs(np.asarray(delta.values)[j2:]) ** 2 / np.log(y[j2:])
     trace_vals = np.full(grid.n, np.nan)
-    trace_vals[j2:] = cum / y[j2:]
-    trace = SampleSeries(grid, trace_vals, kind="weighted-m2-trace")
-    j = grid.n - 1 if Y is None else _snap_index(grid, Y)
-    if j < j2:
-        raise ValueError(f"Y={Y} is below the lower limit y=2")
-    return float(trace_vals[j]), trace
+    trace_vals[j2:] = _cumulative_trapezoid(f, grid.h) / y[j2:]
+    return float(trace_vals[-1]), SampleSeries(grid, trace_vals, kind="weighted-m2-trace")
 
 
-def fit_moment_constant(delta: SampleSeries, ks: Sequence[int] = (1, 2, 3),
-                        Y: float | None = None):
-    """Fit the moment-growth constant: smallest C with m_2k <= (Ck)^(4k).
+def fit_moment_constant(delta: SampleSeries, ks: Sequence[int] = (1, 2, 3)):
+    """Fit the moment-growth constant to the grid end: smallest C with m_2k <= (Ck)^(4k).
 
     Returns (C_fit, rows) with one row (k, Y, m_2k, m_2k^(1/2k)) per order.
     By construction m_2k^(1/2k) <= (C_fit * k)^2 for every fitted k.
     """
     if not ks:
         raise ValueError("need at least one moment order")
-    Y_val = delta.grid.y_max if Y is None else Y
+    Y = delta.grid.y_max
     rows = []
     c_fit = 0.0
     for k in ks:
-        m2k = moment(delta, int(k), Y_val)
+        m2k = moment(delta, int(k), Y)
         rows.append({
             "k": int(k),
-            "Y": float(delta.grid.y[_snap_index(delta.grid, Y_val)]),
+            "Y": Y,
             "moment": m2k,
             "moment_root": m2k ** (1.0 / (2 * k)),
         })
@@ -659,22 +652,11 @@ def euler_series(ckpts: CheckpointSeries, chi: Character, vanishing_order: int =
 
 def estimate_ell(F: SampleSeries, tail_fraction: float = 0.25) -> complex:
     """Tail median of the partial-product series (componentwise for complex)."""
-    window = _tail_window(F.grid, tail_fraction)
-    tail = np.asarray(F.values)[window]
-    if np.iscomplexobj(tail):
-        return complex(float(np.median(tail.real)), float(np.median(tail.imag)))
-    return complex(float(np.median(tail)), 0.0)
+    return _tail_median(F.grid, np.asarray(F.values), tail_fraction)
 
 
-def euler_density_check(
-    F: SampleSeries,
-    ell_hat: complex,
-    eps: float = 0.5,
-    *,
-    Y0: float = 10.0,
-    fraction_floor: float = 10.0,
-) -> DensityReport:
-    """Density of {x : |F(x) - ell_hat| <= (log y)^(3+eps)/y}."""
+def euler_density_check(F: SampleSeries, ell_hat: complex, eps: float = 0.5) -> DensityReport:
+    """Density of {x : |F(x) - ell_hat| <= (log y)^(3+eps)/y}, reported as envelope_check's."""
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     y = F.grid.y
@@ -682,4 +664,4 @@ def euler_density_check(
     bound = np.abs(np.log(y)) ** (3.0 + eps) / y
     ok = resid <= bound
     flags = ("ell-near-zero",) if abs(ell_hat) < 1e-6 else ()
-    return _predicate_report(y, F.grid.x, ok, F.grid.h, Y0, fraction_floor, flags)
+    return _predicate_report(y, F.grid.x, ok, F.grid.h, flags)

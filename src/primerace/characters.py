@@ -401,19 +401,12 @@ def _normalize_orders(q: int, vanishing_orders) -> dict[int, int]:
     return out
 
 
-def bias_constant(
-    t: WeightTable,
-    vanishing_orders: Mapping | None = None,
-    *,
-    strict: bool = False,
-) -> BiasConstant:
+def bias_constant(t: WeightTable, vanishing_orders: Mapping | None = None) -> BiasConstant:
     """Bias constant of a class function orthogonal to the principal character.
 
     Computes (<t, r> + 2 * sum over nonprincipal chi of <t, chi> * m_chi) / 2
     where r counts square roots and m_chi is the supplied central vanishing
     order of the character's L-function (never computed here; absent means 0).
-    With strict=True a character with a nonzero coefficient and no supplied
-    order raises instead of defaulting.
     """
     q, _ = _values_of(t)
     chars = enumerate_characters(q)
@@ -426,14 +419,5 @@ def bias_constant(
         coeff = inner_product(t, chi)
         if abs(coeff) < 1e-15:
             continue
-        if chi.index not in orders:
-            if strict:
-                raise ValueError(
-                    f"no vanishing order supplied for character {chi.label} "
-                    "with nonzero coefficient (strict mode)"
-                )
-            m = 0
-        else:
-            m = orders[chi.index]
-        total += 2.0 * coeff * m
+        total += 2.0 * coeff * orders.get(chi.index, 0)
     return BiasConstant(value=complex(total) / 2.0, modulus=q, vanishing_orders=orders)

@@ -42,7 +42,14 @@ from .analysis import (
     rms_window,
     weighted_second_moment,
 )
-from .characters import bias_constant, character_by_label, race_weight
+from .characters import (
+    Character,
+    _normalize_orders,
+    bias_constant,
+    character_by_label,
+    parse_label,
+    race_weight,
+)
 from .ingest import load_zeros, symmetric_expand
 from .sieve import DEFAULT_SEGMENT_ODDS
 from .tally import CheckpointGrid, _sidecar_path, accumulate
@@ -106,6 +113,7 @@ class RunConfig:
         need("eps", 0 < self.eps < math.inf, f"eps must be positive and finite, got {self.eps}")
         need("K", self.K is None or 1 < self.K < math.inf,
              f"K must be finite and exceed 1, got {self.K}")
+        need("k", len(self.k_values) > 0, "need at least one moment order")
         for k in self.k_values:
             need("k", 1 <= k <= 6, f"moment orders must lie in 1..6, got k={k}")
         for T in self.T_values:
@@ -114,6 +122,13 @@ class RunConfig:
              f"segment size too small: {self.segment_odds}")
         if command in _NEEDS_CHECKPOINTS and self.threads < 1:
             raise UsageError(f"thread count must be positive, got {self.threads}")
+        if "mchi" in reads:
+            try:
+                _normalize_orders(self.q, self.mchi)  # as bias_constant reads them
+            except ValueError as exc:
+                raise UsageError(f"mchi: {exc}") from None
+        if "chi" in reads:
+            _euler_character(self)
 
     def public_dict(self, command: str) -> dict:
         """The settings command reads that determine the mathematics.
@@ -380,6 +395,21 @@ def _run_tally(cfg: RunConfig, race=None):
     )
 
 
+def _euler_character(cfg: RunConfig) -> tuple[str, Character]:
+    """euler's character label and character: nonprincipal, mod q, or UsageError."""
+    label = cfg.chi if cfg.chi is not None else f"{cfg.q}.1"
+    try:
+        # another modulus is refused before any of its characters are built
+        chi = character_by_label(label) if parse_label(label)[0] == cfg.q else None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if chi is None:
+        raise UsageError(f"character {label} does not live mod {cfg.q}")
+    if chi.is_principal:
+        raise UsageError("the principal character has no central Euler product here")
+    return label, chi
+
+
 def _fit_payload(fit) -> dict:
     resid = np.asarray(fit.residual.values)
     tail = resid[-max(1, len(resid) // 4):]
@@ -423,23 +453,10 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     delta = delta_exact(series, t, M)
     race = result.race
 
-    fit_notes: list[str] = []
-    if float(series.grid.y[-1]) >= 10.0:
-        fits = estimate_C_all(D, M, delta, race,
-                              tail_fraction=cfg.tail_fraction,
-                              finite_size=cfg.finite_size)
-    else:
-        # The via-L route needs the oscillation series to settle; on a short
-        # grid fall back to the two estimates that remain well defined.
-        fits = {
-            "pointwise-tail": estimate_C(D, M, "pointwise-tail",
-                                         tail_fraction=cfg.tail_fraction,
-                                         finite_size=cfg.finite_size),
-            "mean": estimate_C(D, M, "mean", race=race,
-                               finite_size=cfg.finite_size),
-        }
-        fits["spread"] = abs(fits["pointwise-tail"].C_hat - fits["mean"].C_hat)
-        fit_notes.append("via-L fit skipped: grid ends below y=10")
+    fits = estimate_C_all(D, M, delta, race,
+                          tail_fraction=cfg.tail_fraction,
+                          finite_size=cfg.finite_size)
+    fit_notes = [] if "via-L" in fits else ["via-L fit skipped: grid ends below y=10"]
     C = fits["pointwise-tail"].C_hat
     env_main = envelope_check(D, M, C, eps=cfg.eps)
     K_used = cfg.K if cfg.K is not None else calibrate_K(D, M, C)
@@ -481,15 +498,7 @@ def cmd_bias(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
 def cmd_euler(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     """Partial Euler product series and its stabilization report."""
     emit = emit or _Emitter(cfg.out)
-    label = cfg.chi if cfg.chi is not None else f"{cfg.q}.1"
-    try:
-        chi = character_by_label(label)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if chi.modulus != cfg.q:
-        raise UsageError(f"character {label} does not live mod {cfg.q}")
-    if chi.is_principal:
-        raise UsageError("the principal character has no central Euler product here")
+    label, chi = _euler_character(cfg)
     m_chi = cfg.mchi.get(label, 0)
 
     result = _run_tally(cfg)
@@ -522,10 +531,11 @@ def cmd_delta(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     if not cfg.zeros:
         raise UsageError("delta needs a zero dataset (--zeros)")
     emit = emit or _Emitter(cfg.out)
+    t = race_weight(cfg.a, cfg.b, cfg.q)
+    # the zero file is read first, so a bad one fails before any sieving
+    dataset, orders, expanded, notes = _load_expanded(cfg, t)
     result = _run_tally(cfg)
     series = result.series
-    t = race_weight(cfg.a, cfg.b, cfg.q)
-    dataset, orders, expanded, notes = _load_expanded(cfg, t)
     M = bias_constant(t, vanishing_orders=orders or None)
     exact = delta_exact(series, t, M)
     if not expanded:

@@ -64,9 +64,6 @@ class ZeroDataset:
     def ordinates(self, label: str) -> np.ndarray:
         return np.array([g for lab, g, _m in self.entries if lab == label])
 
-    def multiplicities(self, label: str) -> np.ndarray:
-        return np.array([m for lab, _g, m in self.entries if lab == label], dtype=np.int64)
-
     def height(self, label: str | None = None) -> float:
         gs = [g for lab, g, _m in self.entries if label is None or lab == label]
         return max(gs) if gs else 0.0
@@ -181,19 +178,14 @@ class ExpandedZero:
         return complex(0.5, self.gamma)
 
 
-def symmetric_expand(
-    zd: ZeroDataset,
-    t: ClassFunction | Character,
-    *,
-    strict: bool = False,
-) -> list[ExpandedZero]:
+def symmetric_expand(zd: ZeroDataset, t: ClassFunction | Character) -> list[ExpandedZero]:
     """Two-sided, coefficient-weighted zero multiset for explicit formulas.
 
     Each stored (chi, gamma, m) yields m copies of (<t,chi>, +gamma) and m
     copies of (<t,chibar>, -gamma); the output is sorted by |gamma|, ties
     broken by character label then sign (a convention, nothing depends on it).
     Characters carrying nonzero weight but absent from the dataset trigger
-    CoverageWarning, or ValueError when strict.
+    CoverageWarning.
     """
     q = zd.modulus
     if t.modulus != q:
@@ -207,11 +199,9 @@ def symmetric_expand(
     present = set(zd.labels())
     for chi in chars[1:]:
         if abs(coeff[chi.label]) > 1e-15 and chi.label not in present:
-            message = (f"weight has nonzero component on {chi.label} "
-                       f"but the dataset holds no zeros for it")
-            if strict:
-                raise ValueError(message)
-            warnings.warn(message, CoverageWarning, stacklevel=2)
+            warnings.warn(f"weight has nonzero component on {chi.label} "
+                          f"but the dataset holds no zeros for it",
+                          CoverageWarning, stacklevel=2)
 
     out: list[ExpandedZero] = []
     for label, gamma, mult in zd.entries:

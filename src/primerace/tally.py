@@ -52,18 +52,13 @@ import os
 from contextlib import nullcontext
 from copy import deepcopy
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .characters import (
-    Character,
-    ClassFunction,
-    enumerate_characters,
-    race_weight,
-    unit_residues,
-)
+from .characters import _values_of, enumerate_characters, race_weight, unit_residues
 from .exact import exact, from_hex, rounded, to_hex
 from .sieve import (
     DEFAULT_SEGMENT_ODDS,
@@ -95,6 +90,7 @@ _CHAR_FIELDS = ("invsqrt", "mertens", "eulerlog")
 # a checkpoint row's fields, as CheckpointSeries.fields names them
 _ROW_FIELDS = ("counts", "invsqrt", "theta", "psi", *(f"char_{f}" for f in _CHAR_FIELDS))
 _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
+_FLUSH_EVERY = 64  # segments between sidecar writes of a persisted run
 
 
 class TallyOrderError(RuntimeError):
@@ -175,6 +171,9 @@ class _Layout:
                 (np.flatnonzero(real), -z.real[real], np.flatnonzero(~real), z[~real]))
 
 
+_layout = lru_cache(maxsize=None)(_Layout)  # _layout(q): modulus q's tables, built once per process
+
+
 @dataclass(eq=False)
 class _SegmentPartial:
     """Per-chunk sums for one sieved segment (chunks split at grid points)."""
@@ -218,11 +217,11 @@ def _segment_partial(
     hi: int,
     boundaries: np.ndarray,
     layout: _Layout,
-    residues: np.ndarray | None = None,
+    residues: np.ndarray,
 ) -> _SegmentPartial:
     """Chunked sums over one segment; boundaries are checkpoint x-values.
 
-    residues is primes % q, computed here when the caller has not.
+    residues is primes % q.
     Reduction contract: every chunk value is one pairwise np.sum over a
     slice of one C-contiguous row of per-prime terms, and a chunk's Euler-log
     value adds the per-class values in class order.  The terms are built per
@@ -243,11 +242,10 @@ def _segment_partial(
     theta = np.zeros((nch, ncl))
     invp = np.zeros((nch, ncl))
     ch_eul = np.zeros((nch, nchar), dtype=np.complex128)
-    r = primes % layout.q if residues is None else residues
     pf = primes.astype(np.float64)
     s_all = 1.0 / np.sqrt(pf)
     for i, a in enumerate(layout.units):
-        sel = np.flatnonzero(r == a)
+        sel = np.flatnonzero(residues == a)
         if not len(sel):
             continue
         pa = primes[sel]
@@ -282,14 +280,6 @@ def _segment_partial(
 
 # ---------------------------------------------------------------------------
 # checkpoints
-
-
-def _weight_values(t, q: int) -> np.ndarray:
-    if isinstance(t, (ClassFunction, Character)):
-        if t.modulus != q:
-            raise ValueError(f"modulus mismatch: tally mod {q}, weight mod {t.modulus}")
-        return t.values
-    raise TypeError(f"expected ClassFunction or Character, got {type(t).__name__}")
 
 
 class CheckpointSeries:
@@ -354,7 +344,9 @@ class CheckpointSeries:
         "psi" sums t(p^k mod q) log p over prime powers p^k <= x_j, so
         9 = 3*3 counts in the class of 9, not of 3.
         """
-        vals = _weight_values(t, self.q)
+        q, vals = _values_of(t)
+        if q != self.q:
+            raise ValueError(f"modulus mismatch: tally mod {self.q}, weight mod {q}")
         w = np.array([vals[a] for a in self.units])
         return self._table(table).astype(np.complex128) @ w
 
@@ -465,7 +457,7 @@ class TallyPartial:
     float64 view of a complex128 array lays them out.  The two character
     sums that are linear in the class sums are derived, not summed:
     totals() gives char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
-    sum_a chi(a)^2 invp_a, each as one axis=1 np.sum over the layout's
+    sum_a chi(a)^2 invp_a, each as one axis=1 np.sum over modulus q's
     C-contiguous (nchar, nclass) table, so no BLAS call sets their bits.
     totals() keeps its last arrays and recomputes only the stale entries,
     those folded since the previous call: an int that did not change
@@ -475,7 +467,6 @@ class TallyPartial:
     q: int
     lo: int
     hi: int
-    layout: _Layout
     counts: list[int]
     sums: dict[str, list]
     _totals: dict[str, np.ndarray] = field(init=False, repr=False)
@@ -487,14 +478,14 @@ class TallyPartial:
 
     @property
     def units(self) -> tuple[int, ...]:
-        return self.layout.units
+        return _layout(self.q).units
 
     @classmethod
-    def empty(cls, q: int, at: int = 2, *, layout: _Layout | None = None) -> "TallyPartial":
-        layout = layout or _Layout(q)
+    def empty(cls, q: int, at: int = 2) -> "TallyPartial":
+        layout = _layout(q)
         sums = {n: [0] * layout.nclass for n in _CLASS_FIELDS}
         sums["char_eulerlog"] = [0] * (2 * layout.nchar)
-        return cls(q, at, at, layout, [0] * layout.nclass, sums)
+        return cls(q, at, at, [0] * layout.nclass, sums)
 
     def fold(self, part: _SegmentPartial, c: int) -> None:
         """Add chunk c of a segment; its chunk 0 must start where this range ends.
@@ -572,15 +563,15 @@ class TallyPartial:
             out[name] = arr
             if name == "invsqrt":  # fold and merge add to counts with invsqrt
                 out["counts"] = np.array(self.counts, dtype=np.int64)
-                out["char_invsqrt"] = np.sum(self.layout.chi_class * arr, axis=1)
+                out["char_invsqrt"] = np.sum(_layout(self.q).chi_class * arr, axis=1)
             elif name == "invp":
-                out["char_mertens"] = np.sum(self.layout.chi2_class * arr, axis=1)
+                out["char_mertens"] = np.sum(_layout(self.q).chi2_class * arr, axis=1)
         for arr in out.values():
             arr.flags.writeable = False
         return dict(out)
 
     def copy(self) -> "TallyPartial":
-        return deepcopy(self, {id(self.layout): self.layout})
+        return deepcopy(self)
 
     def to_state(self) -> dict:
         """The exact sums as the sidecar's JSON "state" (format 3)."""
@@ -593,17 +584,16 @@ class TallyPartial:
         }
 
     @classmethod
-    def from_state(cls, state: Mapping, q: int, *, layout: _Layout | None = None) -> "TallyPartial":
+    def from_state(cls, state: Mapping, q: int) -> "TallyPartial":
         """Inverse of to_state, for a range that starts at 2.
 
         Formats 1 and 2 also hold exact char invsqrt and mertens sums, which
         totals() derives and this does not read.  Older sidecars store
         expected_lo None when no segment was folded yet.
         """
-        layout = layout or _Layout(q)
         sums = {n: list(map(from_hex, state["class"][n])) for n in _CLASS_FIELDS}
         sums["char_eulerlog"] = [from_hex(h) for pair in state["char"]["eulerlog"] for h in pair]
-        return cls(q, 2, state["expected_lo"] or 2, layout, [int(c) for c in state["counts"]], sums)
+        return cls(q, 2, state["expected_lo"] or 2, [int(c) for c in state["counts"]], sums)
 
 
 def _power_terms(layout: _Layout, lo: int, hi: int) -> list[tuple[int, int, float]]:
@@ -742,7 +732,6 @@ def accumulate(
     race: tuple[int, int] | None = None,
     persist: str | Path | None = None,
     resume: bool = False,
-    flush_every: int = 64,
     max_segments: int | None = None,
 ) -> TallyResult:
     """Single pass over the primes, snapshotting the tally at every grid point.
@@ -762,7 +751,7 @@ def accumulate(
     with the summary of the race, keyed by its reduced classes: format 3
     while the run is partial, and format 2 once it is complete, since a
     complete sidecar holds no state.  Each snapshot writes its CSV row at
-    once; the sidecar, written every flush_every segments and at the end,
+    once; the sidecar, written every _FLUSH_EVERY segments and at the end,
     counts the rows written so far, and a resume drops any row past that
     count.  resume=True continues a previously interrupted persisted run
     from the sidecar's state, after the rows read back from the CSV, or
@@ -776,7 +765,7 @@ def accumulate(
     all.  max_segments stops early after that many segments (the persisted
     state stays resumable).
     """
-    layout = _Layout(q)
+    layout = _layout(q)
     if x_hi is None:
         x_hi = int(math.floor(grid.x_max)) + 1
     if grid.x_max >= x_hi:
@@ -791,7 +780,7 @@ def accumulate(
     bounds = segment_bounds(2, x_hi, segment_odds)
     csv_path = Path(persist) if persist is not None else None
     meta_path = _sidecar_path(csv_path) if csv_path is not None else None
-    state = TallyPartial.empty(q, layout=layout)
+    state = TallyPartial.empty(q)
     race_fold = _RaceFold() if race is not None else None
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
     start_idx = 0  # first segment to sieve
@@ -847,7 +836,7 @@ def accumulate(
                 _write_sidecar(meta_path, meta)
             series.x, series.y, series.fields = stored.x, stored.y, stored.fields
             return TallyResult(series=series, race=race_summary(), completed=True, x_hi=x_hi)
-        state = TallyPartial.from_state(meta["state"], q, layout=layout)
+        state = TallyPartial.from_state(meta["state"], q)
         next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
         _truncate_csv(csv_path, int(meta["rows_written"]))
         stored = read_series_csv(csv_path)  # the rows flushed before; snapshots append to them
@@ -918,7 +907,7 @@ def accumulate(
                     snapshot()
             done_idx += 1
             since_flush += 1
-            if csv is not None and since_flush >= flush_every:
+            if csv is not None and since_flush >= _FLUSH_EVERY:
                 flush(done_idx, complete=False)
                 since_flush = 0
 
@@ -956,15 +945,16 @@ def range_partial(
 ) -> TallyPartial:
     """Tally sums over primes in [lo, hi), folded per segment in order."""
     bounds = segment_bounds(lo, hi, segment_odds)
-    layout = _Layout(q)
-    out = TallyPartial.empty(q, lo, layout=layout)
+    layout = _layout(q)
+    out = TallyPartial.empty(q, lo)
     base = simple_sieve(math.isqrt(hi - 1))
     powers = _power_terms(layout, lo, hi)
     pw_ptr = 0
     none = np.empty(0, dtype=np.float64)
 
     def job(a: int, b: int) -> _SegmentPartial:
-        return _segment_partial(sieve_segment(a, b, base), a, b, none, layout)
+        primes = sieve_segment(a, b, base)
+        return _segment_partial(primes, a, b, none, layout, primes % q)
 
     for part in ordered_map(job, bounds, threads):
         out.fold(part, 0)

@@ -164,11 +164,6 @@ class TestDeltaZeroSum:
             s = delta_zero_sum(grid, self.pair(1.0), T=50.0)
         assert np.allclose(s.values, delta_zero_sum(grid, self.pair(1.0)).values)
 
-    def test_strict_mode_raises_instead(self):
-        grid = grid_to(6.0)
-        with pytest.raises(ValueError, match="exceeds the dataset"):
-            delta_zero_sum(grid, self.pair(1.0), T=50.0, strict=True)
-
     def test_empty_list_gives_zero(self):
         grid = grid_to(6.0)
         s = delta_zero_sum(grid, [])
@@ -363,6 +358,19 @@ class TestEstimateC:
         fits = estimate_C_all(D, m, delta, stream_summary(pos, w, grid.x))
         assert set(fits) == {"pointwise-tail", "via-L", "mean", "spread"}
         assert fits["spread"] >= 0.0
+
+    def test_short_grid_bundle_skips_via_L(self):
+        # via-L needs the grid to reach y=10; the spread is then |pointwise - mean|
+        grid = grid_to(9.0)
+        m = -0.5
+        delta = SampleSeries(grid, 1.0 / grid.y**2)
+        D = SampleSeries(grid, 3.0 - m * np.log(grid.y) - 2.0 * m / grid.y)
+        pos = np.array([3.0, 7.0])
+        w = np.array([1 / math.sqrt(3), -1 / math.sqrt(7)])
+        fits = estimate_C_all(D, m, delta, stream_summary(pos, w, grid.x), tail_fraction=0.5)
+        assert set(fits) == {"pointwise-tail", "mean", "spread"}
+        assert fits["spread"] == abs(fits["pointwise-tail"].C_hat - fits["mean"].C_hat)
+        assert fits["mean"].window == fits["pointwise-tail"].window
 
 
 class TestMeanIntegral:
@@ -757,7 +765,8 @@ class TestWeightedSecondMoment:
         grid = grid_to(16.0)
         delta = SampleSeries(grid, np.ones(grid.n))
         v_full, trace = weighted_second_moment(delta)
-        v_half, _ = weighted_second_moment(delta, Y=8.0)
+        short = grid_to(8.0)
+        v_half, _ = weighted_second_moment(SampleSeries(short, np.ones(short.n)))
         assert v_full < v_half
 
     def test_grid_must_reach_two(self):
@@ -765,12 +774,6 @@ class TestWeightedSecondMoment:
         delta = SampleSeries(grid, np.ones(grid.n))
         with pytest.raises(ValueError, match="before the lower limit"):
             weighted_second_moment(delta)
-
-    def test_Y_below_lower_limit(self):
-        grid = grid_to(9.0)
-        delta = SampleSeries(grid, np.ones(grid.n))
-        with pytest.raises(ValueError, match="below the lower limit"):
-            weighted_second_moment(delta, Y=1.0)
 
 
 class TestMomentConstant:

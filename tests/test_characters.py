@@ -207,11 +207,9 @@ class TestBiasConstant:
             M = bias_constant(race_weight(a, b, q), None)
             assert abs(M.value.imag) < 1e-14
 
-    def test_strict_mode_requires_orders(self):
+    def test_absent_order_counts_as_zero(self):
         t = race_weight(3, 1, 4)
-        with pytest.raises(ValueError, match="strict"):
-            bias_constant(t, {}, strict=True)
-        assert bias_constant(t, {"4.1": 0}, strict=True).value == pytest.approx(-0.5)
+        assert bias_constant(t, {}).value == bias_constant(t, {"4.1": 0}).value == pytest.approx(-0.5)
 
     def test_orders_by_index_or_label(self):
         t = race_weight(3, 1, 4)

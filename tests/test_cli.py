@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primerace import cli
+from primerace import cli, tally
 from primerace.cli import RunConfig, UsageError, checkpoint_name, main
+
+ZEROS = Path(__file__).resolve().parent.parent / "data" / "zeros_q4_T200.txt"
 
 
 def parse(argv):
@@ -191,6 +193,25 @@ class TestUsageExits:
         rc = main(["euler", "--xmax", "1000", "--chi", "8.1", "--out", str(tmp_path)])
         assert rc == 2
         assert "mod 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["moments", "--k", ""], "need at least one moment order"),
+        (["bias", "--mchi", "5.1=1"], "mchi: vanishing order for modulus 5, expected 4"),
+        (["delta", "--zeros", str(ZEROS), "--mchi", "4.2=1"], "mchi: no character index 2 mod 4"),
+        (["euler", "--chi", "4.9"], "no character 4.9"),
+    ], ids=["no-k", "mchi-modulus", "mchi-index", "chi-index"])
+    def test_settings_read_after_the_tally_are_checked_before_it(self, argv, fragment, tmp_path,
+                                                                 monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("sieved before the settings were checked")
+
+        monkeypatch.setattr(tally, "sieve_segment", never)
+        argv = argv + ["--xmax", "1000", "--out", str(tmp_path)]
+        assert main(argv + ["--dry-run"]) == 2
+        assert fragment in capsys.readouterr().err
+        assert main(argv) == 2
+        assert fragment in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestReportConfig:
@@ -447,6 +468,17 @@ class TestDeltaCommand:
         rows = (tmp_path / "delta_zero_sum.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[2]) == 0.0 for r in rows)
 
+    def test_missing_dataset_fails_before_the_tally(self, tmp_path, monkeypatch, capsys):
+        sieved = []
+        sieve = tally.sieve_segment
+        monkeypatch.setattr(tally, "sieve_segment", lambda *args: sieved.append(args) or sieve(*args))
+        rc = main(["delta", "--xmax", "1000", "--zeros", str(tmp_path / "none.txt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "none.txt" in capsys.readouterr().err
+        assert sieved == []
+        assert not list(tmp_path.rglob("checkpoints_*"))
+
     def test_malformed_dataset_fails_cleanly(self, tmp_path, capsys):
         zf = self.zeros_file(tmp_path, "modulus 4\n4.1 -3.0 1\n")
         rc = main(["delta", "--xmax", "1000", "--zeros", zf,
@@ -502,3 +534,32 @@ class TestZerosValidate:
                    "--out", str(tmp_path)])
         assert rc == 1
         assert "modulus" in capsys.readouterr().err
+
+
+class TestShortGridFits:
+    def test_mean_fit_takes_the_tail_fraction(self, tmp_path):
+        # the grid ends below y=10, so via-L is skipped and two fits remain
+        rc = main(["bias", "--xmax", "1e4", "--tail-fraction", "0.5", "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "bias_fit.json").read_text())
+        fits = doc["fits"]
+        assert set(fits) == {"pointwise-tail", "mean"}
+        assert doc["notes"] == ["via-L fit skipped: grid ends below y=10"]
+        assert fits["mean"]["window_y"] == fits["pointwise-tail"]["window_y"]
+        assert fits["mean"]["details"]["points"] == fits["pointwise-tail"]["details"]["points"] == 426
+
+
+class TestPlannedFiles:
+    """cli._PLANNED, which the benchmark deletes and checks on every pass, is what a run writes."""
+
+    @pytest.mark.parametrize("command", sorted(cli._PLANNED))
+    def test_run_writes_and_dry_run_lists_the_planned_files(self, tmp_path, capsys, command):
+        argv = [command, "--xmax", "1000", "--zeros", str(ZEROS), "--out", str(tmp_path)]
+        planned = [str(tmp_path / name) for name in cli._PLANNED[command]]
+        assert main(argv + ["--dry-run"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" -> ", 1)[1] for line in lines if line.startswith("  write -> ")] == planned
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in planned]
+        reports = {p.name for p in tmp_path.iterdir() if not p.name.startswith("checkpoints_")}
+        assert reports == set(cli._PLANNED[command])

@@ -165,9 +165,7 @@ class TestSymmetricExpansion:
         empty = parse_zeros("", 4)
         t = race_weight(3, 1, 4)
         with pytest.warns(CoverageWarning, match="no zeros"):
-            symmetric_expand(empty, t)
-        with pytest.raises(ValueError, match="no zeros"):
-            symmetric_expand(empty, t, strict=True)
+            assert symmetric_expand(empty, t) == []
 
     def test_zero_coefficient_needs_no_coverage(self):
         # principal-only weight never needs zeros

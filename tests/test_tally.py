@@ -563,7 +563,7 @@ def assert_segment_matches_reference(primes, lo, hi, boundaries, q):
     """Bit for bit, -0.0 included, against the loop-per-character reduction."""
     layout = _Layout(q)
     race = (layout.units[1], layout.units[0])
-    got = _segment_partial(primes, lo, hi, boundaries, layout)
+    got = _segment_partial(primes, lo, hi, boundaries, layout, primes % q)
     want = reference_segment_partial(primes, boundaries, layout, race)
     for name in SEGMENT_FIELDS:
         a, b = getattr(got, name), want[name]
@@ -610,7 +610,7 @@ class TestSegmentReduction:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            part = _segment_partial(primes, lo, hi, np.empty(0), layout)
+            part = _segment_partial(primes, lo, hi, np.empty(0), layout, primes % 420)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -679,16 +679,16 @@ class TestTallyState:
         # totals() recomputes only the sums folded since its last call
         grid = CheckpointGrid.from_xmax(10_000, h=0.02)
         layout = _Layout(q)
-        state = TallyPartial.empty(q, layout=layout)
+        state = TallyPartial.empty(q)
         powers, pw = _power_terms(layout, 2, 10_001), 0
         for lo, hi in ((2, 2050), (2050, 10_001)):
             primes = sieve_segment(lo, hi, simple_sieve(200))
             x = grid.x[(grid.x >= lo) & (grid.x < hi)]
-            part = _segment_partial(primes, lo, hi, x, layout)
+            part = _segment_partial(primes, lo, hi, x, layout, primes % q)
             for c, end in enumerate([*x, hi - 1]):
                 state.fold(part, c)
                 pw = state.fold_powers(powers, pw, end)
-                fresh = TallyPartial.from_state(state.to_state(), q, layout=layout)
+                fresh = TallyPartial.from_state(state.to_state(), q)
                 assert_same_totals(state, fresh)
 
     def test_totals_with_nothing_folded_are_the_same_read_only_arrays(self):
@@ -760,16 +760,16 @@ class TestPersistence:
         for attr in ALL_ARRAYS:
             assert np.array_equal(matrix(res.series, attr), matrix(back, attr)), attr
 
-    def test_interrupted_run_resumes_byte_identically(self, tmp_path):
+    def test_interrupted_run_resumes_byte_identically(self, tmp_path, monkeypatch):
         grid = self.grid()
         full = tmp_path / "full.csv"
         split = tmp_path / "split.csv"
-        accumulate(grid, 4, segment_odds=512, persist=full, flush_every=3)
-        first = accumulate(grid, 4, segment_odds=512, persist=split,
-                           flush_every=2, max_segments=7)
+        monkeypatch.setattr(tally, "_FLUSH_EVERY", 3)
+        accumulate(grid, 4, segment_odds=512, persist=full)
+        monkeypatch.setattr(tally, "_FLUSH_EVERY", 2)
+        first = accumulate(grid, 4, segment_odds=512, persist=split, max_segments=7)
         assert not first.completed
-        second = accumulate(grid, 4, segment_odds=512, persist=split,
-                            flush_every=2, resume=True)
+        second = accumulate(grid, 4, segment_odds=512, persist=split, resume=True)
         assert second.completed
         assert full.read_bytes() == split.read_bytes()
 
@@ -916,11 +916,12 @@ class TestCsvRows:
 
     @pytest.mark.parametrize("q", [4, 12, 24, 105])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_rows_match_the_oracle(self, tmp_path, q, threads):
+    def test_rows_match_the_oracle(self, tmp_path, monkeypatch, q, threads):
         # h=0.02 to 2e4 over 5 segments, flushed 2 at a time: many grid
         # points gain no prime, some gain only a prime power
         grid = CheckpointGrid.from_xmax(20_000, h=0.02)
-        kw = dict(segment_odds=2048, threads=threads, flush_every=2)
+        monkeypatch.setattr(tally, "_FLUSH_EVERY", 2)
+        kw = dict(segment_odds=2048, threads=threads)
         path = tmp_path / "run.csv"
         res = accumulate(grid, q, persist=path, **kw)
         want = oracle_csv(res.series)
