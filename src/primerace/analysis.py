@@ -245,6 +245,17 @@ def _tail_window(grid: CheckpointGrid, tail_fraction: float) -> np.ndarray:
     return np.arange(max(0, j0), grid.n)
 
 
+_MIN_FIT_POINTS = 100  # grid points a C fit needs in its tail window
+
+
+def _fit_window(grid: CheckpointGrid, tail_fraction: float) -> np.ndarray:
+    """The tail window of a C fit; ValueError when it holds too few points."""
+    window = _tail_window(grid, tail_fraction)
+    if len(window) < _MIN_FIT_POINTS:
+        raise ValueError(f"fit window holds {len(window)} points; need at least {_MIN_FIT_POINTS}")
+    return window
+
+
 def _tail_median(grid: CheckpointGrid, values: np.ndarray, tail_fraction: float) -> complex:
     """Componentwise median of values over the top tail_fraction of the grid."""
     tail = values[_tail_window(grid, tail_fraction)]
@@ -315,11 +326,7 @@ def estimate_C(
     """
     m = _m_value(M)
     grid = D.grid
-    window = _tail_window(grid, tail_fraction)
-    if len(window) < 100:
-        raise ValueError(
-            f"fit window holds {len(window)} points; need at least 100"
-        )
+    window = _fit_window(grid, tail_fraction)
     y = grid.y
     d = D.as_real() if np.iscomplexobj(np.asarray(D.values)) else np.asarray(D.values, dtype=np.float64)
     y_window = (float(y[window[0]]), float(y[window[-1]]))
@@ -446,6 +453,14 @@ def _predicate_report(
     )
 
 
+def _calibration_window(y: np.ndarray) -> np.ndarray:
+    """calibrate_K's points of the grid y; ValueError when there are none."""
+    half = (y <= (y[0] + y[-1]) / 2.0) & (y >= math.e)
+    if not half.any():
+        raise ValueError("calibration window is empty; the grid is too short")
+    return half
+
+
 def calibrate_K(D: SampleSeries, M, C: float) -> float:
     """1.1x the max of |D + M log y - C| * y / log y over the first half.
 
@@ -457,9 +472,7 @@ def calibrate_K(D: SampleSeries, M, C: float) -> float:
     m = _m_value(M)
     y = D.grid.y
     d = np.asarray(D.values).real
-    half = (y <= (y[0] + y[-1]) / 2.0) & (y >= math.e)
-    if not half.any():
-        raise ValueError("calibration window is empty; the grid is too short")
+    half = _calibration_window(y)
     resid = np.abs(d[half] + m * np.log(y[half]) - C)
     return max(float(1.1 * np.max(resid * y[half] / np.log(y[half]))), 1.1)
 

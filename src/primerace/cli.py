@@ -19,6 +19,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -110,6 +111,14 @@ class RunConfig:
         need("h", 0 < self.h <= 0.1, f"grid spacing must lie in (0, 0.1], got {self.h}")
         need("tail_fraction", 0 < self.tail_fraction <= 0.5,
              f"tail fraction must lie in (0, 0.5], got {self.tail_fraction}")
+        if command in ("bias", "mean"):  # the subcommands that fit C, after the tally
+            grid = CheckpointGrid.from_xmax(self.x_max, self.h)
+            try:
+                analysis._fit_window(grid, self.tail_fraction)
+                if command == "bias" and self.K is None:
+                    analysis._calibration_window(grid.y)
+            except ValueError as exc:
+                raise UsageError(f"xmax {self.x_max:g}, grid-h {self.h:g}: {exc}") from None
         need("eps", 0 < self.eps < math.inf, f"eps must be positive and finite, got {self.eps}")
         need("K", self.K is None or 1 < self.K < math.inf,
              f"K must be finite and exceed 1, got {self.K}")
@@ -306,9 +315,11 @@ def _plain(obj):
     return obj
 
 
-def _column_text(column) -> map:
-    """The CSV text of each entry: str of an integer, repr of anything else as a double."""
+def _column_text(column) -> Iterable[str]:
+    """The CSV text of each entry: a str as it is, str of an integer, repr of anything else as a double."""
     column = np.asarray(column)
+    if column.dtype.kind == "U":
+        return column.tolist()
     if column.dtype.kind in "iu":
         return map(str, column.tolist())
     return map(repr, column.astype(np.float64).tolist())
@@ -499,7 +510,7 @@ def cmd_euler(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     """Partial Euler product series and its stabilization report."""
     emit = emit or _Emitter(cfg.out)
     label, chi = _euler_character(cfg)
-    m_chi = cfg.mchi.get(label, 0)
+    m_chi = _normalize_orders(cfg.q, cfg.mchi).get(chi.index, 0)  # as bias reads --mchi
 
     result = _run_tally(cfg)
     F = euler_series(result.series, chi, m_chi)
@@ -560,11 +571,10 @@ def cmd_delta(cfg: RunConfig, emit: _Emitter | None = None) -> dict:
     ) if len(rms_rows) > 1 else None
 
     config = cfg.public_dict("delta")
-    emit.csv("delta_exact.csv",
-             ["x", "y", "delta"],
-             [grid.x, grid.y, np.asarray(exact.values).real])
+    xy = [np.array(list(_column_text(v))) for v in (grid.x, grid.y)]  # both files' first columns
+    emit.csv("delta_exact.csv", ["x", "y", "delta"], [*xy, np.asarray(exact.values).real])
     header = ["x", "y"]
-    columns = [grid.x, grid.y]
+    columns = list(xy)
     for T in heights:
         vals = np.asarray(recon[T].values)
         header += [f"delta_T{_T_tag(T)}_re", f"delta_T{_T_tag(T)}_im"]

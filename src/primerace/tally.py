@@ -17,44 +17,68 @@ segment_odds any worker pool and any resumed run reproduce the totals bit
 for bit; a merge does so only at a split on a segment boundary.
 
 Each chunk value is one pairwise np.sum over a slice of one C-contiguous
-row of per-prime terms (see _segment_partial).  The Euler-log terms of all
-characters sit in one block per class, reduced with a single axis=1 sum,
-so a segment costs O(chunks + nonempty class-chunks) numpy calls whatever
-the number of characters; the class-chunks that hold one prime take no sum
-at all, only one gather per class.  The exact fold then costs one
-Python-level add per class and per character for each chunk that holds a
-prime.
+row of per-prime terms (see _segment_partial); this reduction contract,
+not the buffers the terms sit in, fixes every bit.  The Euler-log terms of
+all characters sit in one block per class, reduced with a single axis=1
+sum, so a segment costs O(chunks + nonempty class-chunks) numpy calls
+whatever the number of characters; the class-chunks that hold one prime
+take no sum at all, only one gather per class.  The exact fold then costs
+one Python-level add per class and per character for each chunk that
+holds a prime.
 
-Each grid point is snapshotted, and persisted as one CSV row, at a cost
-set by what changed since the one before.  TallyPartial.totals() rebuilds
-only the fields folded into and hands on the previous read-only arrays
-for the rest, and the row writer formats again only the class blocks
-folded into and, when any prime was, the character section; a grid point
-that gained no prime and no prime power reuses the whole previous row but
-for x and y.  The series keeps, per field, the arrays totals() returned,
-so no table of every grid point is built.
+A run allocates its per-prime arrays once.  Each worker thread keeps one
+_Scratch for the run: the sieve's mask, which the reduction then uses for
+its class selections, and one float64 block that holds the residues, the
+float primes, 1/sqrt(p), each class's terms in turn and then the race
+terms, all written with out=.  The block grows to the largest segment's
+need and is dropped when the run returns, so no segment maps fresh pages
+for its temporaries and the peak memory is that of one segment's terms.
+1/sqrt(p) is computed once per prime and serves both the class sums and
+the race.
+
+The grid points of a segment are snapshotted a batch at a time: the
+chunks are folded one by one, each followed by its point's rounded totals
+as Python lists, and then each field's arrays of the whole batch are built
+as the rows of one table (the derived character columns one point at a
+time, as a single totals() takes them), and the batch's CSV rows are
+written in one piece.  A batch holds at most _BATCH_CELLS row cells, which
+bounds its memory for a large modulus.  Each point is persisted at a
+cost set by what changed since the one before: a field that nothing was
+folded into keeps the previous point's list and array object, and the row
+writer formats again only the class blocks folded into and, when any
+prime was, the character section; a grid point that gained no prime and
+no prime power reuses the whole previous row but for x and y.  The series
+keeps, per field, those read-only arrays, so no table of every grid point
+is built.
 
 A race (a, b) also yields its RaceSummary: the runs of primes where the
 race leads, and the sums of w = +-1/sqrt(p) and w*p at every grid point.
-Each worker returns its segment's terms w and w*p, and the in-order fold
-puts the carried totals in front of them and takes one np.cumsum per
-segment.  np.cumsum adds sequentially, so the per-segment cumsum seeded
-with the carried totals equals the cumsum over every race prime at once,
-bit for bit, whatever the segment width or the thread count, and no stream
-of race primes is ever held.  The summary is persisted in the sidecar, so a
-resumed run never sieves again for a race it recorded.
+Each worker returns its segment's terms w and w*p over all its primes,
++0.0 off classes a and b, and the in-order fold puts the carried totals in
+front of them and takes one np.cumsum per segment.  Adding +0.0 leaves
+every partial sum as it is, since none is -0.0 (the carry starts at +0.0
+and no w is zero), so the lead runs and the sums at the race primes are
+those of the race primes alone.  np.cumsum adds sequentially, so the
+per-segment cumsum seeded with the carried totals equals the cumsum over
+every race prime at once, bit for bit, whatever the segment width or the
+thread count, and no stream of race primes is ever held.  With one worker
+the race terms live in the scratch block, which the fold has consumed
+before the next segment is reduced; a pool's jobs run ahead of the fold,
+so there each job's race terms are a fresh array.  The summary is
+persisted in the sidecar, so a resumed run never sieves again for a race
+it recorded.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import threading
 from contextlib import nullcontext
-from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -90,7 +114,10 @@ _CHAR_FIELDS = ("invsqrt", "mertens", "eulerlog")
 # a checkpoint row's fields, as CheckpointSeries.fields names them
 _ROW_FIELDS = ("counts", "invsqrt", "theta", "psi", *(f"char_{f}" for f in _CHAR_FIELDS))
 _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
+# the character columns derived from a class field, and their _Layout table
+_DERIVED = {"invsqrt": [("char_invsqrt", "chi_class")], "invp": [("char_mertens", "chi2_class")]}
 _FLUSH_EVERY = 64  # segments between sidecar writes of a persisted run
+_BATCH_CELLS = 4096  # cells of the checkpoint rows snapshotted together, at most
 
 
 class TallyOrderError(RuntimeError):
@@ -151,8 +178,7 @@ class _Layout:
         self.units = unit_residues(q)
         self.nclass = len(self.units)
         self.slot = np.full(q, -1, dtype=np.int64)
-        for i, a in enumerate(self.units):
-            self.slot[a] = i
+        self.slot[list(self.units)] = range(self.nclass)
         nonprincipal = chars[1:]
         self.nchar = len(nonprincipal)
         self.char_labels = tuple(chi.label for chi in nonprincipal)
@@ -188,27 +214,29 @@ class _SegmentPartial:
     char_eulerlog: np.ndarray  # (nchunks, nchar) complex128
 
 
-def _race_terms(primes: np.ndarray, residues: np.ndarray, race: tuple[int, int],
-                boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One segment's race terms (race primes, terms, cut).
+class _Scratch(threading.local):
+    """One thread's buffers, reused from segment to segment and dropped with the object.
 
-    residues is primes % q.  The race primes are the primes in classes
-    race = (a, b), reduced mod q, in sieve order.  Row 0 of terms holds
-    w = +1/sqrt(p) on a and -1/sqrt(p) on b and row 1 holds w*p, each behind
-    a first column that _RaceFold fills with the carried sums.  cut[c]
-    counts the race primes at or below boundaries[c].
+    mask takes the sieve and then the reduction's class selections; flat,
+    one float64 block, holds every per-prime array of _segment_partial.
+    Both grow to the largest segment seen.  As a threading.local, it gives
+    each worker thread of a pool its own buffers.  own_race: the race terms
+    a job returns may live in flat too, which holds only when jobs run one
+    at a time, so that the fold consumes them before the next job.
     """
-    a, b = race
-    on_b = residues == b
-    mask = (residues == a) | on_b
-    p = primes[mask]
-    terms = np.empty((2, len(p) + 1))
-    w = terms[0, 1:]
-    np.sqrt(p, out=w)
-    # -1/sqrt(p) is exactly -(1/sqrt(p)): IEEE rounding is symmetric in sign
-    np.divide(1.0 - 2.0 * on_b[mask], w, out=w)
-    np.multiply(w, p, out=terms[1, 1:])
-    return p, terms, np.searchsorted(p, boundaries, side="right")
+
+    def __init__(self, own_race: bool):
+        self.own_race = own_race
+        self.mask = np.empty(0, dtype=bool)
+        self.flat = np.empty(0)
+
+    def get(self, name: str, n: int, keep: int = 0) -> np.ndarray:
+        """The first n entries of buffer name; a grown buffer keeps its first keep."""
+        buf = getattr(self, name)
+        if len(buf) < n:
+            setattr(self, name, np.empty(n, dtype=buf.dtype))
+            getattr(self, name)[:keep] = buf[:keep]
+        return getattr(self, name)[:n]
 
 
 def _segment_partial(
@@ -217,65 +245,102 @@ def _segment_partial(
     hi: int,
     boundaries: np.ndarray,
     layout: _Layout,
-    residues: np.ndarray,
-) -> _SegmentPartial:
-    """Chunked sums over one segment; boundaries are checkpoint x-values.
+    scratch: _Scratch,
+    race: tuple[int, int] | None = None,
+) -> tuple[_SegmentPartial, tuple | None]:
+    """Chunked sums over one segment, and its race terms; boundaries are checkpoint x-values.
 
-    residues is primes % q.
+    The race terms, for race = (a, b) of reduced classes, are (primes,
+    terms, cut), else None, over every prime of the segment in sieve order.
+    Row 0 of terms holds w = +1/sqrt(p) on a, -1/sqrt(p) on b and +0.0 on
+    every other prime, and row 1 holds w*p, each behind a first column that
+    _RaceFold fills with the carried sums.  cut[c] counts the primes at or
+    below boundaries[c].
+
+    Every per-prime array is written with out= into scratch's flat block:
+    the residues, the float primes and 1/sqrt(p) first, then one class's
+    terms at a time and, after the reduction, the race terms, which take
+    w and w*p from the same 1/sqrt(p) and float primes (into a fresh array
+    unless scratch.own_race).
     Reduction contract: every chunk value is one pairwise np.sum over a
     slice of one C-contiguous row of per-prime terms, and a chunk's Euler-log
     value adds the per-class values in class order.  The terms are built per
     class (invsqrt, theta, invp and the Euler-log rows) and each class-chunk
     of two or more primes is reduced with one axis=1 sum, so a segment costs
     O(chunks + nonempty class-chunks) numpy calls whatever the number of
-    characters.  The class-chunks of one prime take their term columns with
-    one gather per class: a one-element np.sum adds its element to +0.0,
-    which returns the element for every double but -0.0, and no term is
-    -0.0, so the contract and every bit hold.  Any future vectorisation has
+    characters.  Every nonempty class-chunk first takes its last term
+    column, in one gather per class, and a chunk of one prime keeps it: a
+    one-element np.sum adds its element to +0.0, which returns the element
+    for every double but -0.0, and no term is -0.0, so the contract and
+    every bit hold.  Any future vectorisation has
     to keep the contract: np.add.reduceat sums sequentially and a
     Fortran-ordered block sums across rows, and both change the last bits.
     """
-    nch = len(boundaries) + 1
-    ncl, nchar = layout.nclass, layout.nchar
+    n, nch = len(primes), len(boundaries) + 1
+    units, ncl = layout.units, layout.nclass
     counts = np.zeros((nch, ncl), dtype=np.int64)
-    invsqrt = np.zeros((nch, ncl))
-    theta = np.zeros((nch, ncl))
-    invp = np.zeros((nch, ncl))
-    ch_eul = np.zeros((nch, nchar), dtype=np.complex128)
-    pf = primes.astype(np.float64)
-    s_all = 1.0 / np.sqrt(pf)
-    for i, a in enumerate(layout.units):
-        sel = np.flatnonzero(residues == a)
-        if not len(sel):
+    invsqrt, theta, invp = np.zeros((3, nch, ncl))
+    ch_eul = np.zeros((nch, layout.nchar), dtype=np.complex128)
+    res = scratch.get("flat", n).view(np.int64)
+    # primes % q: numpy's floor_divide by a scalar is faster than its remainder
+    np.floor_divide(primes, layout.q, out=res)
+    res *= -layout.q
+    res += primes
+    sizes = np.bincount(res, minlength=layout.q)[list(units)].tolist()
+    # rows per class: invsqrt, theta, invp, the real and (as two) the complex Euler-log rows
+    need = max([(3 + len(r) + 2 * len(z)) * k for (r, _, _, z), k in zip(layout.euler_rows, sizes)]
+               + [2 * n + 2 if race else 0])
+    flat = scratch.get("flat", 3 * n + need, keep=n)
+    res, pf, s, work = flat[:n].view(np.int64), flat[n:2 * n], flat[2 * n:3 * n], flat[3 * n:]
+    pf[:] = primes
+    np.sqrt(pf, out=s)
+    np.divide(1.0, s, out=s)
+    on = scratch.get("mask", n)
+    for i, a in enumerate(units):
+        if not sizes[i]:
             continue
-        pa = primes[sel]
+        sel = np.flatnonzero(np.equal(res, a, out=on))
         real, neg_re, cplx, z = layout.euler_rows[i]
-        sa, pfa = s_all[sel], pf[sel]
         # rows: 1/sqrt(p), log p, 1/p, then -log(1 - chi(p)/sqrt(p)) terms
-        terms = np.empty((3 + len(real), len(pa)))
-        terms[0] = sa
-        np.log(pfa, out=terms[1])
-        np.divide(1.0, pfa, out=terms[2])
-        np.log1p(neg_re[:, None] * sa, out=terms[3:])
-        cterms = np.log(1.0 - z[:, None] * sa)
-        ends = np.append(np.searchsorted(pa, boundaries, side="right"), len(pa))
-        counts[:, i] = sizes = np.diff(ends, prepend=0)
-        # the one-prime chunks take their term columns in one gather
-        one = np.flatnonzero(sizes == 1)
-        at = ends[one] - 1
-        invsqrt[one, i], theta[one, i], invp[one, i] = terms[:3, at]
-        ch_eul[np.ix_(one, real)] += -terms[3:, at].T
-        ch_eul[np.ix_(one, cplx)] += -cterms[:, at].T
-        prev = 0
-        for c, e in enumerate(ends.tolist()):
-            if e > prev + 1:
-                sums = np.sum(terms[:, prev:e], axis=1)
-                invsqrt[c, i], theta[c, i], invp[c, i] = sums[:3]
-                ch_eul[c, real] += -sums[3:]
-                ch_eul[c, cplx] += -np.sum(cterms[:, prev:e], axis=1)
-            prev = e
-    return _SegmentPartial(lo=lo, hi=hi, nchunks=nch, counts=counts, invsqrt=invsqrt,
-                           theta=theta, invp=invp, char_eulerlog=ch_eul)
+        k = (3 + len(real)) * sizes[i]
+        terms = work[:k].reshape(3 + len(real), sizes[i])
+        cterms = work[k:k + 2 * len(z) * sizes[i]].view(np.complex128).reshape(len(z), sizes[i])
+        np.take(s, sel, out=terms[0], mode="clip")
+        np.take(pf, sel, out=terms[2], mode="clip")
+        np.log(terms[2], out=terms[1])
+        ends = np.append(np.searchsorted(terms[2], boundaries, side="right"), sizes[i])
+        np.divide(1.0, terms[2], out=terms[2])
+        np.multiply(neg_re[:, None], terms[0], out=terms[3:])
+        np.log1p(terms[3:], out=terms[3:])
+        np.multiply(z[:, None], terms[0], out=cterms)
+        np.subtract(1.0, cterms, out=cterms)
+        np.log(cterms, out=cterms)
+        counts[:, i] = chunk = np.diff(ends, prepend=0)
+        # each nonempty chunk's sum of every row: its last term column, in
+        # one gather, which is the sum of a one-prime chunk, then one
+        # axis=1 sum for each chunk of more primes
+        full = np.flatnonzero(chunk)
+        sums, csums = terms[:, ends[full] - 1].T.copy(), cterms[:, ends[full] - 1].T.copy()
+        for r, (e, m) in enumerate(zip(ends[full].tolist(), chunk[full].tolist())):
+            if m > 1:
+                np.add.reduce(terms[:, e - m:e], axis=1, out=sums[r])
+                if len(z):
+                    np.add.reduce(cterms[:, e - m:e], axis=1, out=csums[r])
+        invsqrt[full, i], theta[full, i], invp[full, i] = sums[:, :3].T
+        ch_eul[np.ix_(full, real)] += -sums[:, 3:]
+        ch_eul[np.ix_(full, cplx)] += -csums
+    part = _SegmentPartial(lo, hi, nch, counts, invsqrt, theta, invp, ch_eul)
+    if race is None:
+        return part, None
+    terms = work[:2 * n + 2].reshape(2, -1) if scratch.own_race else np.empty((2, n + 1))
+    w, wp = terms[:, 1:]
+    sign = np.zeros(layout.q)
+    sign[list(race)] = 1.0, -1.0
+    # -1/sqrt(p) is exactly -(1/sqrt(p)): IEEE rounding is symmetric in sign
+    np.take(sign, res, out=wp, mode="clip")
+    np.multiply(s, wp, out=w)
+    np.multiply(w, pf, out=wp)
+    return part, (primes, terms, np.searchsorted(pf, boundaries, side="right"))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +447,7 @@ class RaceSummary:
 
 
 class _RaceFold:
-    """The race carried through a tally, one segment's _race_terms at a time.
+    """The race carried through a tally, one segment's race terms at a time.
 
     Holds the carried sums of w and w*p over every race prime folded, the
     lead runs as [start, end] prime pairs (end None while open) and the two
@@ -456,12 +521,15 @@ class TallyPartial:
     the real and the imaginary part of each character in turn, as the
     float64 view of a complex128 array lays them out.  The two character
     sums that are linear in the class sums are derived, not summed:
-    totals() gives char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
-    sum_a chi(a)^2 invp_a, each as one axis=1 np.sum over modulus q's
-    C-contiguous (nchar, nclass) table, so no BLAS call sets their bits.
-    totals() keeps its last arrays and recomputes only the stale entries,
-    those folded since the previous call: an int that did not change
-    rounds to the same double.
+    each point's char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
+    sum_a chi(a)^2 invp_a are one np.sum over the class axis of modulus q's
+    C-contiguous (nchar, nclass) table times the point's row, so no BLAS
+    call sets their bits.  The rounded totals are kept as one list of
+    doubles per summed field, copied and rounded again only at the stale
+    entries, those folded since they were last taken: an int that did not
+    change rounds to the same double.  totals() and snapshots() hand each
+    point's totals on as read-only arrays, the previous point's array
+    objects for every field that nothing was folded into.
     """
 
     q: int
@@ -469,12 +537,15 @@ class TallyPartial:
     hi: int
     counts: list[int]
     sums: dict[str, list]
-    _totals: dict[str, np.ndarray] = field(init=False, repr=False)
     _stale: dict[str, set[int]] = field(init=False, repr=False)
+    _vals: dict[str, list] = field(init=False, repr=False)  # the rounded totals, and counts
+    _last: dict = field(init=False, repr=False)  # the last point handed on: its arrays
+    _last_lists: dict = field(init=False, repr=False)  # and the lists they were built from
 
     def __post_init__(self):
-        self._totals = {}
         self._stale = {n: set(range(len(e))) for n, e in self.sums.items()}
+        self._vals = {n: [0.0] * len(e) for n, e in self.sums.items()}
+        self._last, self._last_lists = {}, {}
 
     @property
     def units(self) -> tuple[int, ...]:
@@ -538,40 +609,81 @@ class TallyPartial:
         return self
 
     def stale_classes(self) -> set[int]:
-        """The class slots folded since the previous totals()."""
+        """The class slots folded since the totals were last taken."""
         return set().union(*(self._stale[n] for n in _CLASS_FIELDS))
 
-    def totals(self) -> dict[str, np.ndarray]:
-        """The totals of every field, as read-only arrays.
+    def _round(self) -> dict[str, list]:
+        """The rounded totals of every summed field, and counts, as lists.
 
-        A field with nothing folded since the previous call keeps the array
-        that call returned, so consecutive snapshots share it.  counts and
-        char_invsqrt are built again only when an invsqrt sum changed, and
-        char_mertens only when an invp sum changed.
+        A field's list is a new object only when something was folded into
+        it; counts is copied with invsqrt, since fold and merge add to both.
         """
-        out = self._totals
-        for name, sums in self.sums.items():
-            stale = self._stale[name]
-            if name in out and not stale:
-                continue
-            dtype = np.complex128 if name.startswith("char_") else np.float64
-            arr = out[name].copy() if name in out else np.zeros(len(sums)).view(dtype)
-            flat = arr.view(np.float64)  # a character's sums are its re, im pair
-            for k in stale:
-                flat[k] = rounded(sums[k])
-            stale.clear()
-            out[name] = arr
-            if name == "invsqrt":  # fold and merge add to counts with invsqrt
-                out["counts"] = np.array(self.counts, dtype=np.int64)
-                out["char_invsqrt"] = np.sum(_layout(self.q).chi_class * arr, axis=1)
-            elif name == "invp":
-                out["char_mertens"] = np.sum(_layout(self.q).chi2_class * arr, axis=1)
-        for arr in out.values():
-            arr.flags.writeable = False
-        return dict(out)
+        vals = self._vals
+        if self._stale["invsqrt"]:
+            vals["counts"] = list(self.counts)
+        for name, stale in self._stale.items():
+            if stale:
+                vals[name] = new = vals[name].copy()
+                for k in stale:
+                    new[k] = rounded(self.sums[name][k])
+                stale.clear()
+        return dict(vals)
+
+    def _arrays(self, points: list[dict[str, list]]) -> dict[str, list[np.ndarray]]:
+        """Per field, the read-only array of each point's values in points.
+
+        A point that holds the previous point's list (for the first, the
+        list last handed on) gets the previous array object; the arrays of
+        the others are the rows of one table per field.
+        """
+        layout, out = _layout(self.q), {}
+        for name in self.sums:
+            lists = [pt[name] for pt in points]
+            fresh = [v is not (lists[j - 1] if j else self._last_lists.get(name)) for j, v in enumerate(lists)]
+            table = np.array([v for v, new in zip(lists, fresh) if new]).reshape(sum(fresh), len(self._vals[name]))
+            tables = {name: table.view(np.complex128) if name == "char_eulerlog" else table}
+            if name == "invsqrt":
+                tables["counts"] = np.array([pt["counts"] for pt, new in zip(points, fresh) if new],
+                                            dtype=np.int64).reshape(table.shape)
+            # one (nchar, nclass) product per point: a batch holds no product of them all
+            for f, chi in _DERIVED.get(name, ()):
+                tables[f] = np.array([np.sum(getattr(layout, chi) * row, axis=1) for row in table],
+                                     dtype=np.complex128).reshape(len(table), layout.nchar)
+            for f, table in tables.items():
+                table.flags.writeable = False
+                rows, arr, out[f] = iter(table), self._last.get(f), []
+                for new in fresh:
+                    arr = next(rows) if new else arr
+                    out[f].append(arr)
+                self._last[f] = arr
+            if lists:
+                self._last_lists[name] = lists[-1]
+        return out
+
+    def totals(self) -> dict[str, np.ndarray]:
+        """The totals of every field, as read-only arrays."""
+        return {f: arrs[0] for f, arrs in self._arrays([self._round()]).items()}
+
+    def snapshots(self, part: _SegmentPartial, c: int, xs: Sequence[float],
+                  powers: Sequence[tuple[int, int, float]], pw: int) -> tuple:
+        """Fold chunks c, c + 1, ... of a segment, each followed by the point xs[k].
+
+        Before each point's totals are taken, the prime powers up to it are
+        folded.  Returns, per field, the arrays of every point (as _arrays);
+        each point's rounded values (as _round); the class slots changed at
+        each point; and the next index into powers.
+        """
+        points, changed = [], []
+        for c, x in enumerate(xs, c):
+            self.fold(part, c)
+            pw = self.fold_powers(powers, pw, x)
+            changed.append(self.stale_classes())
+            points.append(self._round())
+        return self._arrays(points), points, changed, pw
 
     def copy(self) -> "TallyPartial":
-        return deepcopy(self)
+        return TallyPartial(self.q, self.lo, self.hi, list(self.counts),
+                            {n: list(s) for n, s in self.sums.items()})
 
     def to_state(self) -> dict:
         """The exact sums as the sidecar's JSON "state" (format 3)."""
@@ -622,43 +734,49 @@ class _RowWriter:
     Keeps the previous row's text of each class block (n, invsqrt, theta
     and psi of one class) and of the character section (per character:
     invsqrt, mertens, eulerlog, each as re, im), and formats again only
-    what changed: the class blocks of the slots in changed, and the
+    what changed: the class blocks of the slots a point changed, and the
     character section when any of its three arrays is not the previous
-    row's.  TallyPartial.totals() hands every snapshot the same arrays for
+    row's.  TallyPartial hands every point the previous point's arrays for
     a field that nothing was folded into, so no values are compared.
     """
 
-    def __init__(self):
-        self.chars: tuple = ()  # the previous row's character arrays
-        self.blocks: list[str] = []
+    def __init__(self, nclass: int):
+        self.chars = (None,) * len(_CHAR_FIELDS)  # the previous row's character arrays
+        self.blocks = [""] * nclass
         self.text = ""
 
-    def line(self, x: float, y: float, row: Mapping[str, np.ndarray], changed: Collection[int]) -> str:
-        """The row at x, y of row's fields; changed holds the class slots that may differ from the last."""
-        first = not self.chars
-        if first:
-            self.blocks = [""] * len(row["counts"])
-            changed = range(len(self.blocks))
-        if changed:
-            n, s, t, p = (row[f].tolist() for f in ("counts", "invsqrt", "theta", "psi"))
-            for i in changed:
+    def lines(self, xs, ys, points, arrays, changed) -> str:
+        """The rows at xs, ys.
+
+        points[j] maps counts, invsqrt, theta and psi to point j's values,
+        arrays maps each character field to its array at every point, and
+        changed[j] holds the class slots that may differ from the row
+        before, every slot for a writer's first row.  xs is not empty.
+        """
+        fields = [arrays[f"char_{f}"] for f in _CHAR_FIELDS]
+        # every point's character cells, in one tolist
+        cells = np.stack(fields, axis=2).view(np.float64).reshape(len(xs), -1).tolist()
+        out = []
+        for j, (x, y, pt, slots) in enumerate(zip(xs, ys, points, changed)):
+            chars = tuple(a[j] for a in fields)
+            n, s, t, p = (pt[f] for f in ("counts", "invsqrt", "theta", "psi"))
+            for i in slots:
                 self.blocks[i] = f"{n[i]},{s[i]!r},{t[i]!r},{p[i]!r}"
-        chars = tuple(row[f"char_{f}"] for f in _CHAR_FIELDS)
-        if first or any(a is not b for a, b in zip(chars, self.chars)):
-            cells = np.stack(chars, axis=1).view(np.float64).ravel().tolist()
-            self.text = ",".join(["", *map(repr, cells)])
-        self.chars = chars
-        return f"{x!r},{y!r},{','.join(self.blocks)}{self.text}\n"
+            if any(a is not b for a, b in zip(chars, self.chars)):
+                self.text = ",".join(["", *map(repr, cells[j])])
+            self.chars = chars
+            out.append(f"{x!r},{y!r},{','.join(self.blocks)}{self.text}\n")
+        return "".join(out)
 
 
 def write_series_csv(series: CheckpointSeries, path: str | Path) -> None:
-    path = Path(path)
-    rows = _RowWriter()
+    rows = _RowWriter(len(series.units))
     with open(path, "w") as fh:
         fh.write(",".join(_csv_columns(series.units, series.char_labels)) + "\n")
-        for j, (x, y) in enumerate(zip(series.x, series.y)):
-            row = {f: entries[j] for f, entries in series.fields.items()}
-            fh.write(rows.line(x, y, row, range(len(series.units))))
+        for j, (x, y) in enumerate(zip(series.x, series.y)):  # one row at a time
+            arrays = {f: [entries[j]] for f, entries in series.fields.items()}
+            point = {f: arrays[f][0].tolist() for f in ("counts", "invsqrt", "theta", "psi")}
+            fh.write(rows.lines([x], [y], [point], arrays, [range(len(series.units))]))
 
 
 def read_series_csv(path: str | Path) -> CheckpointSeries:
@@ -698,10 +816,7 @@ def read_series_csv(path: str | Path) -> CheckpointSeries:
     for table in fields.values():
         table.flags.writeable = False
     ys = data[:, 1]
-    if len(ys) > 1:
-        h = float((ys[-1] - ys[0]) / (len(ys) - 1))
-    else:
-        h = 0.01
+    h = float((ys[-1] - ys[0]) / (len(ys) - 1)) if len(ys) > 1 else 0.01
     grid = CheckpointGrid(h=h, n=max(len(ys), 1))
     return CheckpointSeries(q, grid, units, char_labels, data[:, 0].tolist(), ys.tolist(), fields)
 
@@ -737,10 +852,12 @@ def accumulate(
     """Single pass over the primes, snapshotting the tally at every grid point.
 
     The segmented sieve drives the pass, optionally with a worker pool whose
-    size never changes the output.  Each segment's chunks (split at grid
-    points) fold into one TallyPartial, and the series takes its totals at
-    every grid point: the read-only arrays totals() returned, shared by
-    consecutive points that nothing was folded into.  race = (a, b), two
+    size never changes the output.  Each worker reuses one _Scratch for the
+    whole run, dropped when this returns.  Each segment's chunks (split at
+    grid points) fold into one TallyPartial, and the series takes its totals
+    at every grid point, a batch of points at a time (TallyPartial.snapshots):
+    read-only arrays, shared by consecutive points that nothing was folded
+    into.  race = (a, b), two
     distinct unit classes mod q, adds the race's RaceSummary over the primes
     below x_hi.  Each worker returns its segment's race terms and the fold
     takes one np.cumsum per segment, seeded with the totals carried from the
@@ -750,8 +867,8 @@ def accumulate(
     persist writes the checkpoint CSV plus a JSON sidecar as the run goes,
     with the summary of the race, keyed by its reduced classes: format 3
     while the run is partial, and format 2 once it is complete, since a
-    complete sidecar holds no state.  Each snapshot writes its CSV row at
-    once; the sidecar, written every _FLUSH_EVERY segments and at the end,
+    complete sidecar holds no state.  Each batch of snapshots writes its CSV
+    rows at once; the sidecar, written every _FLUSH_EVERY segments and at the end,
     counts the rows written so far, and a resume drops any row past that
     count.  resume=True continues a previously interrupted persisted run
     from the sidecar's state, after the rows read back from the CSV, or
@@ -792,12 +909,11 @@ def accumulate(
         """The grid points in [a, b)."""
         return grid_x[np.searchsorted(grid_x, a, side="left"):np.searchsorted(grid_x, b, side="left")]
 
-    def race_job(a: int, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        primes = sieve_segment(a, b, base)
-        return _race_terms(primes, primes % q, race, boundaries(a, b))
+    scratch = _Scratch(threads <= 1)
 
-    def race_summary() -> RaceSummary | None:
-        return race_fold.summary(grid_x) if race_fold is not None else None
+    def job(a: int, b: int) -> tuple:
+        primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))
+        return _segment_partial(primes, a, b, boundaries(a, b), layout, scratch, race)
 
     if resume:
         if csv_path is None:
@@ -821,7 +937,7 @@ def accumulate(
             race_fold = _RaceFold.from_state(meta["races"][race_key])
         elif race is not None:
             base = simple_sieve(math.isqrt(x_hi - 1))
-            for terms in ordered_map(race_job, bounds[:start_idx], threads):
+            for _part, terms in ordered_map(job, bounds[:start_idx], threads):
                 race_fold.fold(terms)
         if meta["complete"]:
             stored = read_series_csv(csv_path)
@@ -835,7 +951,7 @@ def accumulate(
                 meta.setdefault("races", {})[race_key] = race_fold.to_state()
                 _write_sidecar(meta_path, meta)
             series.x, series.y, series.fields = stored.x, stored.y, stored.fields
-            return TallyResult(series=series, race=race_summary(), completed=True, x_hi=x_hi)
+            return TallyResult(series, race_fold and race_fold.summary(grid_x), True, x_hi)
         state = TallyPartial.from_state(meta["state"], q)
         next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
         _truncate_csv(csv_path, int(meta["rows_written"]))
@@ -849,31 +965,8 @@ def accumulate(
         base = simple_sieve(math.isqrt(x_hi - 1))
     powers = _power_terms(layout, 2, x_hi)
 
-    def job(a: int, b: int) -> tuple[_SegmentPartial, tuple | None]:
-        primes = sieve_segment(a, b, base)
-        residues = primes % q
-        cuts = boundaries(a, b)
-        # the race terms are built once the reduction's temporaries are freed
-        part = _segment_partial(primes, a, b, cuts, layout, residues)
-        return part, _race_terms(primes, residues, race, cuts) if race is not None else None
-
-    rows = _RowWriter()
-
-    def snapshot() -> None:
-        """Snapshot the next grid point and, when persisting, write its row."""
-        nonlocal next_j, pw_ptr
-        x = float(grid_x[next_j])
-        pw_ptr = state.fold_powers(powers, pw_ptr, x)
-        y = float(LOG2 + grid.h * next_j)
-        changed = state.stale_classes()
-        row = state.totals()
-        series.x.append(x)
-        series.y.append(y)
-        for f, entries in series.fields.items():
-            entries.append(row[f])
-        if csv is not None:
-            csv.write(rows.line(x, y, row, changed))
-        next_j += 1
+    rows = _RowWriter(layout.nclass)  # the first point changes every class: nothing was rounded yet
+    batch = max(1, _BATCH_CELLS // (4 * layout.nclass + 6 * layout.nchar))
 
     def flush(done_idx: int, complete: bool) -> None:
         csv.flush()  # every row the sidecar counts is in the file first
@@ -895,28 +988,35 @@ def accumulate(
     if max_segments is not None:
         todo = todo[: max(0, max_segments)]
     done_idx = start_idx
-    since_flush = 0
     with open(csv_path, "a") if csv_path is not None else nullcontext() as csv:
         for part, terms in ordered_map(job, todo, threads):
             if race_fold is not None:
                 race_fold.fold(terms)
-                terms = None  # freed before the next segment is sieved
-            for c in range(part.nchunks):
-                state.fold(part, c)
-                if c < part.nchunks - 1:
-                    snapshot()
+            # the segment's grid points, which end all chunks but the last,
+            # are snapshotted and written a batch of rows at a time
+            ends = grid_x[next_j:next_j + part.nchunks - 1].tolist()
+            for c in range(0, len(ends), batch):
+                xs = ends[c:c + batch]
+                ys = [LOG2 + grid.h * j for j in range(next_j, next_j + len(xs))]
+                arrays, points, changed, pw_ptr = state.snapshots(part, c, xs, powers, pw_ptr)
+                series.x += xs
+                series.y += ys
+                for f, entries in series.fields.items():
+                    entries += arrays[f]
+                if csv is not None:
+                    csv.write(rows.lines(xs, ys, points, arrays, changed))
+                next_j += len(xs)
+            state.fold(part, len(ends))
             done_idx += 1
-            since_flush += 1
-            if csv is not None and since_flush >= _FLUSH_EVERY:
+            if csv is not None and (done_idx - start_idx) % _FLUSH_EVERY == 0:
                 flush(done_idx, complete=False)
-                since_flush = 0
 
         # the segments tile [2, x_hi), which holds every grid point, so a
         # completed run has snapshotted them all
         completed = done_idx == len(bounds)
         if csv is not None:
             flush(done_idx, complete=completed)
-    return TallyResult(series=series, race=race_summary(), completed=completed, x_hi=x_hi)
+    return TallyResult(series, race_fold and race_fold.summary(grid_x), completed, x_hi)
 
 
 def _truncate_csv(csv_path: Path, rows: int) -> None:
@@ -950,11 +1050,11 @@ def range_partial(
     base = simple_sieve(math.isqrt(hi - 1))
     powers = _power_terms(layout, lo, hi)
     pw_ptr = 0
-    none = np.empty(0, dtype=np.float64)
+    scratch = _Scratch(threads <= 1)
 
     def job(a: int, b: int) -> _SegmentPartial:
-        primes = sieve_segment(a, b, base)
-        return _segment_partial(primes, a, b, none, layout, primes % q)
+        primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))
+        return _segment_partial(primes, a, b, np.empty(0), layout, scratch)[0]
 
     for part in ordered_map(job, bounds, threads):
         out.fold(part, 0)

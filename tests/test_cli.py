@@ -92,7 +92,7 @@ class TestConfigFile:
             a = 2
             b = 3
             xmax = 2000      # inline comment
-            grid-h = 0.02
+            grid-h = 0.005
             raw = true
             T = 10,20
             mchi = 5.1=1, 5.2=0
@@ -100,7 +100,7 @@ class TestConfigFile:
         cfg = config_of(["bias", "--config", path])
         assert (cfg.q, cfg.a, cfg.b) == (5, 2, 3)
         assert cfg.x_max == 2000.0
-        assert cfg.h == 0.02
+        assert cfg.h == 0.005
         assert cfg.finite_size is False
         assert cfg.T_values == (10.0, 20.0)
         assert cfg.mchi == {"5.1": 1, "5.2": 0}
@@ -212,6 +212,37 @@ class TestUsageExits:
         assert main(argv) == 2
         assert fragment in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["bias", "--xmax", "100"], "fit window holds 98 points; need at least 100"),
+        (["mean", "--xmax", "104"], "fit window holds 99 points; need at least 100"),
+        (["bias", "--xmax", "1e4", "--grid-h", "0.1", "--tail-fraction", "0.5"],
+         "fit window holds 43 points"),
+        (["bias", "--xmax", "115"], "calibration window is empty"),
+    ], ids=["bias", "mean", "coarse-grid", "calibration"])
+    def test_grid_too_short_for_the_fits_is_refused_before_the_tally(self, argv, fragment, tmp_path,
+                                                                     monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("sieved before the grid was checked")
+
+        monkeypatch.setattr(tally, "sieve_segment", never)
+        argv = argv + ["--out", str(tmp_path)]
+        assert main(argv + ["--dry-run"]) == 2
+        assert fragment in capsys.readouterr().err
+        assert main(argv) == 2
+        assert fragment in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["bias", "--xmax", "120"],
+        ["bias", "--xmax", "110", "--K", "3"],
+        ["mean", "--xmax", "105"],
+    ], ids=["bias", "bias-K", "mean"])
+    def test_shortest_grids_the_fits_take_run(self, argv, tmp_path):
+        # the smallest grids validate admits run to the end: mean's fit
+        # window holds 100 points at 105, and bias calibrates K from 120
+        # unless --K is given
+        assert main(argv + ["--out", str(tmp_path)]) == 0
 
 
 class TestReportConfig:
@@ -395,6 +426,14 @@ class TestReportCsv:
         assert len(self.written(tmp_path, [np.arange(5), np.arange(0.0)])) == 1
         assert self.written(tmp_path, []) == [""]
 
+    def test_text_columns_are_written_as_they_are(self, tmp_path):
+        # cmd_delta formats the grid's x and y once for its two reports
+        n = cli._CSV_BLOCK + 3
+        x = np.geomspace(2.0, 1e8, n)
+        text = np.array(list(cli._column_text(x)))
+        path = cli._Emitter(str(tmp_path)).csv("t.csv", ["x", "y"], [text, x])
+        assert path.read_text().splitlines()[1:] == [f"{v!r},{v!r}" for v in x.tolist()]
+
 
 class TestFailureCleanup:
     def test_reports_removed_checkpoints_kept(self, tmp_path, monkeypatch, capsys):
@@ -435,6 +474,14 @@ class TestEulerCommand:
 
     def test_mchi_override_recorded(self, tmp_path):
         rc = main(["euler", "--xmax", "1000", "--mchi", "4.1=1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "euler_fit.json").read_text())
+        assert doc["m_chi"] == 1
+
+    def test_mchi_label_read_as_bias_reads_it(self, tmp_path):
+        # 4.01 is character index 1, as characters._normalize_orders parses it
+        rc = main(["euler", "--xmax", "1000", "--mchi", "4.01=1",
                    "--out", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "euler_fit.json").read_text())

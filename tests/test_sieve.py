@@ -137,3 +137,51 @@ class TestPrimePowers:
         assert got == oracles.prime_powers_upto(5000)
         vals = [v for v, _p, _k in got]
         assert vals == sorted(vals)
+
+
+def plain_segment(a, b):
+    """Primes in [a, b), crossing off every prime up to sqrt(b - 1) on a mask of all integers."""
+    is_prime = np.ones(b - a, dtype=bool)
+    is_prime[:max(0, 2 - a)] = False
+    for p in simple_sieve(math.isqrt(b - 1)).tolist():
+        is_prime[max(p * p, -(-a // p) * p) - a::p] = False
+    return a + np.flatnonzero(is_prime)
+
+
+class TestPreSieve:
+    """sieve_segment starts from the 3*5*7*11*13 pattern, whose period is 15015 odds."""
+
+    PRIMES = simple_sieve(39_999)
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["one-mask", "fresh-masks"])
+    @pytest.mark.parametrize("segment_odds", [1, 2, 7, 64, 7507, 15015, 15016, DEFAULT_SEGMENT_ODDS])
+    def test_every_segment_matches_the_plain_sieve(self, segment_odds, reuse):
+        # narrow segments hold 3..13 one at a time, 7507 starts every other
+        # segment mid-period, and 15016 is one odd wider than the period;
+        # a reused mask keeps the previous segment's entries past its end
+        base = simple_sieve(200)
+        mask = np.empty(segment_odds, dtype=bool) if reuse else None
+        for a, b in segment_bounds(2, 40_000, segment_odds):
+            got = sieve_segment(a, b, base, mask)
+            want = self.PRIMES[(self.PRIMES >= a) & (self.PRIMES < b)]
+            assert got.dtype == np.int64 and np.array_equal(got, want), (a, b)
+
+    def test_short_mask_is_not_used(self):
+        # a mask shorter than the segment is left alone, and one is allocated
+        mask = np.ones(5, dtype=bool)
+        got = sieve_segment(2, 1000, simple_sieve(40), mask)
+        assert np.array_equal(got, self.PRIMES[self.PRIMES < 1000])
+        assert mask.all()
+
+    @pytest.mark.parametrize("k", [0, 1, 23, 46, 47])
+    def test_segments_near_ten_to_the_eight(self, k):
+        # segments of the tally's width, as accumulate cuts [2, 1e8 + 1); the
+        # last one is short
+        bounds = segment_bounds(2, 10**8 + 1, DEFAULT_SEGMENT_ODDS)
+        a, b = bounds[len(bounds) - 1 - k]
+        mask = np.empty(DEFAULT_SEGMENT_ODDS, dtype=bool)
+        got = sieve_segment(a, b, simple_sieve(10**4), mask)
+        assert np.array_equal(got, plain_segment(a, b))
+        rng = np.random.default_rng(k)
+        for p in rng.choice(got, size=5, replace=False).tolist():
+            assert oracles.is_prime(p)

@@ -31,8 +31,9 @@ from primerace.tally import (
     write_series_csv,
     _Layout,
     _RaceFold,
+    _Scratch,
+    _SegmentPartial,
     _power_terms,
-    _race_terms,
     _segment_partial,
 )
 
@@ -559,23 +560,27 @@ def assert_same_totals(a, b):
 SEGMENT_FIELDS = ("counts", "invsqrt", "theta", "invp", "char_eulerlog")
 
 
-def assert_segment_matches_reference(primes, lo, hi, boundaries, q):
+def assert_segment_matches_reference(primes, lo, hi, boundaries, q, scratch=None):
     """Bit for bit, -0.0 included, against the loop-per-character reduction."""
     layout = _Layout(q)
     race = (layout.units[1], layout.units[0])
-    got = _segment_partial(primes, lo, hi, boundaries, layout, primes % q)
+    got, (p, terms, cut) = _segment_partial(primes, lo, hi, boundaries, layout,
+                                            scratch or _Scratch(True), race)
     want = reference_segment_partial(primes, boundaries, layout, race)
     for name in SEGMENT_FIELDS:
         a, b = getattr(got, name), want[name]
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
-    # the race terms: the segment's race stream and w*p behind the carry slot
-    p, terms, cut = _race_terms(primes, primes % q, race, boundaries)
+    # the race terms: every prime of the segment, w and w*p behind the carry
+    # slot, each +0.0 off the race classes
     pos, w = want["race"]
-    assert np.array_equal(p, pos)
-    assert np.array_equal(terms[0, 1:].view(np.uint64), w.view(np.uint64))
-    assert np.array_equal(terms[1, 1:].view(np.uint64), (w * pos).view(np.uint64))
-    assert np.array_equal(cut, np.searchsorted(pos, boundaries, side="right"))
+    on = np.isin(primes, pos)
+    assert np.array_equal(p, primes)
+    assert terms.shape == (2, len(primes) + 1)
+    assert np.array_equal(terms[0, 1:][on].view(np.uint64), w.view(np.uint64))
+    assert np.array_equal(terms[1, 1:][on].view(np.uint64), (w * pos).view(np.uint64))
+    assert not np.any(terms[:, 1:][:, ~on].view(np.uint64))
+    assert np.array_equal(cut, np.searchsorted(primes, boundaries, side="right"))
     return got
 
 
@@ -610,7 +615,7 @@ class TestSegmentReduction:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            part = _segment_partial(primes, lo, hi, np.empty(0), layout, primes % 420)
+            part, _ = _segment_partial(primes, lo, hi, np.empty(0), layout, _Scratch(True))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -646,6 +651,90 @@ class TestSegmentReduction:
         boundaries = np.array(sorted(cuts), dtype=np.float64)
         primes = sieve_segment(lo, hi, simple_sieve(math.isqrt(hi) + 1))
         assert_segment_matches_reference(primes, lo, hi, boundaries, q)
+
+
+def growing_bounds(lo, hi, segment_odds):
+    """Segments of [lo, hi) 2, 4, 8, ... integers wide: each holds more primes than the one before."""
+    out, width = [], 2
+    while lo < hi:
+        out.append((lo, min(lo + width, hi)))
+        lo, width = lo + width, 2 * width
+    return out
+
+
+class TestScratchReuse:
+    """Every worker reuses one scratch from segment to segment, growing it as needed.
+
+    No entry a segment leaves in it may reach the next segment's sums, its
+    race terms or another modulus's, and a job's race terms must outlive the
+    jobs a pool runs ahead of the fold.
+    """
+
+    @pytest.mark.parametrize("q, a, b", [(4, 3, 1), (24, 5, 1), (105, 2, 1), (105, 4, 104)])
+    def test_race_tally_over_growing_segments(self, tmp_path, monkeypatch, q, a, b):
+        monkeypatch.setattr(tally, "segment_bounds", growing_bounds)
+        x_hi = 60_000
+        grid = CheckpointGrid.from_xmax(x_hi - 1, h=0.02)
+        assert len(growing_bounds(2, x_hi, 0)) == 15
+        runs = [accumulate(grid, q, x_hi=x_hi, threads=threads, race=(a, b), persist=tmp_path / f"{threads}.csv")
+                for threads in (1, 2, 3)]
+        # snapshots taken one to three grid points at a time give the same arrays
+        monkeypatch.setattr(tally, "_BATCH_CELLS", 50)
+        runs.append(accumulate(grid, q, x_hi=x_hi, race=(a, b), persist=tmp_path / "batch.csv"))
+        want = oracle_summary(x_hi, q, a, b, grid.x)
+        for run in runs:
+            assert run.completed
+            assert_same_summary(run.race, want)
+            for name in ALL_ARRAYS:
+                got, first = matrix(run.series, name), matrix(runs[0].series, name)
+                assert np.array_equal(got.view(np.uint64), first.view(np.uint64)), name
+        text = oracle_csv(runs[0].series)
+        for name in ("1", "2", "3", "batch"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == text
+
+    def test_one_scratch_across_moduli_and_sizes(self):
+        # segments of growing and falling prime count, mod 4, 105, 4 and 12
+        # in turn, all through one scratch, each against the oracle
+        scratch = _Scratch(True)
+        base = simple_sieve(1200)
+        for q, lo, hi in [(4, 1_000_001, 1_001_001), (105, 1_000_001, 1_200_001), (4, 2, 3000),
+                          (12, 1_100_001, 1_400_001), (105, 5, 400), (4, 1_000_001, 1_000_101)]:
+            primes = sieve_segment(lo, hi, base, scratch.get("mask", (hi - lo) // 2 + 1))
+            boundaries = primes[::97].astype(np.float64) + 0.5
+            assert_segment_matches_reference(primes, lo, hi, boundaries, q, scratch)
+
+    def test_moduli_in_turn_in_one_process(self):
+        grid = CheckpointGrid.from_xmax(30_000, h=0.02)
+        first = accumulate(grid, 4, segment_odds=2048, race=(3, 1))
+        other = accumulate(grid, 105, segment_odds=2048, race=(2, 1))
+        again = accumulate(grid, 4, segment_odds=2048, race=(3, 1))
+        assert_same_summary(other.race, oracle_summary(other.x_hi, 105, 2, 1, grid.x))
+        assert_same_summary(again.race, first.race)
+        assert oracle_csv(again.series) == oracle_csv(first.series)
+        for name in ALL_ARRAYS:
+            assert np.array_equal(matrix(again.series, name).view(np.uint64),
+                                  matrix(first.series, name).view(np.uint64)), name
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_range_partials_and_merge_match_the_oracle(self, threads):
+        # each segment reduced by the loop-per-character oracle and folded
+        # exactly; the split sits on a segment boundary
+        q, hi, odds = 105, 150_000, 4096
+        layout = _Layout(q)
+        want = TallyPartial.empty(q)
+        base = simple_sieve(math.isqrt(hi))
+        for lo, b in segment_bounds(2, hi, odds):
+            ref = reference_segment_partial(sieve_segment(lo, b, base), np.empty(0), layout)
+            want.fold(_SegmentPartial(lo, b, 1, *(ref[f] for f in SEGMENT_FIELDS)), 0)
+        want.fold_powers(_power_terms(layout, 2, hi), 0, hi)
+        m = 2 + 7 * 2 * odds
+        for got in (range_partial(2, hi, q, segment_odds=odds, threads=threads),
+                    merge(range_partial(2, m, q, segment_odds=odds, threads=threads),
+                          range_partial(m, hi, q, segment_odds=odds, threads=threads))):
+            assert (got.lo, got.hi) == (2, hi)
+            assert got.counts == want.counts
+            for name, arr in want.totals().items():
+                assert np.array_equal(got.totals()[name].view(np.uint64), arr.view(np.uint64)), name
 
 
 class TestTallyState:
@@ -684,7 +773,7 @@ class TestTallyState:
         for lo, hi in ((2, 2050), (2050, 10_001)):
             primes = sieve_segment(lo, hi, simple_sieve(200))
             x = grid.x[(grid.x >= lo) & (grid.x < hi)]
-            part = _segment_partial(primes, lo, hi, x, layout, primes % q)
+            part, _ = _segment_partial(primes, lo, hi, x, layout, _Scratch(True))
             for c, end in enumerate([*x, hi - 1]):
                 state.fold(part, c)
                 pw = state.fold_powers(powers, pw, end)
