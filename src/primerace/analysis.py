@@ -164,6 +164,9 @@ def delta_exact(ckpts: CheckpointSeries, t: ClassFunction | Character, M) -> Sam
     return SampleSeries(ckpts.grid, vals, kind="delta-exact")
 
 
+_ZERO_SUM_ROWS = 128  # grid rows per block of delta_zero_sum's e^(iy gamma) table
+
+
 def delta_zero_sum(
     grid: CheckpointGrid,
     zeros: Sequence[ExpandedZero],
@@ -181,8 +184,17 @@ def delta_zero_sum(
     down, and the table of the last chunk computed is kept: a chunk whose
     zeros all lie in it takes a copy of their columns instead of computing
     e^(iy gamma) again.  With at most 1024 zeros below the largest height,
-    each e^(iy gamma) is thus computed once for all heights, and no more
-    than one chunk's table and one such copy are held at a time.
+    each e^(iy gamma) is thus computed once for all heights.
+
+    The grid is taken _ZERO_SUM_ROWS rows at a time, and each block runs the
+    chunks above over its own rows only, into one real and one complex buffer
+    that every block reuses (np.outer, the 1j product and an in-place np.exp,
+    all with out=), so the tables never span the grid.  A row's value does
+    not depend on the block it sits in, with one exception: a product over
+    one or two rows can round differently from the same rows inside a larger
+    table (BLAS takes another path there), so a remainder of fewer than 3
+    rows joins the block before it, and only a grid that short is one
+    smaller block.
     """
     height = max((abs(z.gamma) for z in zeros), default=0.0)
     single = T is None or np.ndim(T) == 0
@@ -192,24 +204,41 @@ def delta_zero_sum(
             warnings.warn(f"requested height {T} exceeds the dataset's {height}; "
                           f"the sum is truncated at what is available",
                           TruncationWarning, stacklevel=2)
-    y = grid.y
     gam = np.array([z.gamma for z in zeros], dtype=np.float64)
     coef = np.array([z.coefficient / z.rho for z in zeros], dtype=np.complex128)
-    kept, table = np.empty(0, dtype=np.intp), None  # the last chunk's zeros and table
-    out: list[SampleSeries] = [None] * len(heights)
+    # per chunk: its height's slot, the ordinates of a table to compute (None:
+    # reuse the last one), the columns to take from it (None: all) and the
+    # coefficients
+    plan, kept = [], np.empty(0, dtype=np.intp)
     for i in sorted(range(len(heights)), key=heights.__getitem__, reverse=True):
         selected = np.flatnonzero(np.abs(gam) <= heights[i])
-        total = np.zeros(grid.n, dtype=np.complex128)
         for start in range(0, len(selected), 1024):
             chunk = selected[start:start + 1024]
-            if not np.isin(chunk, kept).all():
-                table = None  # freed before the next one is built
-                kept, table = chunk, np.exp(1j * np.outer(y, gam[chunk]))
-            if len(chunk) == len(kept):
-                total += table @ coef[chunk]
-            else:
-                total += np.take(table, np.searchsorted(kept, chunk), axis=1) @ coef[chunk]
-        out[i] = SampleSeries(grid, -total, kind="delta-zerosum")
+            fresh = not np.isin(chunk, kept).all()
+            if fresh:
+                kept = chunk
+            plan.append((i, gam[chunk] if fresh else None,
+                         None if len(chunk) == len(kept) else np.searchsorted(kept, chunk),
+                         coef[chunk]))
+    edges = list(range(0, grid.n, _ZERO_SUM_ROWS)) + [grid.n]
+    if len(edges) > 2 and edges[-1] - edges[-2] < 3:
+        del edges[-2]
+    blocks = list(zip(edges, edges[1:]))
+    size = (max((hi - lo for lo, hi in blocks), default=0)
+            * max((len(g) for _, g, _, _ in plan if g is not None), default=0))
+    phase, table = np.empty(size), np.empty(size, dtype=np.complex128)
+    y = grid.y
+    totals = [np.zeros(grid.n, dtype=np.complex128) for _ in heights]
+    for lo, hi in blocks:
+        for i, g, cols, c in plan:
+            if g is not None:
+                k = (hi - lo) * len(g)
+                re, tab = phase[:k].reshape(hi - lo, -1), table[:k].reshape(hi - lo, -1)
+                np.outer(y[lo:hi], g, out=re)
+                np.multiply(1j, re, out=tab)
+                np.exp(tab, out=tab)
+            totals[i][lo:hi] += (tab if cols is None else np.take(tab, cols, axis=1)) @ c
+    out = [SampleSeries(grid, -t, kind="delta-zerosum") for t in totals]
     return out[0] if single else out
 
 

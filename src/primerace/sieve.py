@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
@@ -130,12 +129,15 @@ def ordered_map(fn, jobs: Sequence[tuple], threads: int) -> Iterator:
     """Map fn over argument tuples on a worker pool, yielding results in job order.
 
     At most threads + 2 jobs are in flight, so memory stays bounded however
-    long the job list is.
+    long the job list is.  concurrent.futures is imported only here, when a
+    pool is used: importing it costs about 10 ms, which every run would pay.
     """
     if threads <= 1 or len(jobs) <= 1:
         for job in jobs:
             yield fn(*job)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         it = iter(jobs)
         pending = deque(pool.submit(fn, *job) for job in islice(it, threads + 2))

@@ -64,7 +64,10 @@ every race prime at once, bit for bit, whatever the segment width or the
 thread count, and no stream of race primes is ever held.  With one worker
 the race terms live in the scratch block, which the fold has consumed
 before the next segment is reduced; a pool's jobs run ahead of the fold,
-so there each job's race terms are a fresh array.  The summary is
+so there each job cuts its race terms from a buffer on a free list that
+the fold refills once it has used them, and at most threads + 3 such
+buffers exist: threads + 2 jobs in flight and the one being folded.  The
+summary is
 persisted in the sidecar, so a resumed run never sieves again for a race
 it recorded.
 """
@@ -145,7 +148,7 @@ class CheckpointGrid:
     def from_xmax(cls, x_max: float, h: float = 0.01) -> "CheckpointGrid":
         if x_max < 2:
             raise ValueError(f"x_max must be at least 2, got {x_max}")
-        n = int(math.floor((math.log(x_max) - LOG2) / h + 1e-12)) + 1
+        n = math.floor((math.log(x_max) - LOG2) / h + 1e-12) + 1
         return cls(h=h, n=n)
 
     @property
@@ -220,13 +223,17 @@ class _Scratch(threading.local):
     mask takes the sieve and then the reduction's class selections; flat,
     one float64 block, holds every per-prime array of _segment_partial.
     Both grow to the largest segment seen.  As a threading.local, it gives
-    each worker thread of a pool its own buffers.  own_race: the race terms
-    a job returns may live in flat too, which holds only when jobs run one
-    at a time, so that the fold consumes them before the next job.
+    each worker thread of a pool its own buffers.  spare is None when jobs
+    run one at a time, so that the fold consumes a job's race terms before
+    the next job and they may live in flat.  Under a pool it is the free
+    list, shared by every thread, of the race-term buffers the fold is done
+    with: a job takes one and allocates a fresh one in its place when it is
+    too short.  The list starts with one empty buffer for each job that can
+    be in flight or folding, so it is never found empty.
     """
 
-    def __init__(self, own_race: bool):
-        self.own_race = own_race
+    def __init__(self, spare: list | None):
+        self.spare = spare
         self.mask = np.empty(0, dtype=bool)
         self.flat = np.empty(0)
 
@@ -260,8 +267,8 @@ def _segment_partial(
     Every per-prime array is written with out= into scratch's flat block:
     the residues, the float primes and 1/sqrt(p) first, then one class's
     terms at a time and, after the reduction, the race terms, which take
-    w and w*p from the same 1/sqrt(p) and float primes (into a fresh array
-    unless scratch.own_race).
+    w and w*p from the same 1/sqrt(p) and float primes (into a buffer of
+    scratch.spare instead, when that is a list).
     Reduction contract: every chunk value is one pairwise np.sum over a
     slice of one C-contiguous row of per-prime terms, and a chunk's Euler-log
     value adds the per-class values in class order.  The terms are built per
@@ -287,9 +294,10 @@ def _segment_partial(
     res *= -layout.q
     res += primes
     sizes = np.bincount(res, minlength=layout.q)[list(units)].tolist()
-    # rows per class: invsqrt, theta, invp, the real and (as two) the complex Euler-log rows
+    # rows per class: invsqrt, theta, invp, the real and (as two) the complex
+    # Euler-log rows; then the race terms, unless a pool's free list holds them
     need = max([(3 + len(r) + 2 * len(z)) * k for (r, _, _, z), k in zip(layout.euler_rows, sizes)]
-               + [2 * n + 2 if race else 0])
+               + [2 * n + 2 if race and scratch.spare is None else 0])
     flat = scratch.get("flat", 3 * n + need, keep=n)
     res, pf, s, work = flat[:n].view(np.int64), flat[n:2 * n], flat[2 * n:3 * n], flat[3 * n:]
     pf[:] = primes
@@ -332,7 +340,10 @@ def _segment_partial(
     part = _SegmentPartial(lo, hi, nch, counts, invsqrt, theta, invp, ch_eul)
     if race is None:
         return part, None
-    terms = work[:2 * n + 2].reshape(2, -1) if scratch.own_race else np.empty((2, n + 1))
+    buf = work if scratch.spare is None else scratch.spare.pop()
+    if len(buf) < 2 * n + 2:
+        buf = np.empty(2 * n + 2)
+    terms = buf[:2 * n + 2].reshape(2, -1)
     w, wp = terms[:, 1:]
     sign = np.zeros(layout.q)
     sign[list(race)] = 1.0, -1.0
@@ -884,7 +895,7 @@ def accumulate(
     """
     layout = _layout(q)
     if x_hi is None:
-        x_hi = int(math.floor(grid.x_max)) + 1
+        x_hi = math.floor(grid.x_max) + 1
     if grid.x_max >= x_hi:
         raise ValueError(
             f"grid reaches x={grid.x_max:.3f}; the sieved range must extend strictly past it, got {x_hi}"
@@ -896,7 +907,7 @@ def accumulate(
     grid_x = grid.x
     bounds = segment_bounds(2, x_hi, segment_odds)
     csv_path = Path(persist) if persist is not None else None
-    meta_path = _sidecar_path(csv_path) if csv_path is not None else None
+    meta_path = csv_path and _sidecar_path(csv_path)
     state = TallyPartial.empty(q)
     race_fold = _RaceFold() if race is not None else None
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
@@ -905,15 +916,24 @@ def accumulate(
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, [], [], {f: [] for f in _ROW_FIELDS})
     base = None  # the sieving primes, found only once a segment must be sieved
 
-    def boundaries(a: int, b: int) -> np.ndarray:
-        """The grid points in [a, b)."""
-        return grid_x[np.searchsorted(grid_x, a, side="left"):np.searchsorted(grid_x, b, side="left")]
-
-    scratch = _Scratch(threads <= 1)
+    # a pool's race-term buffers: one per job in flight (ordered_map holds
+    # threads + 2) and one for the job being folded, allocated at first use
+    spare = None if threads <= 1 else [np.empty(0)] * (threads + 3)
+    scratch = _Scratch(spare)
+    # the run's identity in its sidecar; race is deliberately absent: any
+    # race may be requested on resume, and one the sidecar did not record
+    # is folded again
+    ident = {"q": q, "h": grid.h, "n": grid.n, "segment_odds": segment_odds, "x_hi": x_hi}
 
     def job(a: int, b: int) -> tuple:
         primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))
-        return _segment_partial(primes, a, b, boundaries(a, b), layout, scratch, race)
+        inside = grid_x[np.searchsorted(grid_x, a):np.searchsorted(grid_x, b)]  # grid points in [a, b)
+        return _segment_partial(primes, a, b, inside, layout, scratch, race)
+
+    def fold_race(terms: tuple) -> None:
+        race_fold.fold(terms)
+        if spare is not None:
+            spare.append(terms[1].base)  # the buffer they were cut from, free again
 
     if resume:
         if csv_path is None:
@@ -922,14 +942,10 @@ def accumulate(
             raise ValueError(f"no sidecar at {meta_path} to resume from")
         with open(meta_path) as fh:
             meta = json.load(fh)
-        # race is deliberately absent here: any race may be requested on
-        # resume, and one the sidecar did not record is folded again
-        expect = {"q": q, "h": grid.h, "n": grid.n, "segment_odds": segment_odds,
-                  "x_hi": x_hi}
-        got = {k: meta.get(k) for k in expect}
-        if got != expect:
+        got = {k: meta.get(k) for k in ident}
+        if got != ident:
             raise ValueError(
-                f"persisted run does not match the requested configuration: {got} != {expect}"
+                f"persisted run does not match the requested configuration: {got} != {ident}"
             )
         start_idx = len(bounds) if meta["complete"] else int(meta["next_segment_index"])
         recorded = race is not None and race_key in meta.get("races", {})
@@ -938,9 +954,12 @@ def accumulate(
         elif race is not None:
             base = simple_sieve(math.isqrt(x_hi - 1))
             for _part, terms in ordered_map(job, bounds[:start_idx], threads):
-                race_fold.fold(terms)
+                fold_race(terms)
+        if not meta["complete"]:
+            _truncate_csv(csv_path, int(meta["rows_written"]))
+        stored = read_series_csv(csv_path)  # a partial run's snapshots append to its rows
+        series.x, series.y, series.fields = stored.x, stored.y, stored.fields
         if meta["complete"]:
-            stored = read_series_csv(csv_path)
             if not len(stored) == meta["rows_written"] == grid.n:
                 raise ValueError(
                     f"{csv_path} holds {len(stored)} rows, but its sidecar records "
@@ -950,13 +969,9 @@ def accumulate(
                 meta["format"] = 2
                 meta.setdefault("races", {})[race_key] = race_fold.to_state()
                 _write_sidecar(meta_path, meta)
-            series.x, series.y, series.fields = stored.x, stored.y, stored.fields
             return TallyResult(series, race_fold and race_fold.summary(grid_x), True, x_hi)
         state = TallyPartial.from_state(meta["state"], q)
         next_j, pw_ptr = int(meta["state"]["next_j"]), int(meta["state"]["pw_ptr"])
-        _truncate_csv(csv_path, int(meta["rows_written"]))
-        stored = read_series_csv(csv_path)  # the rows flushed before; snapshots append to them
-        series.x, series.y = stored.x, stored.y
         series.fields = {f: list(table) for f, table in stored.fields.items()}
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
@@ -973,8 +988,7 @@ def accumulate(
         next_lo = bounds[done_idx][0] if done_idx < len(bounds) else x_hi
         payload = {
             # format 3 changed only the state, which a complete sidecar omits
-            "format": 2 if complete else 3, "q": q, "h": grid.h, "n": grid.n,
-            "segment_odds": segment_odds, "x_hi": x_hi,
+            "format": 2 if complete else 3, **ident,
             "complete": complete, "next_segment_index": done_idx,
             "rows_written": len(series), "last_completed_prime": next_lo - 1,
         }
@@ -991,7 +1005,7 @@ def accumulate(
     with open(csv_path, "a") if csv_path is not None else nullcontext() as csv:
         for part, terms in ordered_map(job, todo, threads):
             if race_fold is not None:
-                race_fold.fold(terms)
+                fold_race(terms)
             # the segment's grid points, which end all chunks but the last,
             # are snapshotted and written a batch of rows at a time
             ends = grid_x[next_j:next_j + part.nchunks - 1].tolist()
@@ -1020,15 +1034,17 @@ def accumulate(
 
 
 def _truncate_csv(csv_path: Path, rows: int) -> None:
-    """Keep the header and the first rows data lines (crash cleanup)."""
-    with open(csv_path) as fh:
-        lines = fh.readlines()
-    want = 1 + rows
-    if len(lines) < want:
-        raise ValueError(f"{csv_path} holds fewer rows than the sidecar claims")
-    if len(lines) > want:
-        with open(csv_path, "w") as fh:
-            fh.writelines(lines[:want])
+    """Keep the header and the first rows data lines (crash cleanup).
+
+    Reads the file only up to the end of those lines and cuts it there; a
+    file with nothing past them is not written.
+    """
+    with open(csv_path, "rb+") as fh:
+        for _ in range(1 + rows):
+            if not fh.readline():
+                raise ValueError(f"{csv_path} holds fewer rows than the sidecar claims")
+        if fh.read(1):
+            fh.truncate(fh.tell() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +1066,7 @@ def range_partial(
     base = simple_sieve(math.isqrt(hi - 1))
     powers = _power_terms(layout, lo, hi)
     pw_ptr = 0
-    scratch = _Scratch(threads <= 1)
+    scratch = _Scratch(None)
 
     def job(a: int, b: int) -> _SegmentPartial:
         primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from primerace import analysis
 from primerace.analysis import (
     LI_TWO,
     DensityReport,
@@ -218,9 +219,7 @@ class TestDeltaZeroSumHeights:
     def test_lower_selections_that_are_not_prefixes(self):
         # more than one chunk of 1024 zeros, ordinates in no order, so the
         # zeros below a lower height are scattered through the list
-        rng = np.random.default_rng(14)
-        zeros = [ExpandedZero(coefficient=complex(*rng.normal(size=2)), gamma=float(g), label="x")
-                 for g in rng.uniform(-300.0, 300.0, 2600)]
+        zeros = scattered_zeros(2600)
         self.assert_as_single_calls(grid_to(8.0), zeros, (40.0, 150.0, 299.0, 300.0, 5.0, 150.0))
 
     def test_empty_list(self):
@@ -228,6 +227,55 @@ class TestDeltaZeroSumHeights:
         assert [np.all(s.values == 0) for s in got] == [True, True]
         self.assert_as_single_calls(grid_to(6.0), [], (10.0, 5.0))
         assert delta_zero_sum(grid_to(6.0), [], T=()) == []
+
+
+def scattered_zeros(count, seed=14):
+    """count zeros with random coefficients, ordinates in [-300, 300] in no order."""
+    rng = np.random.default_rng(seed)
+    return [ExpandedZero(coefficient=complex(*rng.normal(size=2)), gamma=float(g), label="x")
+            for g in rng.uniform(-300.0, 300.0, count)]
+
+
+class TestDeltaZeroSumBlocks:
+    """The grid is summed a block of rows at a time; no row's bits depend on its block."""
+
+    HEIGHTS = (40.0, 150.0, 299.0, 290.0, 5.0)
+
+    @pytest.mark.parametrize("rest", [1, 2, 3, 0])
+    def test_every_remainder_matches_the_full_table(self, monkeypatch, rest):
+        # blocks of 64 rows, so the last would hold rest rows (or 64); one or
+        # two rows join the block before, since a product over so few rows
+        # can round differently from the same rows inside a larger table
+        monkeypatch.setattr(analysis, "_ZERO_SUM_ROWS", 64)
+        grid = CheckpointGrid(h=0.01, n=7 * 64 + rest)
+        zeros = scattered_zeros(2600)
+        got = delta_zero_sum(grid, zeros, T=self.HEIGHTS)
+        for T, series in zip(self.HEIGHTS, got):
+            assert np.array_equal(series.values.view(np.float64),
+                                  zero_sum_loop(grid, zeros, T).view(np.float64)), T
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 127])
+    def test_a_grid_shorter_than_a_block_is_one_block(self, n):
+        grid = CheckpointGrid(h=0.01, n=n)
+        zeros = scattered_zeros(1100)
+        got = delta_zero_sum(grid, zeros, T=(299.0, 100.0))
+        for T, series in zip((299.0, 100.0), got):
+            assert np.array_equal(series.values.view(np.float64),
+                                  zero_sum_loop(grid, zeros, T).view(np.float64)), T
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # the 1e8 grid (1773 points) and 2600 zeros: the tables of whole
+        # columns took 55.6 MiB; blocks of rows hold a few MiB
+        zeros = scattered_zeros(2600)
+        grid = CheckpointGrid.from_xmax(1e8)
+        with pytest.warns(TruncationWarning):  # 300 lies just above the largest ordinate
+            peak = traced_peak(delta_zero_sum, grid, zeros, T=(40.0, 150.0, 300.0))
+        assert peak <= 8 * 2**20, peak / 2**20
+
+    def test_committed_q4_dataset_memory(self):
+        zeros = symmetric_expand(load_zeros(str(ZEROS_PATH), 4), race_weight(3, 1, 4))
+        peak = traced_peak(delta_zero_sum, CheckpointGrid.from_xmax(1e8), zeros)
+        assert peak <= 2 * 2**20, peak / 2**20
 
 
 class TestCumulative:

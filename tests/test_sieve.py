@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import primerace
 from primerace.sieve import (
     DEFAULT_SEGMENT_ODDS,
     ordered_map,
@@ -185,3 +190,14 @@ class TestPreSieve:
         rng = np.random.default_rng(k)
         for p in rng.choice(got, size=5, replace=False).tolist():
             assert oracles.is_prime(p)
+
+
+class TestOrderedMapImport:
+    def test_cli_import_leaves_the_pool_module_unloaded(self):
+        # ordered_map imports concurrent.futures only when it starts a pool;
+        # at module level it would add about 10 ms to the start of every run
+        src = str(Path(primerace.__file__).resolve().parents[1])
+        code = "import sys, primerace.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.split() == ["False"]

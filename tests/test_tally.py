@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import os
 import shutil
 import tempfile
 import tracemalloc
@@ -35,6 +36,7 @@ from primerace.tally import (
     _SegmentPartial,
     _power_terms,
     _segment_partial,
+    _truncate_csv,
 )
 
 from oracles import (
@@ -565,7 +567,7 @@ def assert_segment_matches_reference(primes, lo, hi, boundaries, q, scratch=None
     layout = _Layout(q)
     race = (layout.units[1], layout.units[0])
     got, (p, terms, cut) = _segment_partial(primes, lo, hi, boundaries, layout,
-                                            scratch or _Scratch(True), race)
+                                            scratch or _Scratch(None), race)
     want = reference_segment_partial(primes, boundaries, layout, race)
     for name in SEGMENT_FIELDS:
         a, b = getattr(got, name), want[name]
@@ -615,7 +617,7 @@ class TestSegmentReduction:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            part, _ = _segment_partial(primes, lo, hi, np.empty(0), layout, _Scratch(True))
+            part, _ = _segment_partial(primes, lo, hi, np.empty(0), layout, _Scratch(None))
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -662,6 +664,18 @@ def growing_bounds(lo, hi, segment_odds):
     return out
 
 
+def halving_bounds(lo, hi, segment_odds):
+    """Segments of [lo, hi), each half as wide as the one before, the last 2 integers wide.
+
+    hi - lo must be 2^k - 2.  Each segment holds fewer primes than the one before, or none.
+    """
+    out, width = [], (hi - lo + 2) // 2
+    while lo < hi:
+        out.append((lo, lo + width))
+        lo, width = lo + width, width // 2
+    return out
+
+
 class TestScratchReuse:
     """Every worker reuses one scratch from segment to segment, growing it as needed.
 
@@ -692,10 +706,37 @@ class TestScratchReuse:
         for name in ("1", "2", "3", "batch"):
             assert (tmp_path / f"{name}.csv").read_bytes() == text
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_pool_allocates_race_terms_once_per_job_in_flight(self, monkeypatch, threads):
+        # each segment holds fewer primes than the one before, so a buffer
+        # the fold hands back always fits the next job: the pool allocates
+        # at most one for each of its first threads + 3 jobs and no more,
+        # where a fresh array per job makes one per segment
+        monkeypatch.setattr(tally, "segment_bounds", halving_bounds)
+        buffers = []
+        fold = _RaceFold.fold
+
+        def recording(self, terms):
+            owner = terms[1] if terms[1].base is None else terms[1].base  # the array holding the terms
+            if not any(b is owner for b in buffers):
+                buffers.append(owner)
+            fold(self, terms)
+
+        monkeypatch.setattr(_RaceFold, "fold", recording)
+        x_hi = 2**16
+        grid = CheckpointGrid.from_xmax(x_hi - 1, h=0.02)
+        bounds = halving_bounds(2, x_hi, 0)
+        counts = [len(simple_sieve(b - 1)) - len(simple_sieve(a - 1)) for a, b in bounds]
+        assert bounds[-1] == (x_hi - 2, x_hi) and len(bounds) > 2 * (threads + 3)
+        assert counts == sorted(counts, reverse=True)
+        got = accumulate(grid, 4, x_hi=x_hi, threads=threads, race=(3, 1))
+        assert 1 <= len(buffers) <= threads + 3
+        assert_same_summary(got.race, oracle_summary(x_hi, 4, 3, 1, grid.x))
+
     def test_one_scratch_across_moduli_and_sizes(self):
         # segments of growing and falling prime count, mod 4, 105, 4 and 12
         # in turn, all through one scratch, each against the oracle
-        scratch = _Scratch(True)
+        scratch = _Scratch(None)
         base = simple_sieve(1200)
         for q, lo, hi in [(4, 1_000_001, 1_001_001), (105, 1_000_001, 1_200_001), (4, 2, 3000),
                           (12, 1_100_001, 1_400_001), (105, 5, 400), (4, 1_000_001, 1_000_101)]:
@@ -773,7 +814,7 @@ class TestTallyState:
         for lo, hi in ((2, 2050), (2050, 10_001)):
             primes = sieve_segment(lo, hi, simple_sieve(200))
             x = grid.x[(grid.x >= lo) & (grid.x < hi)]
-            part, _ = _segment_partial(primes, lo, hi, x, layout, _Scratch(True))
+            part, _ = _segment_partial(primes, lo, hi, x, layout, _Scratch(None))
             for c, end in enumerate([*x, hi - 1]):
                 state.fold(part, c)
                 pw = state.fold_powers(powers, pw, end)
@@ -998,6 +1039,41 @@ def oracle_csv(series) -> bytes:
     """A checkpoint CSV with every cell formatted by the oracle."""
     header = ",".join(tally._csv_columns(series.units, series.char_labels))
     return "".join(f"{line}\n" for line in [header, *(format_row(*r) for r in rows(series))]).encode()
+
+
+class TestTruncateCsv:
+    """A partial resume keeps the header and the rows its sidecar counts, cutting the file after them."""
+
+    ROWS = [b"x,y,n_1\n", b"2.0,0.69,1\n", b"2.01,0.70,1\n", b"2.03,0.71,2\n"]
+
+    def write(self, tmp_path, lines):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"".join(lines))
+        return path
+
+    def test_extra_rows_are_cut_to_the_exact_bytes(self, tmp_path):
+        # the rows past the count, the last one torn mid-write
+        path = self.write(tmp_path, self.ROWS + [b"2.04,0.72,3\n", b"2.05,0.7"])
+        _truncate_csv(path, 3)
+        assert path.read_bytes() == b"".join(self.ROWS)
+        _truncate_csv(path, 1)
+        assert path.read_bytes() == b"".join(self.ROWS[:2])
+        _truncate_csv(path, 0)
+        assert path.read_bytes() == self.ROWS[0]
+
+    def test_an_exact_count_leaves_the_file_alone(self, tmp_path):
+        path = self.write(tmp_path, self.ROWS)
+        os.utime(path, ns=(10**18, 10**18))
+        _truncate_csv(path, 3)
+        assert path.read_bytes() == b"".join(self.ROWS)
+        assert path.stat().st_mtime_ns == 10**18
+
+    @pytest.mark.parametrize("rows", [4, 9])
+    def test_too_few_rows_raise(self, tmp_path, rows):
+        path = self.write(tmp_path, self.ROWS)
+        with pytest.raises(ValueError, match=r"c\.csv holds fewer rows than the sidecar claims"):
+            _truncate_csv(path, rows)
+        assert path.read_bytes() == b"".join(self.ROWS)
 
 
 class TestCsvRows:
