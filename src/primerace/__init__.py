@@ -44,7 +44,6 @@ from .tally import (
     merge,
     range_partial,
     read_series_csv,
-    write_series_csv,
 )
 from .ingest import (
     CoverageWarning,
@@ -98,7 +97,7 @@ __all__ = [
     # tally
     "LOG2", "CheckpointGrid", "CheckpointSeries", "TallyOrderError",
     "TallyPartial", "TallyResult", "RaceSummary", "accumulate", "merge",
-    "range_partial", "read_series_csv", "write_series_csv",
+    "range_partial", "read_series_csv",
     # ingest
     "CoverageWarning", "ExpandedZero", "ZeroDataset", "ZeroFileError",
     "load_zeros", "parse_zeros", "serialize", "symmetric_expand",

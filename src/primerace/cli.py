@@ -422,8 +422,8 @@ def _euler_character(cfg: RunConfig) -> tuple[str, Character]:
 
 
 def _fit_payload(fit) -> dict:
-    resid = np.asarray(fit.residual.values)
-    tail = resid[-max(1, len(resid) // 4):]
+    # the largest residual over the fit's own window, the last points of the grid
+    tail = np.asarray(fit.residual.values)[-fit.details["points"]:]
     payload = {
         "C_hat": fit.C_hat,
         "method": fit.method,

@@ -26,12 +26,16 @@ take no sum at all, only one gather per class.  The exact fold then costs
 one Python-level add per class and per character for each chunk that
 holds a prime.
 
-A run allocates its per-prime arrays once.  Each worker thread keeps one
-_Scratch for the run: the sieve's mask, which the reduction then uses for
+Every pass over segments (accumulate's, with any re-sieve of a race, and
+range_partial's) draws them from _segments, which sieves and reduces them
+on a worker pool, folds their race terms and yields them in order.
+
+A pass allocates its per-prime arrays once.  Each worker thread keeps one
+_Scratch for the pass: the sieve's mask, which the reduction then uses for
 its class selections, and one float64 block that holds the residues, the
 float primes, 1/sqrt(p), each class's terms in turn and then the race
 terms, all written with out=.  The block grows to the largest segment's
-need and is dropped when the run returns, so no segment maps fresh pages
+need and is dropped when the pass ends, so no segment maps fresh pages
 for its temporaries and the peak memory is that of one segment's terms.
 1/sqrt(p) is computed once per prime and serves both the class sums and
 the race.
@@ -46,30 +50,30 @@ bounds its memory for a large modulus.  Each point is persisted at a
 cost set by what changed since the one before: a field that nothing was
 folded into keeps the previous point's list and array object, and the row
 writer formats again only the class blocks folded into and, when any
-prime was, the character section; a grid point that gained no prime and
-no prime power reuses the whole previous row but for x and y.  The series
-keeps, per field, those read-only arrays, so no table of every grid point
-is built.
+prime was, the character section, as TallyPartial.snapshots reads them
+from its stale sets; a grid point that gained no prime and no prime
+power reuses the whole previous row but for x and y.  The series keeps,
+per field, those read-only arrays, so no table of every grid point is
+built.
 
 A race (a, b) also yields its RaceSummary: the runs of primes where the
 race leads, and the sums of w = +-1/sqrt(p) and w*p at every grid point.
 Each worker returns its segment's terms w and w*p over all its primes,
-+0.0 off classes a and b, and the in-order fold puts the carried totals in
-front of them and takes one np.cumsum per segment.  Adding +0.0 leaves
-every partial sum as it is, since none is -0.0 (the carry starts at +0.0
-and no w is zero), so the lead runs and the sums at the race primes are
-those of the race primes alone.  np.cumsum adds sequentially, so the
++0.0 off classes a and b, and _segments folds them in order: the carried
+totals go in front of them and one np.cumsum per segment is taken.
+Adding +0.0 leaves every partial sum as it is, since none is -0.0 (the
+carry starts at +0.0 and no w is zero), so the lead runs and the sums at
+the race primes are those of the race primes alone.  np.cumsum adds sequentially, so the
 per-segment cumsum seeded with the carried totals equals the cumsum over
 every race prime at once, bit for bit, whatever the segment width or the
 thread count, and no stream of race primes is ever held.  With one worker
 the race terms live in the scratch block, which the fold has consumed
 before the next segment is reduced; a pool's jobs run ahead of the fold,
-so there each job cuts its race terms from a buffer on a free list that
-the fold refills once it has used them, and at most threads + 3 such
-buffers exist: threads + 2 jobs in flight and the one being folded.  The
-summary is
-persisted in the sidecar, so a resumed run never sieves again for a race
-it recorded.
+so there each job cuts its race terms from a buffer on _segments' free
+list, which gets the buffer back once they are folded: at most threads + 3
+buffers exist, threads + 2 jobs in flight and the one being folded.  The
+summary is persisted in the sidecar, so a resumed run never sieves again
+for a race it recorded.
 """
 from __future__ import annotations
 
@@ -81,7 +85,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -107,7 +111,6 @@ __all__ = [
     "accumulate",
     "range_partial",
     "merge",
-    "write_series_csv",
     "read_series_csv",
 ]
 
@@ -220,16 +223,16 @@ class _SegmentPartial:
 class _Scratch(threading.local):
     """One thread's buffers, reused from segment to segment and dropped with the object.
 
-    mask takes the sieve and then the reduction's class selections; flat,
-    one float64 block, holds every per-prime array of _segment_partial.
-    Both grow to the largest segment seen.  As a threading.local, it gives
-    each worker thread of a pool its own buffers.  spare is None when jobs
-    run one at a time, so that the fold consumes a job's race terms before
-    the next job and they may live in flat.  Under a pool it is the free
-    list, shared by every thread, of the race-term buffers the fold is done
-    with: a job takes one and allocates a fresh one in its place when it is
-    too short.  The list starts with one empty buffer for each job that can
-    be in flight or folding, so it is never found empty.
+    _segments makes one per pass.  mask takes the sieve and then the
+    reduction's class selections; flat, one float64 block, holds every
+    per-prime array of _segment_partial.  Both grow to the largest segment
+    seen.  As a threading.local, it gives each worker thread of a pool its
+    own buffers.  spare is None when jobs run one at a time, so that the
+    fold consumes a job's race terms before the next job and they may live
+    in flat.  Under a pool it is _segments' free list of race-term buffers:
+    a job takes one (a fresh one if it is too short), and _segments puts it
+    back once its terms are folded.  It starts with one empty buffer per
+    job that can be in flight or folding, so it is never found empty.
     """
 
     def __init__(self, spare: list | None):
@@ -352,6 +355,34 @@ def _segment_partial(
     np.multiply(s, wp, out=w)
     np.multiply(w, pf, out=wp)
     return part, (primes, terms, np.searchsorted(pf, boundaries, side="right"))
+
+
+def _segments(bounds, layout: _Layout, segment_odds: int, threads: int, grid_x: np.ndarray,
+              race: tuple[int, int] | None = None,
+              race_fold: _RaceFold | None = None) -> Iterator[_SegmentPartial]:
+    """Each segment of bounds sieved and reduced, chunks split at grid_x, as its _SegmentPartial, in order.
+
+    The sieving primes are found as the pass starts, each worker thread
+    keeps one _Scratch and ordered_map runs the jobs.  With a race, each
+    segment's race terms are folded into race_fold before it is yielded.
+    """
+    base = simple_sieve(math.isqrt(bounds[-1][1] - 1)) if bounds else None
+    # a pool's race-term buffers: one per job in flight (ordered_map holds
+    # threads + 2) and one for the job being folded, allocated at first use
+    spare = None if threads <= 1 else [np.empty(0)] * (threads + 3)
+    scratch = _Scratch(spare)
+
+    def job(a: int, b: int) -> tuple:
+        primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))
+        inside = grid_x[np.searchsorted(grid_x, a):np.searchsorted(grid_x, b)]  # grid points in [a, b)
+        return _segment_partial(primes, a, b, inside, layout, scratch, race)
+
+    for part, terms in ordered_map(job, bounds, threads):
+        if terms is not None:
+            race_fold.fold(terms)
+            if spare is not None:
+                spare.append(terms[1].base)  # the buffer they were cut from, free again
+        yield part
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +712,15 @@ class TallyPartial:
 
         Before each point's totals are taken, the prime powers up to it are
         folded.  Returns, per field, the arrays of every point (as _arrays);
-        each point's rounded values (as _round); the class slots changed at
-        each point; and the next index into powers.
+        each point's rounded values (as _round); per point, the class slots
+        folded into and whether a prime was, from the stale sets; and the
+        next index into powers.
         """
         points, changed = [], []
         for c, x in enumerate(xs, c):
             self.fold(part, c)
             pw = self.fold_powers(powers, pw, x)
-            changed.append(self.stale_classes())
+            changed.append((self.stale_classes(), bool(self._stale["invsqrt"])))
             points.append(self._round())
         return self._arrays(points), points, changed, pw
 
@@ -711,12 +743,11 @@ class TallyPartial:
         """Inverse of to_state, for a range that starts at 2.
 
         Formats 1 and 2 also hold exact char invsqrt and mertens sums, which
-        totals() derives and this does not read.  Older sidecars store
-        expected_lo None when no segment was folded yet.
+        totals() derives and this does not read.
         """
         sums = {n: list(map(from_hex, state["class"][n])) for n in _CLASS_FIELDS}
         sums["char_eulerlog"] = [from_hex(h) for pair in state["char"]["eulerlog"] for h in pair]
-        return cls(q, 2, state["expected_lo"] or 2, [int(c) for c in state["counts"]], sums)
+        return cls(q, 2, state["expected_lo"], [int(c) for c in state["counts"]], sums)
 
 
 def _power_terms(layout: _Layout, lo: int, hi: int) -> list[tuple[int, int, float]]:
@@ -745,14 +776,12 @@ class _RowWriter:
     Keeps the previous row's text of each class block (n, invsqrt, theta
     and psi of one class) and of the character section (per character:
     invsqrt, mertens, eulerlog, each as re, im), and formats again only
-    what changed: the class blocks of the slots a point changed, and the
-    character section when any of its three arrays is not the previous
-    row's.  TallyPartial hands every point the previous point's arrays for
-    a field that nothing was folded into, so no values are compared.
+    what TallyPartial.snapshots says changed: the class blocks of the slots
+    folded into, and the character section when a prime was, the only fold
+    that moves a character column.  No values are compared.
     """
 
     def __init__(self, nclass: int):
-        self.chars = (None,) * len(_CHAR_FIELDS)  # the previous row's character arrays
         self.blocks = [""] * nclass
         self.text = ""
 
@@ -761,33 +790,21 @@ class _RowWriter:
 
         points[j] maps counts, invsqrt, theta and psi to point j's values,
         arrays maps each character field to its array at every point, and
-        changed[j] holds the class slots that may differ from the row
-        before, every slot for a writer's first row.  xs is not empty.
+        changed[j] holds snapshots' class slots and prime flag for point j,
+        every slot and True for a writer's first row.  xs is not empty.
         """
-        fields = [arrays[f"char_{f}"] for f in _CHAR_FIELDS]
         # every point's character cells, in one tolist
-        cells = np.stack(fields, axis=2).view(np.float64).reshape(len(xs), -1).tolist()
+        cells = np.stack([arrays[f"char_{f}"] for f in _CHAR_FIELDS], axis=2)
+        cells = cells.view(np.float64).reshape(len(xs), -1).tolist()
         out = []
-        for j, (x, y, pt, slots) in enumerate(zip(xs, ys, points, changed)):
-            chars = tuple(a[j] for a in fields)
+        for x, y, pt, (slots, folded), chars in zip(xs, ys, points, changed, cells):
             n, s, t, p = (pt[f] for f in ("counts", "invsqrt", "theta", "psi"))
             for i in slots:
                 self.blocks[i] = f"{n[i]},{s[i]!r},{t[i]!r},{p[i]!r}"
-            if any(a is not b for a, b in zip(chars, self.chars)):
-                self.text = ",".join(["", *map(repr, cells[j])])
-            self.chars = chars
+            if folded:
+                self.text = ",".join(["", *map(repr, chars)])
             out.append(f"{x!r},{y!r},{','.join(self.blocks)}{self.text}\n")
         return "".join(out)
-
-
-def write_series_csv(series: CheckpointSeries, path: str | Path) -> None:
-    rows = _RowWriter(len(series.units))
-    with open(path, "w") as fh:
-        fh.write(",".join(_csv_columns(series.units, series.char_labels)) + "\n")
-        for j, (x, y) in enumerate(zip(series.x, series.y)):  # one row at a time
-            arrays = {f: [entries[j]] for f, entries in series.fields.items()}
-            point = {f: arrays[f][0].tolist() for f in ("counts", "invsqrt", "theta", "psi")}
-            fh.write(rows.lines([x], [y], [point], arrays, [range(len(series.units))]))
 
 
 def read_series_csv(path: str | Path) -> CheckpointSeries:
@@ -836,6 +853,23 @@ def _sidecar_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
+def _read_sidecar(path: Path) -> dict:
+    """A checkpoint's sidecar; ValueError when it is missing or its format is not 1, 2 or 3.
+
+    A format-1 sidecar records no races, and its state stores expected_lo
+    None when no segment was folded yet: both read as later formats write them.
+    """
+    if not path.exists():
+        raise ValueError(f"no sidecar at {path} to resume from")
+    meta = json.loads(path.read_text())
+    if meta.get("format") not in (1, 2, 3):
+        raise ValueError(f"{path}: sidecar format {meta.get('format')!r} is not 1, 2 or 3")
+    meta.setdefault("races", {})
+    if "state" in meta:
+        meta["state"]["expected_lo"] = meta["state"]["expected_lo"] or 2
+    return meta
+
+
 def _write_sidecar(path: Path, payload: dict) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as fh:
@@ -862,36 +896,32 @@ def accumulate(
 ) -> TallyResult:
     """Single pass over the primes, snapshotting the tally at every grid point.
 
-    The segmented sieve drives the pass, optionally with a worker pool whose
-    size never changes the output.  Each worker reuses one _Scratch for the
-    whole run, dropped when this returns.  Each segment's chunks (split at
-    grid points) fold into one TallyPartial, and the series takes its totals
-    at every grid point, a batch of points at a time (TallyPartial.snapshots):
-    read-only arrays, shared by consecutive points that nothing was folded
-    into.  race = (a, b), two
-    distinct unit classes mod q, adds the race's RaceSummary over the primes
-    below x_hi.  Each worker returns its segment's race terms and the fold
-    takes one np.cumsum per segment, seeded with the totals carried from the
-    segments before: np.cumsum adds sequentially, so the summary equals, bit
-    for bit, the one that a single cumsum over every race prime in ascending
-    order gives, for any segment_odds, thread count or resume point.
-    persist writes the checkpoint CSV plus a JSON sidecar as the run goes,
-    with the summary of the race, keyed by its reduced classes: format 3
-    while the run is partial, and format 2 once it is complete, since a
-    complete sidecar holds no state.  Each batch of snapshots writes its CSV
-    rows at once; the sidecar, written every _FLUSH_EVERY segments and at the end,
-    counts the rows written so far, and a resume drops any row past that
-    count.  resume=True continues a previously interrupted persisted run
-    from the sidecar's state, after the rows read back from the CSV, or
-    reads a finished one, whose series then holds the tables the CSV parses
-    into; it reads formats 1 and 2 too.  A race the sidecar recorded is read
-    back with it, and any other race is folded again from a re-sieve of the
-    segments tallied so far and, on a finished run, recorded.  An
-    interrupted run carries only the race it is resumed with.  The sieving
-    primes and the prime powers are found only when a segment is sieved, so
-    reading back a finished run with its race recorded finds no primes at
-    all.  max_segments stops early after that many segments (the persisted
-    state stays resumable).
+    The segments come from _segments, on a worker pool whose size never
+    changes the output.  Each segment's chunks (split at grid points) fold
+    into one TallyPartial, and the series takes its totals at every grid
+    point, a batch of points at a time (TallyPartial.snapshots): read-only
+    arrays, shared by consecutive points that nothing was folded into.
+    race = (a, b), two distinct unit classes mod q, adds the race's
+    RaceSummary over the primes below x_hi, equal bit for bit to the one a
+    single cumsum over every race prime gives, for any segment_odds, thread
+    count or resume point.  persist writes the checkpoint CSV, a batch of
+    rows at a time, plus a JSON sidecar as the run goes, with the summary of
+    the race, keyed by its reduced classes: format 3 while the run is
+    partial, and format 2 once it is complete, since a complete sidecar
+    holds no state.  The sidecar, written every _FLUSH_EVERY segments and at
+    the end, counts the rows written so far, and a resume drops any row past
+    that count.  resume=True continues an interrupted persisted run from the
+    sidecar's state, after the rows read back from the CSV, or reads a
+    finished one, whose series then holds the tables the CSV parses into;
+    it reads formats 1 and 2 too.  A race the sidecar recorded is read back
+    with it, and any other race is folded again from a re-sieve of the
+    segments tallied so far, in the same pass as the segments still to
+    tally, and, on a finished run, recorded.  An interrupted run carries
+    only the race it is resumed with.  The sieving primes and the prime
+    powers are found only when a segment is sieved, so reading back a
+    finished run with its race recorded finds no primes at all.
+    max_segments stops early after that many segments (the persisted state
+    stays resumable).
     """
     layout = _layout(q)
     if x_hi is None:
@@ -904,57 +934,37 @@ def accumulate(
         race_weight(*race, q)  # two distinct unit classes, or ValueError
         race = (race[0] % q, race[1] % q)
         race_key = f"{race[0]},{race[1]}"  # its key in the sidecar's races
-    grid_x = grid.x
+    grid_x, grid_y = grid.x, grid.y
     bounds = segment_bounds(2, x_hi, segment_odds)
     csv_path = Path(persist) if persist is not None else None
     meta_path = csv_path and _sidecar_path(csv_path)
     state = TallyPartial.empty(q)
     race_fold = _RaceFold() if race is not None else None
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
-    start_idx = 0  # first segment to sieve
+    first = start_idx = 0  # first segment to sieve, first to tally: an unrecorded race re-sieves those between
     # every grid point snapshotted, flushed ones too
     series = CheckpointSeries(q, grid, layout.units, layout.char_labels, [], [], {f: [] for f in _ROW_FIELDS})
-    base = None  # the sieving primes, found only once a segment must be sieved
 
-    # a pool's race-term buffers: one per job in flight (ordered_map holds
-    # threads + 2) and one for the job being folded, allocated at first use
-    spare = None if threads <= 1 else [np.empty(0)] * (threads + 3)
-    scratch = _Scratch(spare)
     # the run's identity in its sidecar; race is deliberately absent: any
     # race may be requested on resume, and one the sidecar did not record
     # is folded again
     ident = {"q": q, "h": grid.h, "n": grid.n, "segment_odds": segment_odds, "x_hi": x_hi}
 
-    def job(a: int, b: int) -> tuple:
-        primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))
-        inside = grid_x[np.searchsorted(grid_x, a):np.searchsorted(grid_x, b)]  # grid points in [a, b)
-        return _segment_partial(primes, a, b, inside, layout, scratch, race)
-
-    def fold_race(terms: tuple) -> None:
-        race_fold.fold(terms)
-        if spare is not None:
-            spare.append(terms[1].base)  # the buffer they were cut from, free again
-
     if resume:
         if csv_path is None:
             raise ValueError("resume requires a persist path")
-        if not meta_path.exists():
-            raise ValueError(f"no sidecar at {meta_path} to resume from")
-        with open(meta_path) as fh:
-            meta = json.load(fh)
+        meta = _read_sidecar(meta_path)
         got = {k: meta.get(k) for k in ident}
         if got != ident:
             raise ValueError(
                 f"persisted run does not match the requested configuration: {got} != {ident}"
             )
-        start_idx = len(bounds) if meta["complete"] else int(meta["next_segment_index"])
-        recorded = race is not None and race_key in meta.get("races", {})
+        first = start_idx = len(bounds) if meta["complete"] else int(meta["next_segment_index"])
+        recorded = race is not None and race_key in meta["races"]
         if recorded:
             race_fold = _RaceFold.from_state(meta["races"][race_key])
         elif race is not None:
-            base = simple_sieve(math.isqrt(x_hi - 1))
-            for _part, terms in ordered_map(job, bounds[:start_idx], threads):
-                fold_race(terms)
+            first = 0  # an unrecorded race is folded again from the first segment
         if not meta["complete"]:
             _truncate_csv(csv_path, int(meta["rows_written"]))
         stored = read_series_csv(csv_path)  # a partial run's snapshots append to its rows
@@ -965,9 +975,11 @@ def accumulate(
                     f"{csv_path} holds {len(stored)} rows, but its sidecar records "
                     f"{meta['rows_written']} for a grid of {grid.n} points"
                 )
-            if race is not None and not recorded:
+            if first < start_idx:
+                for _part in _segments(bounds, layout, segment_odds, threads, grid_x, race, race_fold):
+                    pass
                 meta["format"] = 2
-                meta.setdefault("races", {})[race_key] = race_fold.to_state()
+                meta["races"][race_key] = race_fold.to_state()
                 _write_sidecar(meta_path, meta)
             return TallyResult(series, race_fold and race_fold.summary(grid_x), True, x_hi)
         state = TallyPartial.from_state(meta["state"], q)
@@ -976,8 +988,6 @@ def accumulate(
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
             fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
-    if base is None:
-        base = simple_sieve(math.isqrt(x_hi - 1))
     powers = _power_terms(layout, 2, x_hi)
 
     rows = _RowWriter(layout.nclass)  # the first point changes every class: nothing was rounded yet
@@ -998,20 +1008,19 @@ def accumulate(
             payload["state"] = {**state.to_state(), "next_j": next_j, "pw_ptr": pw_ptr}
         _write_sidecar(meta_path, payload)
 
-    todo = bounds[start_idx:]
-    if max_segments is not None:
-        todo = todo[: max(0, max_segments)]
+    stop = len(bounds) if max_segments is None else start_idx + max(0, max_segments)
     done_idx = start_idx
     with open(csv_path, "a") if csv_path is not None else nullcontext() as csv:
-        for part, terms in ordered_map(job, todo, threads):
-            if race_fold is not None:
-                fold_race(terms)
+        todo = _segments(bounds[first:stop], layout, segment_odds, threads, grid_x, race, race_fold)
+        for idx, part in enumerate(todo, first):
+            if idx < start_idx:
+                continue  # tallied before: sieved again only for the race
             # the segment's grid points, which end all chunks but the last,
             # are snapshotted and written a batch of rows at a time
             ends = grid_x[next_j:next_j + part.nchunks - 1].tolist()
+            heights = grid_y[next_j:next_j + part.nchunks - 1].tolist()
             for c in range(0, len(ends), batch):
-                xs = ends[c:c + batch]
-                ys = [LOG2 + grid.h * j for j in range(next_j, next_j + len(xs))]
+                xs, ys = ends[c:c + batch], heights[c:c + batch]
                 arrays, points, changed, pw_ptr = state.snapshots(part, c, xs, powers, pw_ptr)
                 series.x += xs
                 series.y += ys
@@ -1063,16 +1072,9 @@ def range_partial(
     bounds = segment_bounds(lo, hi, segment_odds)
     layout = _layout(q)
     out = TallyPartial.empty(q, lo)
-    base = simple_sieve(math.isqrt(hi - 1))
     powers = _power_terms(layout, lo, hi)
     pw_ptr = 0
-    scratch = _Scratch(None)
-
-    def job(a: int, b: int) -> _SegmentPartial:
-        primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))
-        return _segment_partial(primes, a, b, np.empty(0), layout, scratch)[0]
-
-    for part in ordered_map(job, bounds, threads):
+    for part in _segments(bounds, layout, segment_odds, threads, np.empty(0)):
         out.fold(part, 0)
         pw_ptr = out.fold_powers(powers, pw_ptr, part.hi - 1)
     return out

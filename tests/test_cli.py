@@ -610,3 +610,21 @@ class TestPlannedFiles:
         assert capsys.readouterr().out.splitlines() == [f"wrote {path}" for path in planned]
         reports = {p.name for p in tmp_path.iterdir() if not p.name.startswith("checkpoints_")}
         assert reports == set(cli._PLANNED[command])
+
+
+class TestFitResidual:
+    def test_tail_max_is_taken_over_the_fit_window(self, tmp_path):
+        # at --tail-fraction 0.1 the fit window holds 132 of the grid's last
+        # 328 points (a quarter), where the residual peaks higher
+        rc = main(["bias", "--xmax", "1e6", "--tail-fraction", "0.1", "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "bias_fit.json").read_text())
+        series = np.loadtxt(tmp_path / "bias_series.csv", delimiter=",", skiprows=1)
+        y, D = series[:, 1], series[:, 2]
+        assert set(doc["fits"]) == {"pointwise-tail", "via-L", "mean"}
+        for name, fit in doc["fits"].items():
+            resid = np.abs(D + doc["M"]["re"] * np.log(y) - fit["C_hat"])
+            n = fit["details"]["points"]
+            assert n == 132 and fit["window_y"][0] == y[-n]
+            assert fit["residual_tail_max"] == pytest.approx(resid[-n:].max(), rel=1e-12), name
+            assert resid[-n:].max() < resid[-(len(y) // 4):].max(), name

@@ -29,7 +29,6 @@ from primerace.tally import (
     merge,
     range_partial,
     read_series_csv,
-    write_series_csv,
     _Layout,
     _RaceFold,
     _Scratch,
@@ -707,11 +706,12 @@ class TestScratchReuse:
             assert (tmp_path / f"{name}.csv").read_bytes() == text
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_pool_allocates_race_terms_once_per_job_in_flight(self, monkeypatch, threads):
+    def test_pool_allocates_race_terms_once_per_job_in_flight(self, tmp_path, monkeypatch, threads):
         # each segment holds fewer primes than the one before, so a buffer
         # the fold hands back always fits the next job: the pool allocates
         # at most one for each of its first threads + 3 jobs and no more,
-        # where a fresh array per job makes one per segment
+        # where a fresh array per job makes one per segment; the same holds
+        # for the re-sieve of a race a finished checkpoint did not record
         monkeypatch.setattr(tally, "segment_bounds", halving_bounds)
         buffers = []
         fold = _RaceFold.fold
@@ -731,7 +731,15 @@ class TestScratchReuse:
         assert counts == sorted(counts, reverse=True)
         got = accumulate(grid, 4, x_hi=x_hi, threads=threads, race=(3, 1))
         assert 1 <= len(buffers) <= threads + 3
-        assert_same_summary(got.race, oracle_summary(x_hi, 4, 3, 1, grid.x))
+        want = oracle_summary(x_hi, 4, 3, 1, grid.x)
+        assert_same_summary(got.race, want)
+        path = tmp_path / "done.csv"
+        accumulate(grid, 4, x_hi=x_hi, threads=threads, persist=path)
+        assert buffers and not json.loads(tally._sidecar_path(path).read_text()).get("races")
+        buffers.clear()
+        again = accumulate(grid, 4, x_hi=x_hi, threads=threads, race=(3, 1), persist=path, resume=True)
+        assert 1 <= len(buffers) <= threads + 3
+        assert_same_summary(again.race, want)
 
     def test_one_scratch_across_moduli_and_sizes(self):
         # segments of growing and falling prime count, mod 4, 105, 4 and 12
@@ -878,9 +886,8 @@ class TestPersistence:
 
     def test_csv_round_trip(self, tmp_path):
         grid = self.grid()
-        res = accumulate(grid, 5, segment_odds=1024)
         path = tmp_path / "series.csv"
-        write_series_csv(res.series, path)
+        res = accumulate(grid, 5, segment_odds=1024, persist=path)
         back = read_series_csv(path)
         assert back.q == 5
         assert back.units == res.series.units
@@ -1007,6 +1014,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match="resume"):
             accumulate(grid, 4, persist=tmp_path / "none.csv", resume=True)
 
+    @pytest.mark.parametrize("stop", [2, None])
+    @pytest.mark.parametrize("edit, shown", [(lambda meta: meta.update(format=99), "99"),
+                                             (lambda meta: meta.pop("format"), "None")])
+    def test_unknown_sidecar_format_rejected(self, tmp_path, stop, edit, shown):
+        # a partial and a finished run, each with its race recorded; the
+        # files are left as they were
+        grid = self.grid()
+        path = tmp_path / "fmt.csv"
+        accumulate(grid, 4, segment_odds=512, persist=path, race=(3, 1), max_segments=stop)
+        meta_path = tally._sidecar_path(path)
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        files = path.read_bytes(), meta_path.read_bytes()
+        for race in [(3, 1), (1, 3), None]:
+            with pytest.raises(ValueError, match=rf"fmt\.meta\.json: sidecar format {shown} is not 1, 2 or 3"):
+                accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=race)
+        assert (path.read_bytes(), meta_path.read_bytes()) == files
+
     def test_real_characters_persist_no_imaginary_partials(self, tmp_path):
         grid = CheckpointGrid.from_xmax(20_000, h=0.1)
         path = tmp_path / "q12.csv"
@@ -1100,11 +1126,9 @@ class TestCsvRows:
         assert split.read_bytes() == oracle_csv(first.series)
         back = accumulate(grid, q, persist=split, resume=True, **kw)
         assert back.completed and split.read_bytes() == want
-        # write_series_csv, of the series in memory and of the one read back
-        for series in (res.series, back.series, read_series_csv(path)):
-            out = tmp_path / "written.csv"
-            write_series_csv(series, out)
-            assert out.read_bytes() == want
+        # every cell formatted again, of the resumed series and of the CSV read back
+        for series in (back.series, read_series_csv(path)):
+            assert oracle_csv(series) == want
 
     @pytest.mark.filterwarnings("error")
     def test_header_only_csv_reads_as_an_empty_series(self, tmp_path):
