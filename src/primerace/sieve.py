@@ -128,9 +128,11 @@ def sieve_segment(a: int, b: int, base: np.ndarray, mask: np.ndarray | None = No
 def ordered_map(fn, jobs: Sequence[tuple], threads: int) -> Iterator:
     """Map fn over argument tuples on a worker pool, yielding results in job order.
 
-    At most threads + 2 jobs are in flight, so memory stays bounded however
-    long the job list is.  concurrent.futures is imported only here, when a
-    pool is used: importing it costs about 10 ms, which every run would pay.
+    At most threads + 2 jobs are in flight besides the one whose result is
+    awaited, so memory stays bounded however long the job list is.  No
+    reference to a yielded result is kept, so the caller frees it when it
+    drops it.  concurrent.futures is imported only here, when a pool is
+    used: importing it costs about 10 ms, which every run would pay.
     """
     if threads <= 1 or len(jobs) <= 1:
         for job in jobs:
@@ -142,9 +144,8 @@ def ordered_map(fn, jobs: Sequence[tuple], threads: int) -> Iterator:
         it = iter(jobs)
         pending = deque(pool.submit(fn, *job) for job in islice(it, threads + 2))
         while pending:
-            fut = pending.popleft()
             pending.extend(pool.submit(fn, *job) for job in islice(it, 1))
-            yield fut.result()
+            yield pending.popleft().result()
 
 
 def prime_powers(x_max: int) -> list[tuple[int, int, int]]:

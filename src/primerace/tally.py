@@ -28,17 +28,24 @@ holds a prime.
 
 Every pass over segments (accumulate's, with any re-sieve of a race, and
 range_partial's) draws them from _segments, which sieves and reduces them
-on a worker pool, folds their race terms and yields them in order.
+on a worker pool, folds their race terms and yields them in order.  A
+segment sieved again only for a race the sidecar did not record gets its
+residues and race terms alone: no class sum or Euler-log row.
 
 A pass allocates its per-prime arrays once.  Each worker thread keeps one
 _Scratch for the pass: the sieve's mask, which the reduction then uses for
-its class selections, and one float64 block that holds the residues, the
-float primes, 1/sqrt(p), each class's terms in turn and then the race
-terms, all written with out=.  The block grows to the largest segment's
-need and is dropped when the pass ends, so no segment maps fresh pages
-for its temporaries and the peak memory is that of one segment's terms.
-1/sqrt(p) is computed once per prime and serves both the class sums and
-the race.
+its class selections, and one float64 block that holds the residues and
+one region, written with out=: each class's terms in turn and then the
+race terms.  A class's rows start from its int primes, converted in place
+into its 1/p row, and its 1/sqrt(p) row is computed from those doubles;
+the race terms take sign/sqrt(p) and w*p from the int primes, promoted
+inside the ufuncs.  So no float copy of the primes and no 1/sqrt(p) row
+of the whole segment is kept, and the block holds n + max(class rows,
+2n + 2) doubles for a segment of n primes.  It grows to the largest
+segment's need and is dropped when the pass ends, so no segment maps
+fresh pages for its temporaries and the peak memory is that of one
+segment's terms.  With one worker, a segment's primes are freed once its
+race terms are folded, before the next segment is sieved.
 
 The grid points of a segment are snapshotted a batch at a time: the
 chunks are folded one by one, each followed by its point's rounded totals
@@ -225,11 +232,12 @@ class _Scratch(threading.local):
 
     _segments makes one per pass.  mask takes the sieve and then the
     reduction's class selections; flat, one float64 block, holds every
-    per-prime array of _segment_partial.  Both grow to the largest segment
-    seen.  As a threading.local, it gives each worker thread of a pool its
-    own buffers.  spare is None when jobs run one at a time, so that the
-    fold consumes a job's race terms before the next job and they may live
-    in flat.  Under a pool it is _segments' free list of race-term buffers:
+    per-prime array of _segment_partial: the residues, then one region for
+    a class's term rows and, after the class loop, the race terms.  Both
+    grow to the largest segment seen.  As a threading.local, it gives each
+    worker thread of a pool its own buffers.  spare is None when jobs run
+    one at a time, so that the fold consumes a job's race terms before the
+    next job and they may live in flat.  Under a pool it is _segments' free list of race-term buffers:
     a job takes one (a fresh one if it is too short), and _segments puts it
     back once its terms are folded.  It starts with one empty buffer per
     job that can be in flight or folding, so it is never found empty.
@@ -257,7 +265,8 @@ def _segment_partial(
     layout: _Layout,
     scratch: _Scratch,
     race: tuple[int, int] | None = None,
-) -> tuple[_SegmentPartial, tuple | None]:
+    tally: bool = True,
+) -> tuple[_SegmentPartial | None, tuple | None]:
     """Chunked sums over one segment, and its race terms; boundaries are checkpoint x-values.
 
     The race terms, for race = (a, b) of reduced classes, are (primes,
@@ -265,13 +274,18 @@ def _segment_partial(
     Row 0 of terms holds w = +1/sqrt(p) on a, -1/sqrt(p) on b and +0.0 on
     every other prime, and row 1 holds w*p, each behind a first column that
     _RaceFold fills with the carried sums.  cut[c] counts the primes at or
-    below boundaries[c].
+    below boundaries[c].  tally=False skips the class sums, for a segment
+    sieved again only for its race: the sums are then None.
 
     Every per-prime array is written with out= into scratch's flat block:
-    the residues, the float primes and 1/sqrt(p) first, then one class's
-    terms at a time and, after the reduction, the race terms, which take
-    w and w*p from the same 1/sqrt(p) and float primes (into a buffer of
-    scratch.spare instead, when that is a list).
+    the residues first, then one class's terms at a time and, after the
+    reduction, the race terms (into a buffer of scratch.spare instead, when
+    that is a list).  A class's rows start from its selected int primes,
+    converted in place into its 1/p row, and 1/sqrt(p) is computed from
+    those doubles; the race terms take w = sign/sqrt(p) and w*p from the int
+    primes, each promoted inside its ufunc.  So the block holds n + max(class
+    rows, 2n + 2) doubles for a segment of n primes, and no float copy of the
+    primes or of 1/sqrt(p) is kept.
     Reduction contract: every chunk value is one pairwise np.sum over a
     slice of one C-contiguous row of per-prime terms, and a chunk's Euler-log
     value adds the per-class values in class order.  The terms are built per
@@ -286,61 +300,63 @@ def _segment_partial(
     to keep the contract: np.add.reduceat sums sequentially and a
     Fortran-ordered block sums across rows, and both change the last bits.
     """
-    n, nch = len(primes), len(boundaries) + 1
-    units, ncl = layout.units, layout.nclass
-    counts = np.zeros((nch, ncl), dtype=np.int64)
-    invsqrt, theta, invp = np.zeros((3, nch, ncl))
-    ch_eul = np.zeros((nch, layout.nchar), dtype=np.complex128)
+    n, q, units = len(primes), layout.q, layout.units
     res = scratch.get("flat", n).view(np.int64)
     # primes % q: numpy's floor_divide by a scalar is faster than its remainder
-    np.floor_divide(primes, layout.q, out=res)
-    res *= -layout.q
+    np.floor_divide(primes, q, out=res)
+    res *= -q
     res += primes
-    sizes = np.bincount(res, minlength=layout.q)[list(units)].tolist()
+    sizes = np.bincount(res, minlength=q)[list(units)].tolist() if tally else []
     # rows per class: invsqrt, theta, invp, the real and (as two) the complex
     # Euler-log rows; then the race terms, unless a pool's free list holds them
     need = max([(3 + len(r) + 2 * len(z)) * k for (r, _, _, z), k in zip(layout.euler_rows, sizes)]
                + [2 * n + 2 if race and scratch.spare is None else 0])
-    flat = scratch.get("flat", 3 * n + need, keep=n)
-    res, pf, s, work = flat[:n].view(np.int64), flat[n:2 * n], flat[2 * n:3 * n], flat[3 * n:]
-    pf[:] = primes
-    np.sqrt(pf, out=s)
-    np.divide(1.0, s, out=s)
-    on = scratch.get("mask", n)
-    for i, a in enumerate(units):
-        if not sizes[i]:
-            continue
-        sel = np.flatnonzero(np.equal(res, a, out=on))
-        real, neg_re, cplx, z = layout.euler_rows[i]
-        # rows: 1/sqrt(p), log p, 1/p, then -log(1 - chi(p)/sqrt(p)) terms
-        k = (3 + len(real)) * sizes[i]
-        terms = work[:k].reshape(3 + len(real), sizes[i])
-        cterms = work[k:k + 2 * len(z) * sizes[i]].view(np.complex128).reshape(len(z), sizes[i])
-        np.take(s, sel, out=terms[0], mode="clip")
-        np.take(pf, sel, out=terms[2], mode="clip")
-        np.log(terms[2], out=terms[1])
-        ends = np.append(np.searchsorted(terms[2], boundaries, side="right"), sizes[i])
-        np.divide(1.0, terms[2], out=terms[2])
-        np.multiply(neg_re[:, None], terms[0], out=terms[3:])
-        np.log1p(terms[3:], out=terms[3:])
-        np.multiply(z[:, None], terms[0], out=cterms)
-        np.subtract(1.0, cterms, out=cterms)
-        np.log(cterms, out=cterms)
-        counts[:, i] = chunk = np.diff(ends, prepend=0)
-        # each nonempty chunk's sum of every row: its last term column, in
-        # one gather, which is the sum of a one-prime chunk, then one
-        # axis=1 sum for each chunk of more primes
-        full = np.flatnonzero(chunk)
-        sums, csums = terms[:, ends[full] - 1].T.copy(), cterms[:, ends[full] - 1].T.copy()
-        for r, (e, m) in enumerate(zip(ends[full].tolist(), chunk[full].tolist())):
-            if m > 1:
-                np.add.reduce(terms[:, e - m:e], axis=1, out=sums[r])
-                if len(z):
-                    np.add.reduce(cterms[:, e - m:e], axis=1, out=csums[r])
-        invsqrt[full, i], theta[full, i], invp[full, i] = sums[:, :3].T
-        ch_eul[np.ix_(full, real)] += -sums[:, 3:]
-        ch_eul[np.ix_(full, cplx)] += -csums
-    part = _SegmentPartial(lo, hi, nch, counts, invsqrt, theta, invp, ch_eul)
+    flat = scratch.get("flat", n + need, keep=n)
+    res, work = flat[:n].view(np.int64), flat[n:]
+    part = None
+    if tally:
+        nch = len(boundaries) + 1
+        counts = np.zeros((nch, len(units)), dtype=np.int64)
+        invsqrt, theta, invp = np.zeros((3, nch, len(units)))
+        ch_eul = np.zeros((nch, layout.nchar), dtype=np.complex128)
+        on = scratch.get("mask", n)
+        for i, a in enumerate(units):
+            if not sizes[i]:
+                continue
+            sel = np.flatnonzero(np.equal(res, a, out=on))
+            real, neg_re, cplx, z = layout.euler_rows[i]
+            # rows: 1/sqrt(p), log p, 1/p, then -log(1 - chi(p)/sqrt(p)) terms
+            k = (3 + len(real)) * sizes[i]
+            terms = work[:k].reshape(3 + len(real), sizes[i])
+            cterms = work[k:k + 2 * len(z) * sizes[i]].view(np.complex128).reshape(len(z), sizes[i])
+            p = terms[2]
+            np.take(primes, sel, out=p.view(np.int64), mode="clip")
+            p[:] = p.view(np.int64)  # the class's primes as doubles, converted in place
+            np.sqrt(p, out=terms[0])
+            np.divide(1.0, terms[0], out=terms[0])
+            np.log(p, out=terms[1])
+            ends = np.append(np.searchsorted(p, boundaries, side="right"), sizes[i])
+            np.divide(1.0, p, out=p)
+            np.multiply(neg_re[:, None], terms[0], out=terms[3:])
+            np.log1p(terms[3:], out=terms[3:])
+            np.multiply(z[:, None], terms[0], out=cterms)
+            np.subtract(1.0, cterms, out=cterms)
+            np.log(cterms, out=cterms)
+            counts[:, i] = chunk = np.diff(ends, prepend=0)
+            # each nonempty chunk's sum of every row: its last term column, in
+            # one gather, which is the sum of a one-prime chunk, then one
+            # axis=1 sum for each chunk of more primes
+            full = np.flatnonzero(chunk)
+            sums, csums = terms[:, ends[full] - 1].T.copy(), cterms[:, ends[full] - 1].T.copy()
+            for r, (e, m) in enumerate(zip(ends[full].tolist(), chunk[full].tolist())):
+                if m > 1:
+                    np.add.reduce(terms[:, e - m:e], axis=1, out=sums[r])
+                    if len(z):
+                        np.add.reduce(cterms[:, e - m:e], axis=1, out=csums[r])
+            invsqrt[full, i], theta[full, i], invp[full, i] = sums[:, :3].T
+            ch_eul[np.ix_(full, real)] += -sums[:, 3:]
+            ch_eul[np.ix_(full, cplx)] += -csums
+        part = _SegmentPartial(lo, hi, nch, counts, invsqrt, theta, invp, ch_eul)
     if race is None:
         return part, None
     buf = work if scratch.spare is None else scratch.spare.pop()
@@ -348,23 +364,31 @@ def _segment_partial(
         buf = np.empty(2 * n + 2)
     terms = buf[:2 * n + 2].reshape(2, -1)
     w, wp = terms[:, 1:]
-    sign = np.zeros(layout.q)
+    sign = np.zeros(q)
     sign[list(race)] = 1.0, -1.0
-    # -1/sqrt(p) is exactly -(1/sqrt(p)): IEEE rounding is symmetric in sign
+    # sign/sqrt(p) is (1/sqrt(p)) * sign bit for bit: IEEE rounding is
+    # symmetric in sign, and 0/x is +0.0
     np.take(sign, res, out=wp, mode="clip")
-    np.multiply(s, wp, out=w)
-    np.multiply(w, pf, out=wp)
-    return part, (primes, terms, np.searchsorted(pf, boundaries, side="right"))
+    np.sqrt(primes, out=w)
+    np.divide(wp, w, out=w)
+    np.multiply(w, primes, out=wp)
+    # p <= x for an integer p exactly when p <= floor(x); an int key keeps
+    # searchsorted from converting the whole segment to doubles
+    return part, (primes, terms, np.searchsorted(primes, np.floor(boundaries).astype(np.int64), side="right"))
 
 
 def _segments(bounds, layout: _Layout, segment_odds: int, threads: int, grid_x: np.ndarray,
-              race: tuple[int, int] | None = None,
-              race_fold: _RaceFold | None = None) -> Iterator[_SegmentPartial]:
+              race: tuple[int, int] | None = None, race_fold: _RaceFold | None = None,
+              skip: int = 0) -> Iterator[_SegmentPartial]:
     """Each segment of bounds sieved and reduced, chunks split at grid_x, as its _SegmentPartial, in order.
 
     The sieving primes are found as the pass starts, each worker thread
     keeps one _Scratch and ordered_map runs the jobs.  With a race, each
-    segment's race terms are folded into race_fold before it is yielded.
+    segment's race terms are folded into race_fold before it is yielded, and
+    dropped then, so that a segment's primes are freed before the next job
+    sieves when jobs run one at a time.  The first skip segments are sieved
+    only for the race: their class sums are not reduced and nothing is
+    yielded for them.
     """
     base = simple_sieve(math.isqrt(bounds[-1][1] - 1)) if bounds else None
     # a pool's race-term buffers: one per job in flight (ordered_map holds
@@ -372,17 +396,19 @@ def _segments(bounds, layout: _Layout, segment_odds: int, threads: int, grid_x: 
     spare = None if threads <= 1 else [np.empty(0)] * (threads + 3)
     scratch = _Scratch(spare)
 
-    def job(a: int, b: int) -> tuple:
+    def job(a: int, b: int, tally: bool) -> tuple:
         primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))
         inside = grid_x[np.searchsorted(grid_x, a):np.searchsorted(grid_x, b)]  # grid points in [a, b)
-        return _segment_partial(primes, a, b, inside, layout, scratch, race)
+        return _segment_partial(primes, a, b, inside, layout, scratch, race, tally)
 
-    for part, terms in ordered_map(job, bounds, threads):
+    for part, terms in ordered_map(job, [(a, b, k >= skip) for k, (a, b) in enumerate(bounds)], threads):
         if terms is not None:
             race_fold.fold(terms)
             if spare is not None:
                 spare.append(terms[1].base)  # the buffer they were cut from, free again
-        yield part
+            del terms
+        if part is not None:
+            yield part
 
 
 # ---------------------------------------------------------------------------
@@ -854,15 +880,16 @@ def _sidecar_path(csv_path: Path) -> Path:
 
 
 def _read_sidecar(path: Path) -> dict:
-    """A checkpoint's sidecar; ValueError when it is missing or its format is not 1, 2 or 3.
+    """A checkpoint's sidecar; ValueError when it is missing or its format is not the int 1, 2 or 3.
 
     A format-1 sidecar records no races, and its state stores expected_lo
-    None when no segment was folded yet: both read as later formats write them.
+    None when no segment was folded yet: both read as later formats write
+    them.  JSON true and 1.0 equal 1 in Python, and are refused all the same.
     """
     if not path.exists():
         raise ValueError(f"no sidecar at {path} to resume from")
     meta = json.loads(path.read_text())
-    if meta.get("format") not in (1, 2, 3):
+    if type(meta.get("format")) is not int or meta["format"] not in (1, 2, 3):
         raise ValueError(f"{path}: sidecar format {meta.get('format')!r} is not 1, 2 or 3")
     meta.setdefault("races", {})
     if "state" in meta:
@@ -915,8 +942,9 @@ def accumulate(
     finished one, whose series then holds the tables the CSV parses into;
     it reads formats 1 and 2 too.  A race the sidecar recorded is read back
     with it, and any other race is folded again from a re-sieve of the
-    segments tallied so far, in the same pass as the segments still to
-    tally, and, on a finished run, recorded.  An interrupted run carries
+    segments tallied so far, which reduces their race terms alone, in the
+    same pass as the segments still to tally, and, on a finished run,
+    recorded.  An interrupted run carries
     only the race it is resumed with.  The sieving primes and the prime
     powers are found only when a segment is sieved, so reading back a
     finished run with its race recorded finds no primes at all.
@@ -976,7 +1004,7 @@ def accumulate(
                     f"{meta['rows_written']} for a grid of {grid.n} points"
                 )
             if first < start_idx:
-                for _part in _segments(bounds, layout, segment_odds, threads, grid_x, race, race_fold):
+                for _ in _segments(bounds, layout, segment_odds, threads, grid_x, race, race_fold, start_idx):
                     pass
                 meta["format"] = 2
                 meta["races"][race_key] = race_fold.to_state()
@@ -1011,10 +1039,9 @@ def accumulate(
     stop = len(bounds) if max_segments is None else start_idx + max(0, max_segments)
     done_idx = start_idx
     with open(csv_path, "a") if csv_path is not None else nullcontext() as csv:
-        todo = _segments(bounds[first:stop], layout, segment_odds, threads, grid_x, race, race_fold)
-        for idx, part in enumerate(todo, first):
-            if idx < start_idx:
-                continue  # tallied before: sieved again only for the race
+        # the segments tallied before are sieved again only for the race
+        for part in _segments(bounds[first:stop], layout, segment_odds, threads, grid_x, race, race_fold,
+                              start_idx - first):
             # the segment's grid points, which end all chunks but the last,
             # are snapshotted and written a batch of rows at a time
             ends = grid_x[next_j:next_j + part.nchunks - 1].tolist()

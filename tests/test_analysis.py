@@ -313,6 +313,42 @@ class TestEstimateL:
             estimate_L(SampleSeries(grid, np.ones(grid.n)))
 
 
+class TestMedian:
+    """analysis._median against np.median, bit for bit."""
+
+    @pytest.mark.parametrize("values", [
+        [3.0], [-0.0], [0.0], [2.0, 1.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0],
+        [-0.0, 0.0, -0.0], [0.0, -0.0, 0.0, -0.0], [1.0, -0.0, -1.0], [-5e-324, 0.0],
+        [-5e-324, -0.0], [5e-324, -5e-324], [1.0, 2.0, 4.0, 8.0], [0.1, 0.2, 0.3],
+        [np.nan], [1.0, np.nan], [np.nan, 1.0, 2.0], [-np.nan, -0.0], [np.nan, -np.nan, 1.0],
+    ], ids=str)
+    def test_cases(self, values):
+        a = np.array(values)
+        got, want = analysis._median(a), float(np.median(a))
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, -5e-324, 5e-324, -1.5, 1.5, 0.1, 1e308, -1e308,
+                                     math.nan, -math.nan])
+                    | st.floats(allow_infinity=False), min_size=1, max_size=9))
+    def test_any_finite_or_nan_values(self, values):
+        a = np.array(values)
+        # a strided view, as the tail medians take the real and imaginary parts
+        for arr in (a, np.repeat(a, 2)[::2]):
+            with np.errstate(over="ignore"):  # two middle values of 1e308
+                got, want = analysis._median(arr), float(np.median(arr))
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+    def test_empty_as_np_median(self):
+        seen = []
+        for fn in (analysis._median, np.median):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert math.isnan(fn(np.empty(0)))
+            seen.append([(w.category, str(w.message)) for w in caught])
+        assert seen[0] == seen[1] and (RuntimeWarning, "Mean of empty slice") in seen[0]
+
+
 class TestEstimateC:
     def test_pointwise_corrected_recovers_exactly(self):
         # a series built with the identity's own 1/y structure and no

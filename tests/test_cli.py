@@ -2,6 +2,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from primerace import cli, tally
 from primerace.cli import RunConfig, UsageError, checkpoint_name, main
 
 ZEROS = Path(__file__).resolve().parent.parent / "data" / "zeros_q4_T200.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def parse(argv):
@@ -486,6 +490,28 @@ class TestEulerCommand:
         assert rc == 0
         doc = json.loads((tmp_path / "euler_fit.json").read_text())
         assert doc["m_chi"] == 1
+
+
+class TestNoMaskedArrays:
+    """No subcommand imports numpy.ma, as np.median does on its first call.
+
+    The tail medians of bias (estimate_C) and euler (estimate_ell) run in a
+    fresh interpreter, whose modules are then listed.
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["bias", "--q", "4", "--a", "3", "--b", "1", "--xmax", "1e5"],
+        ["euler", "--q", "105", "--chi", "105.7", "--a", "2", "--b", "1", "--xmax", "2e4"],
+    ], ids=["bias", "euler"])
+    def test_numpy_ma_is_not_imported(self, tmp_path, argv):
+        code = ("import sys; from primerace.cli import main; "
+                f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0; "
+                "print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                             cwd=tmp_path, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
 
 
 class TestDeltaCommand:

@@ -6,6 +6,7 @@ import os
 import shutil
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -440,6 +441,32 @@ class TestRaceResume:
         assert_same_summary(res.race, direct)
         assert_same_summary(again.race, direct)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("stop", [3, None])
+    def test_unrecorded_race_resieve_reduces_no_class_sums(self, tmp_path, monkeypatch, threads, stop):
+        # the segments tallied before are sieved again for the race alone:
+        # a _SegmentPartial is made only for each segment still to tally
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        path = tmp_path / "q105.csv"
+        first = accumulate(grid, 105, segment_odds=512, persist=path, max_segments=stop)
+        made, make = [], tally._SegmentPartial
+
+        def counted(*args):
+            made.append(args[:2])
+            return make(*args)
+
+        monkeypatch.setattr(tally, "_SegmentPartial", counted)
+        res = accumulate(grid, 105, segment_odds=512, persist=path, resume=True, threads=threads, race=(2, 1))
+        bounds = tally.segment_bounds(2, res.x_hi, 512)
+        assert res.completed and len(bounds) > 4
+        assert sorted(made) == ([] if stop is None else bounds[stop:])  # a pool makes them in any order
+        monkeypatch.undo()
+        fresh = accumulate(grid, 105, segment_odds=512, race=(2, 1))
+        assert_same_summary(res.race, fresh.race)
+        assert oracle_csv(res.series) == path.read_bytes() == oracle_csv(fresh.series)
+        if stop is None:
+            assert np.array_equal(res.series.invsqrt, first.series.invsqrt)
+
     def refuse_primes(self, monkeypatch):
         """Make finding the prime powers fail; count the base-prime sieves."""
         calls = []
@@ -786,6 +813,84 @@ class TestScratchReuse:
                 assert np.array_equal(got.totals()[name].view(np.uint64), arr.view(np.uint64)), name
 
 
+class TestWorkingSet:
+    """What a pass keeps per segment: the scratch block's size, and no segment held past its fold."""
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resieve"])
+    def test_previous_primes_are_dead_when_the_next_segment_sieves(self, tmp_path, monkeypatch, resume):
+        # one thread: a segment's primes, which its race terms hold, are
+        # freed once folded, before the next segment is sieved; so in the
+        # re-sieve of a race a finished checkpoint did not record
+        grid = CheckpointGrid.from_xmax(20_000, h=0.05)
+        path = tmp_path / "w.csv"
+        if resume:
+            accumulate(grid, 4, segment_odds=512, persist=path)
+        refs, alive = [], []
+
+        def recording(*args):
+            alive.extend(k for k, ref in enumerate(refs) if ref() is not None)
+            primes = sieve_segment(*args)
+            refs.append(weakref.ref(primes))
+            return primes
+
+        monkeypatch.setattr(tally, "sieve_segment", recording)
+        res = accumulate(grid, 4, segment_odds=512, race=(3, 1), persist=path, resume=resume)
+        assert len(refs) == len(tally.segment_bounds(2, res.x_hi, 512)) > 4
+        assert alive == []
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_pool_holds_only_the_jobs_in_flight(self, monkeypatch, threads):
+        # while a segment is folded, the primes alive are those of the jobs
+        # ordered_map keeps in flight, at most threads + 2: the folded
+        # segment's own are dropped with its race terms, and no future of a
+        # yielded result is kept
+        refs, alive = [], []
+
+        def recording(*args):
+            primes = sieve_segment(*args)
+            refs.append(weakref.ref(primes))
+            return primes
+
+        fold = TallyPartial.fold
+
+        def counting(self, part, c):
+            if c == 0:
+                alive.append(sum(ref() is not None for ref in refs))
+            fold(self, part, c)
+
+        monkeypatch.setattr(tally, "sieve_segment", recording)
+        monkeypatch.setattr(TallyPartial, "fold", counting)
+        grid = CheckpointGrid.from_xmax(40_000, h=0.05)
+        res = accumulate(grid, 4, segment_odds=512, race=(3, 1), threads=threads)
+        assert len(alive) == len(tally.segment_bounds(2, res.x_hi, 512)) > 2 * (threads + 3)
+        assert 1 <= max(alive) <= threads + 2
+
+    @pytest.mark.parametrize("q, race", [(4, (3, 1)), (105, (2, 1))])
+    def test_scratch_holds_the_residues_and_one_region(self, monkeypatch, q, race):
+        # n_max residues, then one region for a class's term rows or the
+        # race terms: no float copy of the primes or of 1/sqrt(p)
+        made = []
+
+        class Recorded(_Scratch):
+            def __init__(self, spare):
+                super().__init__(spare)
+                made.append(self)
+
+        monkeypatch.setattr(tally, "_Scratch", Recorded)
+        x_hi, odds = 400_000, 16_384
+        grid = CheckpointGrid.from_xmax(x_hi - 1, h=0.02)
+        accumulate(grid, q, x_hi=x_hi, segment_odds=odds, race=race)
+        layout, base = _Layout(q), simple_sieve(math.isqrt(x_hi))
+        n_max = rows = 0
+        for a, b in segment_bounds(2, x_hi, odds):
+            primes = sieve_segment(a, b, base)
+            sizes = np.bincount(primes % q, minlength=q)[list(layout.units)].tolist()
+            n_max = max(n_max, len(primes))
+            rows = max(rows, *((3 + len(r) + 2 * len(z)) * k for (r, _, _, z), k in zip(layout.euler_rows, sizes)))
+        assert len(made) == 1 and n_max > 1000
+        assert len(made[0].flat) <= n_max + max(rows, 2 * n_max + 2)
+
+
 class TestTallyState:
     """The one exact state behind accumulate, range_partial, merge and resume."""
 
@@ -1015,8 +1120,11 @@ class TestPersistence:
             accumulate(grid, 4, persist=tmp_path / "none.csv", resume=True)
 
     @pytest.mark.parametrize("stop", [2, None])
+    # JSON true and 1.0 both equal 1 in Python; only the int 1, 2 or 3 reads
     @pytest.mark.parametrize("edit, shown", [(lambda meta: meta.update(format=99), "99"),
-                                             (lambda meta: meta.pop("format"), "None")])
+                                             (lambda meta: meta.pop("format"), "None"),
+                                             (lambda meta: meta.update(format=True), "True"),
+                                             (lambda meta: meta.update(format=1.0), "1.0")])
     def test_unknown_sidecar_format_rejected(self, tmp_path, stop, edit, shown):
         # a partial and a finished run, each with its race recorded; the
         # files are left as they were
