@@ -1,17 +1,27 @@
-"""Exact sums of doubles, held as Python ints in units of 2**-1074.
+"""Exact sums of doubles, held as integers.
 
 Every finite double is an integer multiple of 2**-1074, the smallest
 subnormal, so a sum of exact(x) ints is exact in any order, and rounded(n)
-is its correctly rounded double, as CPython's int / int is.  The sidecar
-holds a sum as a list of float.hex strings (to_hex, from_hex).
+is its correctly rounded double.  The sidecar holds a sum as float.hex
+strings (to_hex, from_hex) in those units.
+
+ExactSums holds one such sum per column at one binary exponent e, the
+least of 0 and the last bit of every double added, so a tally's ints are
+about 60 to 120 bits wide.  ExactSums.add folds a batch of rows in one
+vectorised step and rounds each running sum once: in int64 limbs while
+the sums fit 105 bits, else in Python ints.  The bits are those of exact
+and rounded one entry at a time, under any split into batches.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
-__all__ = ["exact", "rounded", "to_hex", "from_hex"]
+import numpy as np
+
+__all__ = ["exact", "rounded", "to_hex", "from_hex", "rounded_table", "ExactSums"]
 
 _UNIT = 1 << 1074  # 1.0 in units of 2**-1074
+_TINY_NORMAL = 2.0**-1022
 
 
 def exact(x: float) -> int:
@@ -38,3 +48,105 @@ def to_hex(n: int) -> list[str]:
 def from_hex(hexes: Iterable[str]) -> int:
     """The exact sum of a list of float.hex strings, in units of 2**-1074."""
     return sum(exact(float.fromhex(h)) for h in hexes)
+
+
+def rounded_table(ints: np.ndarray, e: int) -> np.ndarray:
+    """The doubles nearest each n * 2**e of an array of ints, ties to even, as float64.
+
+    float(n) rounds correctly, and scaling it by 2**e is exact while the
+    result is a normal double; an entry whose result is subnormal or
+    overflows takes int / int instead, which rounds correctly everywhere
+    (and raises OverflowError past the largest double, as rounded does).
+    """
+    try:
+        near = ints.astype(np.float64)
+    except OverflowError:  # some |n| >= 2**1024
+        near = np.full(ints.shape, np.inf)
+    out = np.ldexp(near, e)
+    size = np.abs(out)
+    slow = ((size < _TINY_NORMAL) & (near != 0)) | (size == np.inf)
+    if slow.any():
+        out[slow] = [rounded(n << (e + 1074)) for n in ints[slow].tolist()]
+    return out
+
+
+class ExactSums:
+    """Exact sums of doubles, one per column, at one binary exponent e, and vals, their rounded doubles.
+
+    While every sum n * 2**e fits, |n| < 2**105, it is held as int64 limbs,
+    n = hi * 2**52 + lo with 0 <= lo < 2**52 (limbs: the (2, w) array of hi
+    and lo).  A batch's running sums are then int64 cumsums and one carry,
+    and hi * 2**(52 + e) and lo * 2**e are exact doubles whose IEEE sum is
+    n * 2**e correctly rounded.  Otherwise the sums are Python ints, added
+    with one np.cumsum down an object table and rounded by rounded_table.
+    ints reads the limbs out as Python ints when asked; neither form
+    changes in place, so objects may share them.
+    """
+
+    def __init__(self, ints: np.ndarray, e: int = 0):
+        self._ints, self.limbs, self.e = ints, None, e
+        self.vals = rounded_table(ints, e)
+
+    @property
+    def ints(self) -> np.ndarray:
+        """The sums as an object array of Python ints n, each standing for n * 2**e."""
+        if self._ints is None:
+            self._ints = (self.limbs[0].astype(object) << 52) + self.limbs[1].astype(object)
+        return self._ints
+
+    def add(self, deltas: np.ndarray, at: Sequence[int]) -> np.ndarray:
+        """Add the rows of deltas, a (k, w) array of finite doubles, in turn.
+
+        Returns the rounded sums after the first at[j] rows, for each j, as
+        a (len(at), w) table; each sum is rounded once per row.  A zero
+        delta, -0.0 included, adds 0.  The exponent drops to the last bit of
+        any delta (its ulp: 2**-1074 for a subnormal).  The limbs take the
+        batch when they and the deltas fit and it has fewer than 1000 rows,
+        so that no int64 sum overflows; any other batch takes Python ints.
+        """
+        k = np.maximum(np.frexp(deltas)[1] - 53, -1074)  # the exponent of each value's last bit
+        nz = deltas != 0
+        e = min(self.e, int(k.min(initial=0, where=nz)))
+        if e < self.e:
+            self._ints, self.limbs, self.e = self.ints << (self.e - e), None, e
+        if self.limbs is None and np.all(np.abs(self.ints) < 1 << 104):
+            self.limbs = np.stack([(self.ints >> 52).astype(np.int64), (self.ints & (1 << 52) - 1).astype(np.int64)])
+        if self.limbs is not None and len(deltas) < 1000 and max(deltas.max(initial=0), -deltas.min(initial=0)) < 2.0**(104 + e):
+            # the kept rows are copied and the temporaries made in place, so
+            # that no batch leaves a block of its own alive in the heap
+            sums = np.empty((2, len(deltas) + 1, len(self.vals)), dtype=np.int64)
+            sums[:, 0] = self.limbs
+            v = np.ldexp(deltas, -e)  # each delta as an integer below 2**104, exactly
+            sums[0, 1:] = top = np.floor(np.ldexp(v, -52))
+            sums[1, 1:] = v - np.ldexp(top, 52)
+            np.cumsum(sums, axis=1, out=sums)
+            carry = sums[1] >> 52
+            sums[0] += carry
+            sums[1] -= carry << 52
+            if np.abs(sums[0]).max(initial=0) < 2**53:
+                self.limbs, self._ints = sums[:, -1].copy(), None
+                rounded = np.ldexp(sums[0], 52 + e, dtype=np.float64)
+                rounded += np.ldexp(sums[1], e, dtype=np.float64)
+                self.vals = rounded[-1].copy()
+                return rounded[at]
+        ints = np.ldexp(deltas, -k).astype(np.int64).astype(object) << np.where(nz, k - e, 0)  # exact: below 2**53
+        sums = np.cumsum(np.concatenate([self.ints[None], ints]), axis=0)
+        self._ints, self.limbs = sums[-1], None
+        rounded = rounded_table(sums, e)
+        self.vals = rounded[-1].copy()
+        return rounded[at]
+
+    def __iadd__(self, other: "ExactSums") -> "ExactSums":
+        e = min(self.e, other.e)
+        self.__init__((self.ints << (self.e - e)) + (other.ints << (other.e - e)), e)
+        return self
+
+    def units(self) -> list[int]:
+        """The sums in units of 2**-1074."""
+        return [n << (self.e + 1074) for n in self.ints.tolist()]
+
+    @classmethod
+    def from_units(cls, units: Sequence[int]) -> "ExactSums":
+        """Sums given in units of 2**-1074, at the largest exponent up to 0 that keeps them whole."""
+        shift = min([(n & -n).bit_length() - 1 for n in units if n] + [1074])
+        return cls(np.array([n >> shift for n in units], dtype=object), shift - 1074)

@@ -9,12 +9,12 @@ are linear in the class sums of 1/sqrt(p) and 1/p, and each snapshot
 derives them from those.
 
 Segments are cut into chunks at grid points, each chunk is reduced with
-np.sum, and one TallyPartial adds the per-chunk values exactly, as Python
-ints (see exact.py): every summed total is the correctly rounded exact sum
-of those per-chunk values, and the derived columns are a fixed combination
-of those totals.  Chunks depend on the segment width, so for a fixed
-segment_odds any worker pool and any resumed run reproduce the totals bit
-for bit; a merge does so only at a split on a segment boundary.
+np.sum, and one TallyPartial adds the per-chunk values exactly (see
+exact.py): every summed total is the correctly rounded exact sum of those
+per-chunk values, and the derived columns are a fixed combination of those
+totals.  Chunks depend on the segment width, so for a fixed segment_odds
+any worker pool and any resumed run reproduce the totals bit for bit; a
+merge does so only at a split on a segment boundary.
 
 Each chunk value is one pairwise np.sum over a slice of one C-contiguous
 row of per-prime terms (see _segment_partial); this reduction contract,
@@ -22,9 +22,7 @@ not the buffers the terms sit in, fixes every bit.  The Euler-log terms of
 all characters sit in one block per class, reduced with a single axis=1
 sum, so a segment costs O(chunks + nonempty class-chunks) numpy calls
 whatever the number of characters; the class-chunks that hold one prime
-take no sum at all, only one gather per class.  The exact fold then costs
-one Python-level add per class and per character for each chunk that
-holds a prime.
+take no sum at all, only one gather per class.
 
 Every pass over segments (accumulate's, with any re-sieve of a race, and
 range_partial's) draws them from _segments, which sieves and reduces them
@@ -47,21 +45,21 @@ fresh pages for its temporaries and the peak memory is that of one
 segment's terms.  With one worker, a segment's primes are freed once its
 race terms are folded, before the next segment is sieved.
 
-The grid points of a segment are snapshotted a batch at a time: the
-chunks are folded one by one, each followed by its point's rounded totals
-as Python lists, and then each field's arrays of the whole batch are built
-as the rows of one table (the derived character columns one point at a
-time, as a single totals() takes them), and the batch's CSV rows are
-written in one piece.  A batch holds at most _BATCH_CELLS row cells, which
-bounds its memory for a large modulus.  Each point is persisted at a
-cost set by what changed since the one before: a field that nothing was
-folded into keeps the previous point's list and array object, and the row
-writer formats again only the class blocks folded into and, when any
-prime was, the character section, as TallyPartial.snapshots reads them
-from its stale sets; a grid point that gained no prime and no prime
-power reuses the whole previous row but for x and y.  The series keeps,
-per field, those read-only arrays, so no table of every grid point is
-built.
+The grid points of a segment are snapshotted a batch at a time, at most
+_BATCH_CELLS row cells, which bounds a batch's memory for a large modulus.
+A batch's chunks and prime powers are folded in one exact step, each
+point's totals rounded once, and its derived character columns taken in
+products of about _BATCH_CELLS values; char_mertens depends on chi only
+through chi^2, so its products run over the distinct rows of chi^2 alone
+(6 of 47 characters mod 105).  A field that nothing was folded into hands
+on the previous point's read-only array object, so the series keeps no
+table of every grid point.  The row writer formats again only what
+changed, the class blocks of the slots that gained a term and, when a
+prime was folded, the character section, in which each distinct
+char_mertens value is formatted once; it learns what changed from the
+fold, not by comparing rows.  Every output byte is the same as a fold of
+one chunk and one rounding at a time gives (the scalar oracle of the
+tests).
 
 A race (a, b) also yields its RaceSummary: the runs of primes where the
 race leads, and the sums of w = +-1/sqrt(p) and w*p at every grid point.
@@ -97,7 +95,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .characters import _values_of, enumerate_characters, race_weight, unit_residues
-from .exact import exact, from_hex, rounded, to_hex
+from .exact import ExactSums, from_hex, to_hex
 from .sieve import (
     DEFAULT_SEGMENT_ODDS,
     ordered_map,
@@ -127,10 +125,10 @@ _CHAR_FIELDS = ("invsqrt", "mertens", "eulerlog")
 # a checkpoint row's fields, as CheckpointSeries.fields names them
 _ROW_FIELDS = ("counts", "invsqrt", "theta", "psi", *(f"char_{f}" for f in _CHAR_FIELDS))
 _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
-# the character columns derived from a class field, and their _Layout table
-_DERIVED = {"invsqrt": [("char_invsqrt", "chi_class")], "invp": [("char_mertens", "chi2_class")]}
+_SUMMED = ("counts", "invsqrt", "theta", "invp", "char_eulerlog", "psi")  # the fields a prime changes
 _FLUSH_EVERY = 64  # segments between sidecar writes of a persisted run
 _BATCH_CELLS = 4096  # cells of the checkpoint rows snapshotted together, at most
+_Powers = Sequence[tuple[int, int, float]]  # (p^k, class slot or -1, log p) per proper prime power, ascending
 
 
 class TallyOrderError(RuntimeError):
@@ -199,7 +197,20 @@ class _Layout:
         self.chi_tab = np.stack([chi.values for chi in nonprincipal]) if self.nchar else np.zeros((0, q), np.complex128)
         # (nchar, nclass) tables of chi(a) and chi(a)^2 = chi(a^2), C-contiguous
         self.chi_class = np.ascontiguousarray(self.chi_tab[:, self.units])
-        self.chi2_class = np.ascontiguousarray(self.chi_tab[:, [a * a % q for a in self.units]])
+        chi2 = np.ascontiguousarray(self.chi_tab[:, [a * a % q for a in self.units]])
+        # chi^2 is shared among characters: char_mertens takes its product on
+        # the bitwise-distinct rows of chi2 (chi2_first), and character
+        # j reads distinct row chi2_of[j]
+        _, self.chi2_first, chi2_of = np.unique(chi2.view(np.uint64).reshape(self.nchar, -1),
+                                                axis=0, return_index=True, return_inverse=True)
+        self.chi2_of, n = chi2_of.ravel(), self.nclass
+        # the columns of TallyPartial's sums: counts and each class field, then
+        # char_eulerlog's real and imaginary part of each character in turn
+        self.columns = {**{f: slice(i * n, i * n + n) for i, f in enumerate(("counts", *_CLASS_FIELDS))},
+                        "char_eulerlog": slice(5 * n, None)}
+        # per summed class field, the character column derived from it: (name, chi table, row of each character)
+        self.derived = {"invsqrt": ("char_invsqrt", self.chi_class, slice(None)),
+                        "invp": ("char_mertens", chi2[self.chi2_first], self.chi2_of)}
         # per class slot a: the characters with real chi(a), whose Euler-log
         # terms go through log1p, with -Re chi(a); the rest, with chi(a)
         self.euler_rows = []
@@ -430,11 +441,7 @@ class CheckpointSeries:
     """
 
     def __init__(self, q: int, grid: CheckpointGrid, units, char_labels, x, y, fields):
-        self.q = q
-        self.grid = grid
-        self.units = tuple(units)
-        self.char_labels = tuple(char_labels)
-        self.x, self.y = x, y
+        self.q, self.grid, self.units, self.char_labels, self.x, self.y = q, grid, tuple(units), tuple(char_labels), x, y
         self.fields: dict[str, Sequence[np.ndarray]] = fields
 
     def __len__(self) -> int:
@@ -449,21 +456,8 @@ class CheckpointSeries:
         dtype = np.complex128 if chars else np.int64 if field == "counts" else np.float64
         return np.empty((0, len(self.char_labels if chars else self.units)), dtype=dtype)
 
-    @property
-    def counts(self) -> np.ndarray:
-        return self._table("counts")
-
-    @property
-    def invsqrt(self) -> np.ndarray:
-        return self._table("invsqrt")
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._table("theta")
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self._table("psi")
+    # the class fields' matrices
+    counts, invsqrt, theta, psi = (property(lambda self, f=f: self._table(f)) for f in _ROW_FIELDS[:4])
 
     def char_matrix(self, kind: str) -> np.ndarray:
         """Per-character sums of kind invsqrt, mertens or eulerlog, one row per point."""
@@ -583,54 +577,65 @@ class TallyPartial:
     """Exact sums over the primes (and prime powers) in one range [lo, hi).
 
     The one holder of exact tally state: accumulate, range_partial, merge
-    and resume all fold, merge and serialise through it.  sums maps each
-    summed field to its exact sums as ints in units of 2**-1074 (exact.py):
-    one per class for invsqrt, theta, psi and invp, and for char_eulerlog
-    the real and the imaginary part of each character in turn, as the
-    float64 view of a complex128 array lays them out.  The two character
-    sums that are linear in the class sums are derived, not summed:
-    each point's char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
-    sum_a chi(a)^2 invp_a are one np.sum over the class axis of modulus q's
-    C-contiguous (nchar, nclass) table times the point's row, so no BLAS
-    call sets their bits.  The rounded totals are kept as one list of
-    doubles per summed field, copied and rounded again only at the stale
-    entries, those folded since they were last taken: an int that did not
-    change rounds to the same double.  totals() and snapshots() hand each
-    point's totals on as read-only arrays, the previous point's array
-    objects for every field that nothing was folded into.
+    and resume all fold, merge and serialise through it.  sums holds one
+    exact sum (exact.ExactSums) per column that _Layout.columns names: one
+    per class for counts (exact as doubles below 2**53), invsqrt, theta, psi
+    and invp, and for char_eulerlog the real and the imaginary part of each
+    character in turn, as the float64 view of a complex128 array lays them
+    out.  The two character sums that
+    are linear in the class sums are derived, not summed: each point's
+    char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens = sum_a chi(a)^2
+    invp_a are one np.sum over the class axis of a C-contiguous table of chi
+    values times the point's row, so no BLAS call sets their bits;
+    char_mertens takes it on the distinct rows of chi^2 only
+    (_Layout.derived).
+
+    Chunks and prime powers fold a batch at a time, in one vectorised step
+    (ExactSums.add), which rounds each sum it changes once.  totals() and
+    snapshots() hand each point's totals on as read-only arrays, the
+    previous point's array objects for every field that nothing was folded
+    into; _fresh names the fields changed since the last point handed on.
     """
 
     q: int
     lo: int
     hi: int
-    counts: list[int]
-    sums: dict[str, list]
-    _stale: dict[str, set[int]] = field(init=False, repr=False)
-    _vals: dict[str, list] = field(init=False, repr=False)  # the rounded totals, and counts
+    sums: ExactSums
+    _fresh: set[str] = field(init=False, repr=False)
     _last: dict = field(init=False, repr=False)  # the last point handed on: its arrays
-    _last_lists: dict = field(init=False, repr=False)  # and the lists they were built from
 
     def __post_init__(self):
-        self._stale = {n: set(range(len(e))) for n, e in self.sums.items()}
-        self._vals = {n: [0.0] * len(e) for n, e in self.sums.items()}
-        self._last, self._last_lists = {}, {}
+        self._fresh, self._last = set(_SUMMED), {}
 
     @property
     def units(self) -> tuple[int, ...]:
         return _layout(self.q).units
 
+    @property
+    def counts(self) -> list[int]:
+        """The primes per class slot, exact in the doubles below 2**53."""
+        return self.sums.vals[:len(self.units)].astype(int).tolist()
+
     @classmethod
     def empty(cls, q: int, at: int = 2) -> "TallyPartial":
-        layout = _layout(q)
-        sums = {n: [0] * layout.nclass for n in _CLASS_FIELDS}
-        sums["char_eulerlog"] = [0] * (2 * layout.nchar)
-        return cls(q, at, at, [0] * layout.nclass, sums)
+        return cls(q, at, at, ExactSums(np.zeros(5 * _layout(q).nclass + 2 * _layout(q).nchar, object)))
+
+    def _deltas(self, part: _SegmentPartial, a: int, b: int) -> np.ndarray:
+        """Chunks a .. b - 1 of a segment in the columns of sums: psi takes theta's chunk sums."""
+        return np.hstack([getattr(part, f)[a:b] for f in ("counts", "invsqrt", "theta", "theta", "invp")]
+                         + [part.char_eulerlog[a:b].view(np.float64)])
+
+    def _powers(self, slots, logs) -> np.ndarray:
+        """One row per prime power in the columns of sums: log p at psi of its class slot."""
+        rows = np.zeros((len(slots), len(self.sums.vals)))
+        rows[range(len(slots)), np.array(slots, dtype=np.intp) + _layout(self.q).columns["psi"].start] = logs
+        return rows
 
     def fold(self, part: _SegmentPartial, c: int) -> None:
         """Add chunk c of a segment; its chunk 0 must start where this range ends.
 
         A chunk with no prime in a unit class holds exact zeros (chi vanishes
-        off the units), which change no sum, so nothing is folded for it.
+        off the units), which change no sum.
         """
         if c == 0:
             if part.lo != self.hi:
@@ -638,128 +643,113 @@ class TallyPartial:
                     f"segment [{part.lo}, {part.hi}) arrived out of order; expected lo={self.hi}"
                 )
             self.hi = part.hi
-        row = part.counts[c].tolist()
-        if not any(row):
-            return
-        sums, stale = self.sums, self._stale
-        for i, n in enumerate(row):
-            if n:
-                self.counts[i] += n
-                sums["invsqrt"][i] += exact(part.invsqrt[c, i])
-                theta = exact(part.theta[c, i])
-                sums["theta"][i] += theta
-                sums["psi"][i] += theta
-                sums["invp"][i] += exact(part.invp[c, i])
-                for name in _CLASS_FIELDS:
-                    stale[name].add(i)
-        col = part.char_eulerlog[c].view(np.float64).tolist()  # re, im per character
-        sums["char_eulerlog"] = [s + exact(v) for s, v in zip(sums["char_eulerlog"], col)]
-        stale["char_eulerlog"].update(range(len(col)))
+        if part.counts[c].any():
+            self.sums.add(self._deltas(part, c, c + 1), [])
+            self._fresh.update(_SUMMED)
 
-    def fold_powers(self, powers: Sequence[tuple[int, int, float]], start: int, x: float) -> int:
+    def fold_powers(self, powers: _Powers, start: int, x: float) -> int:
         """Add log p to psi for powers[start:] up to x; return the next index."""
-        psi = self.sums["psi"]
-        while start < len(powers) and powers[start][0] <= x:
-            _v, slot, lg = powers[start]
-            if slot >= 0:
-                psi[slot] += exact(lg)
-                self._stale["psi"].add(slot)
-            start += 1
-        return start
+        stop = start
+        while stop < len(powers) and powers[stop][0] <= x:
+            stop += 1
+        terms = [t[1:] for t in powers[start:stop] if t[1] >= 0]
+        if terms:
+            self.sums.add(self._powers(*zip(*terms)), [])
+            self._fresh.add("psi")
+        return stop
 
     def merge(self, other: "TallyPartial") -> "TallyPartial":
         """Add the sums of the adjacent range just above this one, in place."""
         self.hi = other.hi
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
-        for name, theirs in other.sums.items():
-            self.sums[name] = [a + b for a, b in zip(self.sums[name], theirs)]
-            self._stale[name].update(range(len(theirs)))
+        self.sums += other.sums
+        self._fresh.update(_SUMMED)
         return self
 
-    def stale_classes(self) -> set[int]:
-        """The class slots folded since the totals were last taken."""
-        return set().union(*(self._stale[n] for n in _CLASS_FIELDS))
+    def _arrays(self, vals, prime, psi) -> dict:
+        """Per field, the read-only array of each point, from its row of vals (points, columns).
 
-    def _round(self) -> dict[str, list]:
-        """The rounded totals of every summed field, and counts, as lists.
-
-        A field's list is a new object only when something was folded into
-        it; counts is copied with invsqrt, since fold and merge add to both.
-        """
-        vals = self._vals
-        if self._stale["invsqrt"]:
-            vals["counts"] = list(self.counts)
-        for name, stale in self._stale.items():
-            if stale:
-                vals[name] = new = vals[name].copy()
-                for k in stale:
-                    new[k] = rounded(self.sums[name][k])
-                stale.clear()
-        return dict(vals)
-
-    def _arrays(self, points: list[dict[str, list]]) -> dict[str, list[np.ndarray]]:
-        """Per field, the read-only array of each point's values in points.
-
-        A point that holds the previous point's list (for the first, the
-        list last handed on) gets the previous array object; the arrays of
-        the others are the rows of one table per field.
+        A point is new in a field when it gained a prime (prime), or for psi
+        a prime or a prime power (psi), and the first point also when the
+        field changed since the last point handed on.  A field's arrays are
+        the rows of one read-only table of its new points; a point that is
+        not new shares the array of the point before it, and the first the
+        array last handed on.
         """
         layout, out = _layout(self.q), {}
-        for name in self.sums:
-            lists = [pt[name] for pt in points]
-            fresh = [v is not (lists[j - 1] if j else self._last_lists.get(name)) for j, v in enumerate(lists)]
-            table = np.array([v for v, new in zip(lists, fresh) if new]).reshape(sum(fresh), len(self._vals[name]))
-            tables = {name: table.view(np.complex128) if name == "char_eulerlog" else table}
-            if name == "invsqrt":
-                tables["counts"] = np.array([pt["counts"] for pt, new in zip(points, fresh) if new],
-                                            dtype=np.int64).reshape(table.shape)
-            # one (nchar, nclass) product per point: a batch holds no product of them all
-            for f, chi in _DERIVED.get(name, ()):
-                tables[f] = np.array([np.sum(getattr(layout, chi) * row, axis=1) for row in table],
-                                     dtype=np.complex128).reshape(len(table), layout.nchar)
-            for f, table in tables.items():
-                table.flags.writeable = False
-                rows, arr, out[f] = iter(table), self._last.get(f), []
-                for new in fresh:
-                    arr = next(rows) if new else arr
-                    out[f].append(arr)
-                self._last[f] = arr
-            if lists:
-                self._last_lists[name] = lists[-1]
+        for new, fields in ((prime, _SUMMED[:-1]), (psi, _SUMMED[-1:])):
+            new = new.copy()
+            new[0] |= fields[0] in self._fresh
+            tables = {f: vals[new, layout.columns[f]] for f in fields}  # each its own table: a view would keep the batch's
+            for f in layout.derived.keys() & fields:
+                # sum_a chi(a) row_a, one pairwise sum over the class axis, in products of about
+                # _BATCH_CELLS values: the whole batch for a small chi table, a few rows for a large one
+                name, chi, of = layout.derived[f]
+                step = max(1, _BATCH_CELLS // max(1, chi.size))
+                tables[name] = np.vstack([np.add.reduce(chi * tables[f][i:i + step, None, :], axis=2)
+                                          for i in range(0, max(1, len(tables[f])), step)])[:, of]
+            if "counts" in tables:
+                tables["counts"] = tables["counts"].astype(np.int64)  # exact: below 2**53
+                tables["char_eulerlog"] = tables["char_eulerlog"].view(np.complex128)
+            at = np.cumsum(new).tolist()  # each point's entry of arrays
+            for f, rows in tables.items():
+                rows.flags.writeable = False
+                arrays = [self._last.get(f), *rows]
+                out[f] = [arrays[i] for i in at]
+                self._last[f] = out[f][-1]
+        self._fresh = set()
         return out
 
     def totals(self) -> dict[str, np.ndarray]:
         """The totals of every field, as read-only arrays."""
-        return {f: arrs[0] for f, arrs in self._arrays([self._round()]).items()}
+        nothing = np.zeros(1, bool)
+        return {f: a[0] for f, a in self._arrays(self.sums.vals[None], nothing, nothing).items()}
 
     def snapshots(self, part: _SegmentPartial, c: int, xs: Sequence[float],
-                  powers: Sequence[tuple[int, int, float]], pw: int) -> tuple:
-        """Fold chunks c, c + 1, ... of a segment, each followed by the point xs[k].
+                  powers: _Powers, pw: int) -> tuple:
+        """Take the points xs, grid points c, c + 1, ... of a segment, and fold chunks c + 1, c + 2, ...
 
-        Before each point's totals are taken, the prime powers up to it are
-        folded.  Returns, per field, the arrays of every point (as _arrays);
-        each point's rounded values (as _round); per point, the class slots
-        folded into and whether a prime was, from the stale sets; and the
-        next index into powers.
+        Chunk c, which ends before point xs[0], is already folded (by fold
+        for c = 0, else by the batch before); chunk c + j is folded before
+        point xs[j], and chunk c + len(xs) after the last point.  Before each
+        point's totals are taken, the prime powers up to it are folded.
+        Returns, per field, the arrays of every point (as _arrays); per
+        point, the class slots whose sums changed since the point before
+        and whether a prime was folded (every slot and True for a first
+        point after a fold that took no point); and the next index into
+        powers.
         """
-        points, changed = [], []
-        for c, x in enumerate(xs, c):
-            self.fold(part, c)
-            pw = self.fold_powers(powers, pw, x)
-            changed.append((self.stale_classes(), bool(self._stale["invsqrt"])))
-            points.append(self._round())
-        return self._arrays(points), points, changed, pw
+        k = len(xs)
+        points, slots, logs = [], [], []  # the prime powers up to each point
+        for j, x in enumerate(xs):
+            while pw < len(powers) and powers[pw][0] <= x:
+                if powers[pw][1] >= 0:
+                    points.append(j)
+                    slots.append(powers[pw][1])
+                    logs.append(powers[pw][2])
+                pw += 1
+        # chunk c + j + 1 comes after point j, and a power just before its point
+        counts = part.counts[c + 1:c + k + 1]
+        at = np.arange(k) + np.searchsorted(points, np.arange(k), "right")
+        deltas = self._deltas(part, c + 1, c + k + 1)
+        vals = self.sums.add(np.insert(deltas, points, self._powers(slots, logs), axis=0) if points else deltas, at)
+        del deltas  # freed before the batch's arrays are made, which outlive it
+        moved = np.insert(counts[:-1] > 0, 0, bool(self._fresh), axis=0)  # per point: the class slots that gain a term
+        moved[points, slots] = True
+        prime = np.append("counts" in self._fresh, counts[:-1].any(axis=1))
+        arrays = self._arrays(vals, prime, moved.any(axis=1))
+        self._fresh = set(_SUMMED) if counts[-1].any() else set()
+        return arrays, list(zip([np.flatnonzero(m).tolist() for m in moved], prime.tolist())), pw
 
     def copy(self) -> "TallyPartial":
-        return TallyPartial(self.q, self.lo, self.hi, list(self.counts),
-                            {n: list(s) for n, s in self.sums.items()})
+        return TallyPartial(self.q, self.lo, self.hi, ExactSums(self.sums.ints, self.sums.e))
 
     def to_state(self) -> dict:
-        """The exact sums as the sidecar's JSON "state" (format 3)."""
-        eul = list(map(to_hex, self.sums["char_eulerlog"]))
+        """The exact sums as the sidecar's JSON "state" (format 3), in units of 2**-1074."""
+        hexes, cols = list(map(to_hex, self.sums.units())), _layout(self.q).columns
+        eul = hexes[cols["char_eulerlog"]]
         return {
-            "counts": list(self.counts),
-            "class": {n: list(map(to_hex, self.sums[n])) for n in _CLASS_FIELDS},
+            "counts": self.counts,
+            "class": {f: hexes[cols[f]] for f in _CLASS_FIELDS},
             "char": {"eulerlog": [eul[k:k + 2] for k in range(0, len(eul), 2)]},
             "expected_lo": self.hi,
         }
@@ -771,12 +761,12 @@ class TallyPartial:
         Formats 1 and 2 also hold exact char invsqrt and mertens sums, which
         totals() derives and this does not read.
         """
-        sums = {n: list(map(from_hex, state["class"][n])) for n in _CLASS_FIELDS}
-        sums["char_eulerlog"] = [from_hex(h) for pair in state["char"]["eulerlog"] for h in pair]
-        return cls(q, 2, state["expected_lo"], [int(c) for c in state["counts"]], sums)
+        units = [int(c) << 1074 for c in state["counts"]] + [from_hex(h) for f in _CLASS_FIELDS for h in state["class"][f]]
+        units += [from_hex(h) for pair in state["char"]["eulerlog"] for h in pair]
+        return cls(q, 2, state["expected_lo"], ExactSums.from_units(units))
 
 
-def _power_terms(layout: _Layout, lo: int, hi: int) -> list[tuple[int, int, float]]:
+def _power_terms(layout: _Layout, lo: int, hi: int) -> _Powers:
     """(p^k, class slot or -1, log p) for the proper prime powers in [lo, hi), ascending."""
     return [(v, int(layout.slot[v % layout.q]), math.log(p))
             for v, p, _k in prime_powers(hi - 1) if v >= lo]
@@ -803,33 +793,43 @@ class _RowWriter:
     and psi of one class) and of the character section (per character:
     invsqrt, mertens, eulerlog, each as re, im), and formats again only
     what TallyPartial.snapshots says changed: the class blocks of the slots
-    folded into, and the character section when a prime was, the only fold
-    that moves a character column.  No values are compared.
+    whose sums moved, and the character section when a prime was folded,
+    the only fold that moves a character column; it compares no rows.  A
+    class block takes psi's text from theta's while the two doubles are
+    equal, and a character section formats each distinct char_mertens value
+    once (one per distinct chi^2) and places its text at every character
+    that shares it.
     """
 
-    def __init__(self, nclass: int):
-        self.blocks = [""] * nclass
-        self.text = ""
+    def __init__(self, layout: _Layout):
+        self.blocks = [""] * layout.nclass
+        self.classes = self.text = ""
+        self.first = layout.chi2_first
+        # a section's cells, picked in (re, im) pairs from its formatted invsqrt, eulerlog and distinct mertens cells
+        pairs = np.arange(4 * layout.nchar + 2 * len(self.first)).reshape(-1, 2)
+        inv, eul, mertens = np.split(pairs, [layout.nchar, 2 * layout.nchar])
+        self.order = np.hstack([inv, mertens[layout.chi2_of], eul]).ravel().tolist()
 
-    def lines(self, xs, ys, points, arrays, changed) -> str:
+    def lines(self, xs, ys, arrays, changed) -> str:
         """The rows at xs, ys.
 
-        points[j] maps counts, invsqrt, theta and psi to point j's values,
-        arrays maps each character field to its array at every point, and
-        changed[j] holds snapshots' class slots and prime flag for point j,
-        every slot and True for a writer's first row.  xs is not empty.
+        arrays maps each field to its array at every point, and changed[j]
+        holds snapshots' class slots and prime flag for point j.  xs is not
+        empty.
         """
-        # every point's character cells, in one tolist
-        cells = np.stack([arrays[f"char_{f}"] for f in _CHAR_FIELDS], axis=2)
-        cells = cells.view(np.float64).reshape(len(xs), -1).tolist()
         out = []
-        for x, y, pt, (slots, folded), chars in zip(xs, ys, points, changed, cells):
-            n, s, t, p = (pt[f] for f in ("counts", "invsqrt", "theta", "psi"))
-            for i in slots:
-                self.blocks[i] = f"{n[i]},{s[i]!r},{t[i]!r},{p[i]!r}"
+        for j, (x, y, (slots, folded)) in enumerate(zip(xs, ys, changed)):
+            if slots:
+                n, s, t, p = (arrays[f][j].tolist() for f in ("counts", "invsqrt", "theta", "psi"))
+                for i in slots:
+                    theta = repr(t[i])  # psi is theta until a prime power of the class is folded
+                    self.blocks[i] = f"{n[i]},{s[i]!r},{theta},{theta if p[i] == t[i] else repr(p[i])}"
+                self.classes = ",".join(self.blocks)
             if folded:
-                self.text = ",".join(["", *map(repr, chars)])
-            out.append(f"{x!r},{y!r},{','.join(self.blocks)}{self.text}\n")
+                cells = [arrays["char_invsqrt"][j], arrays["char_eulerlog"][j], arrays["char_mertens"][j][self.first]]
+                texts = list(map(repr, np.concatenate(cells).view(np.float64).tolist()))
+                self.text = ",".join(["", *map(texts.__getitem__, self.order)])
+            out.append(f"{x!r},{y!r},{self.classes}{self.text}\n")
         return "".join(out)
 
 
@@ -1018,7 +1018,7 @@ def accumulate(
             fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
     powers = _power_terms(layout, 2, x_hi)
 
-    rows = _RowWriter(layout.nclass)  # the first point changes every class: nothing was rounded yet
+    rows = _RowWriter(layout)  # the first point changes every class: nothing was handed on yet
     batch = max(1, _BATCH_CELLS // (4 * layout.nclass + 6 * layout.nchar))
 
     def flush(done_idx: int, complete: bool) -> None:
@@ -1044,19 +1044,18 @@ def accumulate(
                               start_idx - first):
             # the segment's grid points, which end all chunks but the last,
             # are snapshotted and written a batch of rows at a time
-            ends = grid_x[next_j:next_j + part.nchunks - 1].tolist()
-            heights = grid_y[next_j:next_j + part.nchunks - 1].tolist()
+            ends, heights = (g[next_j:next_j + part.nchunks - 1].tolist() for g in (grid_x, grid_y))
+            state.fold(part, 0)  # the segment's first chunk, which must start where the tally ends
             for c in range(0, len(ends), batch):
                 xs, ys = ends[c:c + batch], heights[c:c + batch]
-                arrays, points, changed, pw_ptr = state.snapshots(part, c, xs, powers, pw_ptr)
+                arrays, changed, pw_ptr = state.snapshots(part, c, xs, powers, pw_ptr)
                 series.x += xs
                 series.y += ys
                 for f, entries in series.fields.items():
                     entries += arrays[f]
                 if csv is not None:
-                    csv.write(rows.lines(xs, ys, points, arrays, changed))
+                    csv.write(rows.lines(xs, ys, arrays, changed))
                 next_j += len(xs)
-            state.fold(part, len(ends))
             done_idx += 1
             if csv is not None and (done_idx - start_idx) % _FLUSH_EVERY == 0:
                 flush(done_idx, complete=False)

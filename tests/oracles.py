@@ -8,8 +8,10 @@ loop-per-character segment reduction; race_jump_weights, the stable
 argsort merge of per-class jump positions into the race stream; the
 stream forms of the race analyses, stream_density_race and
 stream_mean_values, with stream_summary, which builds a race summary from
-the whole stream by one global cumsum; and format_row, which formats every
-cell of a checkpoint CSV row.
+the whole stream by one global cumsum; format_row, which formats every
+cell of a checkpoint CSV row; and ScalarFold with scalar_tally, the exact
+fold one entry at a time: exact() of every chunk sum, rounded() of every
+total, and each derived character column summed per character.
 """
 from __future__ import annotations
 
@@ -357,3 +359,97 @@ def format_row(x, y, row):
     chars = np.stack([row["char_invsqrt"], row["char_mertens"], row["char_eulerlog"]], axis=1)
     parts += map(repr, chars.view(np.float64).ravel().tolist())
     return ",".join(parts)
+
+
+class ScalarFold:
+    """A tally's exact sums folded one entry at a time, as Python ints in units of 2**-1074.
+
+    fold adds chunk c of a segment partial: exact() of each class sum of a
+    class that holds a prime, and of every Euler-log part when the chunk
+    holds one.  row() rounds every total with rounded() and derives
+    char_invsqrt and char_mertens per character, one np.sum over the unit
+    classes of chi(a) * invsqrt_a and chi(a^2) * invp_a.  state() is the
+    sidecar's "state" of those sums.
+    """
+
+    def __init__(self, q: int):
+        from primerace.characters import enumerate_characters, unit_residues
+
+        self.units = list(unit_residues(q))
+        chars = enumerate_characters(q)[1:]
+        self.chi = [chi.values[self.units] for chi in chars]
+        self.chi2 = [chi.values[[a * a % q for a in self.units]] for chi in chars]
+        n = len(self.units)
+        self.counts = [0] * n
+        self.sums = {f: [0] * n for f in ("invsqrt", "theta", "psi", "invp")}
+        self.sums["char_eulerlog"] = [0] * (2 * len(chars))
+
+    def fold(self, part, c: int) -> None:
+        from primerace.exact import exact
+
+        for i, k in enumerate(part.counts[c].tolist()):
+            if k:
+                self.counts[i] += k
+                for f, table in (("invsqrt", part.invsqrt), ("theta", part.theta),
+                                 ("psi", part.theta), ("invp", part.invp)):
+                    self.sums[f][i] += exact(float(table[c, i]))
+        if part.counts[c].any():
+            eul = self.sums["char_eulerlog"]
+            for j, v in enumerate(part.char_eulerlog[c].view(np.float64).tolist()):
+                eul[j] += exact(v)
+
+    def fold_power(self, slot: int, log_p: float) -> None:
+        from primerace.exact import exact
+
+        self.sums["psi"][slot] += exact(log_p)
+
+    def row(self) -> dict:
+        from primerace.exact import rounded
+
+        vals = {f: np.array([rounded(s) for s in sums]) for f, sums in self.sums.items()}
+        row = {"counts": np.array(self.counts, dtype=np.int64),
+               **{f: vals[f] for f in ("invsqrt", "theta", "psi")},
+               "char_eulerlog": vals["char_eulerlog"].view(np.complex128)}
+        row["char_invsqrt"] = np.array([np.sum(chi * vals["invsqrt"]) for chi in self.chi], dtype=np.complex128)
+        row["char_mertens"] = np.array([np.sum(chi * vals["invp"]) for chi in self.chi2], dtype=np.complex128)
+        return row
+
+    def state(self, expected_lo: int) -> dict:
+        from primerace.exact import to_hex
+
+        eul = list(map(to_hex, self.sums["char_eulerlog"]))
+        return {"counts": list(self.counts),
+                "class": {f: list(map(to_hex, self.sums[f])) for f in ("invsqrt", "theta", "psi", "invp")},
+                "char": {"eulerlog": [eul[k:k + 2] for k in range(0, len(eul), 2)]},
+                "expected_lo": expected_lo}
+
+
+def scalar_tally(grid, q: int, x_hi: int, segment_odds: int, stop: int | None = None):
+    """The scalar fold of a tally to x_hi: (rows, state).
+
+    rows holds ScalarFold.row() at every grid point, in order.  With stop,
+    the fold ends before segment stop and state is the sidecar state the
+    tally persists there (with next_j and pw_ptr); else state is None.  The
+    chunk sums come from the package's segment reduction, which
+    reference_segment_partial pins; the prime powers from its _power_terms.
+    """
+    from primerace.sieve import segment_bounds, sieve_segment, simple_sieve
+    from primerace.tally import _Layout, _power_terms, _Scratch, _segment_partial
+
+    layout, fold = _Layout(q), ScalarFold(q)
+    powers, pw, rows = _power_terms(layout, 2, x_hi), 0, []
+    base = simple_sieve(math.isqrt(x_hi - 1))
+    for k, (a, b) in enumerate(segment_bounds(2, x_hi, segment_odds)):
+        if k == stop:
+            return rows, {**fold.state(a), "next_j": len(rows), "pw_ptr": pw}
+        inside = grid.x[(grid.x >= a) & (grid.x < b)]
+        part, _ = _segment_partial(sieve_segment(a, b, base), a, b, inside, layout, _Scratch(None))
+        for c in range(part.nchunks):
+            fold.fold(part, c)
+            if c < len(inside):
+                while pw < len(powers) and powers[pw][0] <= inside[c]:
+                    if powers[pw][1] >= 0:
+                        fold.fold_power(*powers[pw][1:])
+                    pw += 1
+                rows.append(fold.row())
+    return rows, None

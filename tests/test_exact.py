@@ -1,13 +1,14 @@
-"""The exact layer: sums of doubles held as ints in units of 2**-1074."""
+"""The exact layer: sums of doubles held as ints in units of 2**-1074, and their tables."""
 import json
 import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primerace.exact import exact, from_hex, rounded, to_hex
+from primerace.exact import ExactSums, exact, from_hex, rounded, rounded_table, to_hex
 
 DATA = Path(__file__).resolve().parent / "data"
 UNIT = Fraction(1, 2**1074)
@@ -85,3 +86,85 @@ def test_fixture_state_lists(name, count):
     for hexes in found:
         assert Fraction(from_hex(hexes)) * UNIT == sum(
             (Fraction(float.fromhex(h)) for h in hexes), Fraction(0))
+
+
+def scalar_running(table):
+    """Per row of table, each column's rounded running sum; and the sums, in units of 2**-1074."""
+    sums, rows = [0] * table.shape[1], []
+    for row in table.tolist():
+        sums = [n + exact(x) for n, x in zip(sums, row)]
+        rows.append([rounded(n) for n in sums])
+    return np.array(rows, dtype=np.float64).reshape(table.shape), sums
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def added(sums, table, cuts):
+    """The rows ExactSums.add returns after each row of table, added in the batches cuts make."""
+    rows = [sums.add(table[a:b], range(1, b - a + 1)) for a, b in zip([0, *cuts], [*cuts, len(table)])]
+    return np.concatenate([np.empty((0, table.shape[1])), *rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(1, 5), height=st.integers(0, 10), data=st.data())
+def test_table_sums_are_the_scalar_fold_in_any_batches(width, height, data):
+    table = np.array(data.draw(st.lists(st.lists(doubles, min_size=width, max_size=width),
+                                        min_size=height, max_size=height), label="table"))
+    table = table.reshape(height, width)
+    cuts = sorted(data.draw(st.lists(st.integers(0, height), max_size=4), label="cuts"))
+    want, units = scalar_running(table)
+    sums = ExactSums(np.zeros(width, dtype=object))
+    assert_bits(added(sums, table, cuts), want)
+    assert sums.units() == units
+    assert_bits(sums.vals, [rounded(n) for n in units])
+    # the sums survive their units, and keep adding from there
+    back = ExactSums.from_units(units)
+    assert back.units() == units and back.e <= 0
+    assert_bits(back.vals, sums.vals)
+    assert_bits(back.add(table, [height]), sums.add(table, [height]))
+
+
+@pytest.mark.parametrize("tiny", [TINY, 3 * TINY, 2.0**-1022, 1e-300, 2.0**-60], ids=repr)
+def test_an_exponent_dropped_in_mid_run_keeps_every_bit(tiny):
+    # large sums first, then a tiny delta lowers the table's exponent: every
+    # sum already held is shifted to it, and later deltas land on it too
+    table = np.array([[1e10, 3.7, -2.5], [2.0**40, 1.0 / 3, 7.0], [tiny, -tiny, 0.0],
+                      [1e10, 2.0**-52, 1.0], [-tiny, 0.25, -0.0]])
+    want, units = scalar_running(table)
+    sums = ExactSums(np.zeros(3, dtype=object))
+    assert_bits(sums.add(table[:2], [1, 2]), want[:2])
+    before = sums.e
+    assert_bits(sums.add(table[2:], [1, 2, 3]), want[2:])
+    assert sums.e < before and sums.units() == units
+
+
+def test_limbs_and_python_ints_agree():
+    # sums that fit 2**105 at their exponent go through int64 limbs; a
+    # wider column sends the table to Python ints, and bits agree either way
+    rng = np.random.default_rng(7)
+    narrow = rng.random((6, 4)) * 10.0 ** rng.integers(-4, 4, (6, 4))
+    for table, limbs in ((narrow, True), (np.vstack([narrow, [[2.0**1000, TINY, 1.0, -1.0]]]), False)):
+        want, units = scalar_running(table)
+        sums = ExactSums(np.zeros(4, dtype=object))
+        assert_bits(sums.add(table, range(1, len(table) + 1)), want)
+        assert (sums.limbs is not None) == limbs and sums.units() == units
+
+
+@settings(max_examples=300, deadline=None)
+@given(ints=st.lists(st.integers(-(2**200), 2**200) | st.sampled_from([0, 1, -1, 3 << 52, (1 << 53) + 1]),
+                     max_size=8),
+       e=st.integers(-1074, 0))
+def test_rounded_table_is_rounded(ints, e):
+    got = rounded_table(np.array(ints, dtype=object).reshape(len(ints)), e)
+    assert_bits(got, [rounded(n << (e + 1074)) for n in ints])
+
+
+@given(units=st.lists(st.integers(-(2**2090), 2**2090), max_size=6))
+def test_units_round_trip(units):
+    sums = ExactSums.from_units(units)
+    assert sums.units() == units
+    assert_bits(sums.vals, [rounded(n) for n in units])

@@ -1,10 +1,12 @@
 """Streaming tally vs. brute-force reference sums and hand-checked values."""
+import functools
 import itertools
 import json
 import math
 import os
 import shutil
 import tempfile
+import tokenize
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -41,9 +43,11 @@ from primerace.tally import (
 
 from oracles import (
     ReferenceTally,
+    ScalarFold,
     format_row,
     race_jump_weights,
     reference_segment_partial,
+    scalar_tally,
     stream_density_race,
     stream_mean_values,
     stream_summary,
@@ -939,7 +943,6 @@ class TestTallyState:
         layout = _Layout(q)
         part = range_partial(2, 5_000, q, segment_odds=512)
         first = part.totals()
-        assert part.stale_classes() == set()
         again = part.totals()
         assert again.keys() == first.keys() == set(ALL_ARRAYS) | {"invp"}
         for name, arr in first.items():
@@ -950,13 +953,15 @@ class TestTallyState:
         assert not any(a.flags.writeable for a in part.copy().totals().values())
         slot = int(layout.slot[25 % q])
         part.fold_powers([(25, slot, math.log(5.0))], 0, 25.0)
-        assert part.stale_classes() == {slot}
         psi_only = part.totals()
         for name, arr in psi_only.items():
             assert (arr is first[name]) == (name != "psi"), name
-        assert psi_only["psi"][slot] > first["psi"][slot]
+            assert not arr.flags.writeable, name
+        changed = np.flatnonzero(psi_only["psi"] != first["psi"]).tolist()
+        assert changed == [slot] and psi_only["psi"][slot] > first["psi"][slot]
+        assert all(arr is psi_only[name] for name, arr in part.totals().items())
 
-    @pytest.mark.parametrize("q", [4, 12, 24, 105])
+    @pytest.mark.parametrize("q", [4, 12, 24, 105, 420])
     def test_linear_character_columns_derive_from_the_class_sums(self, q):
         # char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens =
         # sum_a chi(a^2) invp_a, one pairwise np.sum per character over the
@@ -1415,3 +1420,97 @@ class TestCrossVersionResume:
         assert_same_summary(res.race, direct.race)
         # complete, the two sidecars hold the same race and the same counts
         assert (work / "resume_q4_race.meta.json").read_bytes() == (work / "fresh.meta.json").read_bytes()
+
+
+# the scalar-fold runs, per segment width: x_max, h and the segment a run is cut before
+SCALAR_RUNS = {512: (3e4, 0.02, 5), 2**20: (2.2e6, 0.1, 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_reference(q, segment_odds):
+    """The grid, the scalar fold's rows, its state where a run is cut, and its CSV bytes."""
+    x_max, h, stop = SCALAR_RUNS[segment_odds]
+    grid = CheckpointGrid.from_xmax(x_max, h=h)
+    x_hi = math.floor(grid.x_max) + 1
+    rows, _ = scalar_tally(grid, q, x_hi, segment_odds)
+    _, state = scalar_tally(grid, q, x_hi, segment_odds, stop)
+    layout = _Layout(q)
+    lines = [",".join(tally._csv_columns(layout.units, layout.char_labels)),
+             *(format_row(x, y, row) for x, y, row in zip(grid.x.tolist(), grid.y.tolist(), rows))]
+    return grid, rows, state, "".join(f"{line}\n" for line in lines).encode()
+
+
+def assert_rows(series, rows):
+    """Every point of a series equals the scalar fold's row, bit for bit."""
+    assert len(series) == len(rows)
+    for name in ALL_ARRAYS:
+        got, want = matrix(series, name), np.array([row[name] for row in rows])
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+class TestScalarFold:
+    """accumulate against the exact fold one entry at a time (oracles.scalar_tally), bit for bit.
+
+    The tally folds and rounds a batch of grid points in one step; the
+    oracle adds exact() of every chunk sum and rounds every total with
+    rounded(), as the tally did before its batches, and derives each
+    character column per character, where the tally takes char_mertens on
+    the distinct rows of chi^2.
+    """
+
+    @pytest.mark.parametrize("q, segment_odds, points", [
+        *((q, 512, points) for q in (4, 12, 105, 420) for points in (1, 2, 3)),
+        *((q, 2**20, 2) for q in (4, 12, 105)),
+    ])
+    def test_series_csv_and_state(self, tmp_path, monkeypatch, q, segment_odds, points):
+        # batches of 1-3 grid points; a run cut before segment `stop` and
+        # resumed at the other thread count; two threads for 2-point batches
+        layout = _Layout(q)
+        monkeypatch.setattr(tally, "_BATCH_CELLS", points * (4 * layout.nclass + 6 * layout.nchar))
+        grid, rows, state, text = scalar_reference(q, segment_odds)
+        stop = SCALAR_RUNS[segment_odds][2]
+        threads = 2 if points == 2 else 1
+        fresh = accumulate(grid, q, segment_odds=segment_odds, threads=threads, persist=tmp_path / "fresh.csv")
+        assert (tmp_path / "fresh.csv").read_bytes() == text
+        assert_rows(fresh.series, rows)
+        path = tmp_path / "cut.csv"
+        accumulate(grid, q, segment_odds=segment_odds, threads=threads, persist=path, max_segments=stop)
+        assert json.loads(tally._sidecar_path(path).read_text())["state"] == state
+        back = accumulate(grid, q, segment_odds=segment_odds, threads=3 - threads, persist=path, resume=True)
+        assert back.completed and path.read_bytes() == text
+        assert_rows(back.series, rows)
+
+    @pytest.mark.parametrize("q, segment_odds", [(4, 512), (12, 512), (105, 512), (420, 512),
+                                                 (4, 2**20), (12, 2**20), (105, 2**20)])
+    def test_merged_range_partials(self, q, segment_odds):
+        # a split on a segment boundary, the upper range on two threads
+        x_max, _h, stop = SCALAR_RUNS[segment_odds]
+        hi, m = int(x_max), 2 + 2 * segment_odds * stop
+        fold, layout = ScalarFold(q), _Layout(q)
+        base = simple_sieve(math.isqrt(hi))
+        for a, b in segment_bounds(2, hi, segment_odds):
+            part, _ = _segment_partial(sieve_segment(a, b, base), a, b, np.empty(0), layout, _Scratch(None))
+            fold.fold(part, 0)
+        for _v, slot, lg in _power_terms(layout, 2, hi):
+            if slot >= 0:
+                fold.fold_power(slot, lg)
+        want = fold.row()
+        for got in (range_partial(2, hi, q, segment_odds=segment_odds),
+                    merge(range_partial(2, m, q, segment_odds=segment_odds),
+                          range_partial(m, hi, q, segment_odds=segment_odds, threads=2))):
+            totals = got.totals()
+            assert got.counts == fold.counts
+            for name in ALL_ARRAYS:
+                assert np.array_equal(totals[name].view(np.uint64), want[name].view(np.uint64)), name
+
+
+def test_tally_module_stays_below_the_compile_threshold():
+    # significant tokens: every token but comments, blank lines, the encoding
+    # and the end marker.  Past 8192 of them, CPython 3.11's compile() of
+    # tally.py peaks about 0.47 MB higher, which every process that imports
+    # it from source pays
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
+    with open(tally.__file__, "rb") as fh:
+        count = sum(token.type not in skip for token in tokenize.tokenize(fh.readline))
+    assert count < 8192, count
