@@ -3,25 +3,28 @@
 
 For each workload and each seed, runs
 
-    perfbench/run.py --workload W --seed S --seconds 30 --trace 0
+    perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once on the parent and once on this checkout, back to back: the parent first
-on odd seeds, the change first on even ones, so that a slow spell of the host
-falls on both sides alike.  The parent is a clean tree of a git revision,
-exported with `git archive` into a temporary directory and removed at the
-end; the change is the checkout's working tree as it stands.  Only pairs
-from one session support a speed claim: the host's load sets the level of
-a run.
+with T the run_seconds of BENCHMARK.json, once on the parent and once on
+this checkout, back to back: the parent first on odd seeds, the change
+first on even ones, so that a slow spell of the host falls on both sides
+alike.  The parent is a clean tree of a git revision, exported with `git
+archive` into a temporary directory and removed at the end; the change is
+the checkout's working tree as it stands.  Only pairs from one session
+support a speed claim: the host's load sets the level of a run.
 
 Run from the repository root:
 
     python3 scripts/bench_pairs.py --rev REV --tag TAG [--seeds 1-10]
-        [--workloads race-q4-fresh,euler-q105] [--seconds 30] [--how TEXT]
+        [--workloads race-q4-fresh,euler-q105] [--how TEXT]
 
-The output holds, per workload, the seeds, the failed and attempted
-operations of each side, and per end-to-end metric each side's values (one
-per seed), their median and quartiles (statistics.quantiles), and in how
-many pairs the change's value is the lower.
+The output holds one set of pairs per --seeds value ("seeds 1-10"): per
+workload, the seeds, the failed and attempted operations of each side, and
+per end-to-end metric each side's values (one per seed), their median and
+quartiles (statistics.quantiles), and in how many pairs the change's value
+is the lower.  When BENCH_<tag>_pairs.json exists, the new set is added to
+it (a set of the same seeds is replaced), provided it was made against the
+same revision and run length.  --how is recorded with the set's label.
 """
 from __future__ import annotations
 
@@ -44,6 +47,16 @@ def seeds(text: str) -> list[int]:
         lo, hi = map(int, text.split("-"))
         return list(range(lo, hi + 1))
     return [int(s) for s in text.split(",")]
+
+
+def merged(out: Path, how: str) -> dict:
+    """The pairs already in out, or a new file's skeleton; how opens its description."""
+    if not out.exists():
+        return {"how": how, "sets": {}}
+    result = json.loads(out.read_text())
+    if not result["how"].startswith(how):
+        raise SystemExit(f"{out} holds pairs of another parent or run length; use another --tag")
+    return result
 
 
 def export(rev: str, into: Path) -> None:
@@ -71,28 +84,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="alternating parent/change perfbench pairs")
     parser.add_argument("--rev", required=True, help="the parent revision")
     parser.add_argument("--tag", required=True, help="names the output, BENCH_<tag>_pairs.json")
-    parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
+    parser.add_argument("--seeds", default="1-10", help='"1-10" or "1,3,5"')
     parser.add_argument("--workloads", default=None,
                         help="comma-separated; default: BENCHMARK.json's workloads")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--how", default="", help="appended to the output's description")
     args = parser.parse_args(argv)
-    names = (args.workloads.split(",") if args.workloads else
-             [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
-    label = f"seeds {args.seeds[0]}-{args.seeds[-1]}"
-    result = {"how": f"alternating perfbench/run.py --seconds {args.seconds:g} --trace 0 runs, parent first on "
-                     f"odd seeds; parent = {args.rev} (git archive), change = the working tree"
-                     + (f"; {args.how}" if args.how else ""),
-              "sets": {label: {}}}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    label, seed_list = f"seeds {args.seeds}", seeds(args.seeds)
+    out = ROOT / f"BENCH_{args.tag}_pairs.json"
+    result = merged(out, f"alternating perfbench/run.py --seconds {seconds:g} --trace 0 runs, parent first on "
+                         f"odd seeds; parent = {args.rev} (git archive), change = the working tree")
+    if args.how:
+        result["how"] += f"; {label}: {args.how}"
+    result["sets"][label] = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent = Path(tmp)
         export(args.rev, parent)
         for name in names:
             runs = {"parent": [], "change": []}
-            for seed in args.seeds:
+            for seed in seed_list:
                 order = ("parent", "change") if seed % 2 else ("change", "parent")
                 for who in order:
-                    runs[who].append(run(parent if who == "parent" else ROOT, name, seed, args.seconds))
+                    runs[who].append(run(parent if who == "parent" else ROOT, name, seed, seconds))
                     print(f"{name} seed {seed} {who}: "
                           f"wall_s {runs[who][-1]['metrics']['wall_s']['value']:.4f}", file=sys.stderr)
             metrics = {}
@@ -101,12 +116,11 @@ def main(argv=None) -> int:
                 metrics[key] = {**{who: side(v) for who, v in vals.items()},
                                 "change_lower_in": sum(c < p for p, c in zip(vals["parent"], vals["change"]))}
             result["sets"][label][name] = {
-                "seeds": args.seeds,
+                "seeds": seed_list,
                 "failed": {who: sum(r["failed"] for r in runs[who]) for who in runs},
                 "attempted": {who: sum(r["attempted"] for r in runs[who]) for who in runs},
                 "metrics": metrics,
             }
-    out = ROOT / f"BENCH_{args.tag}_pairs.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

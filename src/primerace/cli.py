@@ -51,9 +51,10 @@ from .characters import (
     parse_label,
     race_weight,
 )
+from .checkpoint import _sidecar_path
 from .ingest import load_zeros, symmetric_expand
 from .sieve import DEFAULT_SEGMENT_ODDS
-from .tally import CheckpointGrid, _sidecar_path, accumulate
+from .tally import CheckpointGrid, accumulate
 
 __all__ = ["RunConfig", "UsageError", "main",
            "cmd_bias", "cmd_euler", "cmd_delta", "cmd_moments", "cmd_mean",

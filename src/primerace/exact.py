@@ -1,16 +1,8 @@
 """Exact sums of doubles, held as integers.
 
-Every finite double is an integer multiple of 2**-1074, the smallest
-subnormal, so a sum of exact(x) ints is exact in any order, and rounded(n)
-is its correctly rounded double.  The sidecar holds a sum as float.hex
-strings (to_hex, from_hex) in those units.
-
-ExactSums holds one such sum per column at one binary exponent e, the
-least of 0 and the last bit of every double added, so a tally's ints are
-about 60 to 120 bits wide.  ExactSums.add folds a batch of rows in one
-vectorised step and rounds each running sum once: in int64 limbs while
-the sums fit 105 bits, else in Python ints.  The bits are those of exact
-and rounded one entry at a time, under any split into batches.
+Every finite double is an integer multiple of 2**-1074, so exact(x) ints
+add exactly in any order and rounded(n) is their correctly rounded double.
+ExactSums keeps a table of such sums and folds a batch of rows at once.
 """
 from __future__ import annotations
 
@@ -18,10 +10,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["exact", "rounded", "to_hex", "from_hex", "rounded_table", "ExactSums"]
+__all__ = ["exact", "rounded", "to_hex", "from_hex", "ExactSums"]
 
 _UNIT = 1 << 1074  # 1.0 in units of 2**-1074
-_TINY_NORMAL = 2.0**-1022
 
 
 def exact(x: float) -> int:
@@ -50,26 +41,6 @@ def from_hex(hexes: Iterable[str]) -> int:
     return sum(exact(float.fromhex(h)) for h in hexes)
 
 
-def rounded_table(ints: np.ndarray, e: int) -> np.ndarray:
-    """The doubles nearest each n * 2**e of an array of ints, ties to even, as float64.
-
-    float(n) rounds correctly, and scaling it by 2**e is exact while the
-    result is a normal double; an entry whose result is subnormal or
-    overflows takes int / int instead, which rounds correctly everywhere
-    (and raises OverflowError past the largest double, as rounded does).
-    """
-    try:
-        near = ints.astype(np.float64)
-    except OverflowError:  # some |n| >= 2**1024
-        near = np.full(ints.shape, np.inf)
-    out = np.ldexp(near, e)
-    size = np.abs(out)
-    slow = ((size < _TINY_NORMAL) & (near != 0)) | (size == np.inf)
-    if slow.any():
-        out[slow] = [rounded(n << (e + 1074)) for n in ints[slow].tolist()]
-    return out
-
-
 class ExactSums:
     """Exact sums of doubles, one per column, at one binary exponent e, and vals, their rounded doubles.
 
@@ -78,14 +49,19 @@ class ExactSums:
     and lo).  A batch's running sums are then int64 cumsums and one carry,
     and hi * 2**(52 + e) and lo * 2**e are exact doubles whose IEEE sum is
     n * 2**e correctly rounded.  Otherwise the sums are Python ints, added
-    with one np.cumsum down an object table and rounded by rounded_table.
+    with one np.cumsum down an object table and rounded one at a time.
     ints reads the limbs out as Python ints when asked; neither form
     changes in place, so objects may share them.
     """
 
     def __init__(self, ints: np.ndarray, e: int = 0):
         self._ints, self.limbs, self.e = ints, None, e
-        self.vals = rounded_table(ints, e)
+        self.vals = self._rounded(ints)
+
+    def _rounded(self, ints: np.ndarray) -> np.ndarray:
+        """The doubles nearest each n * 2**e of an object array of ints; +0.0 for 0, as rounded(0) is."""
+        shift = self.e + 1074
+        return np.array([rounded(n << shift) if n else 0.0 for n in ints.ravel().tolist()], np.float64).reshape(ints.shape)
 
     @property
     def ints(self) -> np.ndarray:
@@ -104,37 +80,42 @@ class ExactSums:
         batch when they and the deltas fit and it has fewer than 1000 rows,
         so that no int64 sum overflows; any other batch takes Python ints.
         """
-        k = np.maximum(np.frexp(deltas)[1] - 53, -1074)  # the exponent of each value's last bit
-        nz = deltas != 0
-        e = min(self.e, int(k.min(initial=0, where=nz)))
+        # the limb path calls few distinct numpy loops: the first call of each
+        # maps more of numpy's library, which counts in a pass's peak memory.
+        # 2**(exps - 1) <= |x| < 2**exps, and x's last bit is 2**(exps - 53), or 2**-1074 if that is less
+        exps, nz = np.frexp(deltas)[1], deltas != 0
+        e = min(self.e, max(int(exps.min(initial=53, where=nz)) - 53, -1074))
         if e < self.e:
             self._ints, self.limbs, self.e = self.ints << (self.e - e), None, e
-        if self.limbs is None and np.all(np.abs(self.ints) < 1 << 104):
-            self.limbs = np.stack([(self.ints >> 52).astype(np.int64), (self.ints & (1 << 52) - 1).astype(np.int64)])
-        if self.limbs is not None and len(deltas) < 1000 and max(deltas.max(initial=0), -deltas.min(initial=0)) < 2.0**(104 + e):
+        ints = [] if self.limbs is not None else self.ints.tolist()
+        if ints and max(map(abs, ints)) < 1 << 104:
+            self.limbs = np.array([[n >> 52 for n in ints], [n & (1 << 52) - 1 for n in ints]], dtype=np.int64)
+        if self.limbs is not None and len(deltas) < 1000 and exps.max(initial=-1074, where=nz) <= 104 + e:
             # the kept rows are copied and the temporaries made in place, so
             # that no batch leaves a block of its own alive in the heap
             sums = np.empty((2, len(deltas) + 1, len(self.vals)), dtype=np.int64)
             sums[:, 0] = self.limbs
             v = np.ldexp(deltas, -e)  # each delta as an integer below 2**104, exactly
-            sums[0, 1:] = top = np.floor(np.ldexp(v, -52))
-            sums[1, 1:] = v - np.ldexp(top, 52)
+            sums[0, 1:] = np.ldexp(v, -52)  # truncated toward 0
+            sums[1, 1:] = v - np.ldexp(sums[0, 1:].astype(np.float64), 52)  # |lo| < 2**52, until the carry
             np.cumsum(sums, axis=1, out=sums)
             carry = sums[1] >> 52
             sums[0] += carry
             sums[1] -= carry << 52
-            if np.abs(sums[0]).max(initial=0) < 2**53:
+            if -2**53 < sums[0].min(initial=0) and sums[0].max(initial=0) < 2**53:
                 self.limbs, self._ints = sums[:, -1].copy(), None
-                rounded = np.ldexp(sums[0], 52 + e, dtype=np.float64)
-                rounded += np.ldexp(sums[1], e, dtype=np.float64)
-                self.vals = rounded[-1].copy()
-                return rounded[at]
+                near = sums[0].astype(np.float64)
+                np.ldexp(near, 52 + e, out=near)
+                near += np.ldexp(sums[1].astype(np.float64), e)
+                self.vals = near[-1].copy()
+                return near[at]
+        k = np.maximum(exps - 53, -1074)
         ints = np.ldexp(deltas, -k).astype(np.int64).astype(object) << np.where(nz, k - e, 0)  # exact: below 2**53
         sums = np.cumsum(np.concatenate([self.ints[None], ints]), axis=0)
         self._ints, self.limbs = sums[-1], None
-        rounded = rounded_table(sums, e)
-        self.vals = rounded[-1].copy()
-        return rounded[at]
+        near = self._rounded(sums[[*at, -1]])  # only the rows asked for, and the last
+        self.vals = near[-1]
+        return near[:-1]
 
     def __iadd__(self, other: "ExactSums") -> "ExactSums":
         e = min(self.e, other.e)

@@ -95,6 +95,15 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .characters import _values_of, enumerate_characters, race_weight, unit_residues
+from .checkpoint import (
+    _CHAR_FIELDS,
+    _csv_columns,
+    _read_sidecar,
+    _RowWriter,
+    _sidecar_path,
+    _truncate_csv,
+    _write_sidecar,
+)
 from .exact import ExactSums, from_hex, to_hex
 from .sieve import (
     DEFAULT_SEGMENT_ODDS,
@@ -121,7 +130,6 @@ __all__ = [
 
 LOG2 = math.log(2.0)
 
-_CHAR_FIELDS = ("invsqrt", "mertens", "eulerlog")
 # a checkpoint row's fields, as CheckpointSeries.fields names them
 _ROW_FIELDS = ("counts", "invsqrt", "theta", "psi", *(f"char_{f}" for f in _CHAR_FIELDS))
 _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
@@ -199,11 +207,13 @@ class _Layout:
         self.chi_class = np.ascontiguousarray(self.chi_tab[:, self.units])
         chi2 = np.ascontiguousarray(self.chi_tab[:, [a * a % q for a in self.units]])
         # chi^2 is shared among characters: char_mertens takes its product on
-        # the bitwise-distinct rows of chi2 (chi2_first), and character
-        # j reads distinct row chi2_of[j]
-        _, self.chi2_first, chi2_of = np.unique(chi2.view(np.uint64).reshape(self.nchar, -1),
-                                                axis=0, return_index=True, return_inverse=True)
-        self.chi2_of, n = chi2_of.ravel(), self.nclass
+        # the bitwise-distinct rows of chi2, the first character of each in
+        # chi2_first, and character j reads distinct row chi2_of[j]
+        # (a dict: a first np.unique(axis=0) maps about 0.3 MB more of numpy into the process)
+        seen = {}  # per distinct row's bytes: its index among them and its first character
+        self.chi2_of = np.array([seen.setdefault(row.tobytes(), (len(seen), j))[0] for j, row in enumerate(chi2)], np.intp)
+        self.chi2_first = np.array([j for _, j in seen.values()], np.intp)
+        n = self.nclass
         # the columns of TallyPartial's sums: counts and each class field, then
         # char_eulerlog's real and imaginary part of each character in turn
         self.columns = {**{f: slice(i * n, i * n + n) for i, f in enumerate(("counts", *_CLASS_FIELDS))},
@@ -441,7 +451,11 @@ class CheckpointSeries:
     """
 
     def __init__(self, q: int, grid: CheckpointGrid, units, char_labels, x, y, fields):
-        self.q, self.grid, self.units, self.char_labels, self.x, self.y = q, grid, tuple(units), tuple(char_labels), x, y
+        self.q = q
+        self.grid = grid
+        self.units = tuple(units)
+        self.char_labels = tuple(char_labels)
+        self.x, self.y = x, y
         self.fields: dict[str, Sequence[np.ndarray]] = fields
 
     def __len__(self) -> int:
@@ -456,8 +470,21 @@ class CheckpointSeries:
         dtype = np.complex128 if chars else np.int64 if field == "counts" else np.float64
         return np.empty((0, len(self.char_labels if chars else self.units)), dtype=dtype)
 
-    # the class fields' matrices
-    counts, invsqrt, theta, psi = (property(lambda self, f=f: self._table(f)) for f in _ROW_FIELDS[:4])
+    @property
+    def counts(self) -> np.ndarray:
+        return self._table("counts")
+
+    @property
+    def invsqrt(self) -> np.ndarray:
+        return self._table("invsqrt")
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._table("theta")
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self._table("psi")
 
     def char_matrix(self, kind: str) -> np.ndarray:
         """Per-character sums of kind invsqrt, mertens or eulerlog, one row per point."""
@@ -776,63 +803,6 @@ def _power_terms(layout: _Layout, lo: int, hi: int) -> _Powers:
 # persistence
 
 
-def _csv_columns(units, char_labels) -> list[str]:
-    cols = ["x", "y"]
-    for a in units:
-        cols += [f"n_{a}", f"invsqrt_{a}", f"theta_{a}", f"psi_{a}"]
-    for label in char_labels:
-        for name in _CHAR_FIELDS:
-            cols += [f"chi_{label}_{name}_re", f"chi_{label}_{name}_im"]
-    return cols
-
-
-class _RowWriter:
-    """The checkpoint CSV's data rows, one line per checkpoint in grid order.
-
-    Keeps the previous row's text of each class block (n, invsqrt, theta
-    and psi of one class) and of the character section (per character:
-    invsqrt, mertens, eulerlog, each as re, im), and formats again only
-    what TallyPartial.snapshots says changed: the class blocks of the slots
-    whose sums moved, and the character section when a prime was folded,
-    the only fold that moves a character column; it compares no rows.  A
-    class block takes psi's text from theta's while the two doubles are
-    equal, and a character section formats each distinct char_mertens value
-    once (one per distinct chi^2) and places its text at every character
-    that shares it.
-    """
-
-    def __init__(self, layout: _Layout):
-        self.blocks = [""] * layout.nclass
-        self.classes = self.text = ""
-        self.first = layout.chi2_first
-        # a section's cells, picked in (re, im) pairs from its formatted invsqrt, eulerlog and distinct mertens cells
-        pairs = np.arange(4 * layout.nchar + 2 * len(self.first)).reshape(-1, 2)
-        inv, eul, mertens = np.split(pairs, [layout.nchar, 2 * layout.nchar])
-        self.order = np.hstack([inv, mertens[layout.chi2_of], eul]).ravel().tolist()
-
-    def lines(self, xs, ys, arrays, changed) -> str:
-        """The rows at xs, ys.
-
-        arrays maps each field to its array at every point, and changed[j]
-        holds snapshots' class slots and prime flag for point j.  xs is not
-        empty.
-        """
-        out = []
-        for j, (x, y, (slots, folded)) in enumerate(zip(xs, ys, changed)):
-            if slots:
-                n, s, t, p = (arrays[f][j].tolist() for f in ("counts", "invsqrt", "theta", "psi"))
-                for i in slots:
-                    theta = repr(t[i])  # psi is theta until a prime power of the class is folded
-                    self.blocks[i] = f"{n[i]},{s[i]!r},{theta},{theta if p[i] == t[i] else repr(p[i])}"
-                self.classes = ",".join(self.blocks)
-            if folded:
-                cells = [arrays["char_invsqrt"][j], arrays["char_eulerlog"][j], arrays["char_mertens"][j][self.first]]
-                texts = list(map(repr, np.concatenate(cells).view(np.float64).tolist()))
-                self.text = ",".join(["", *map(texts.__getitem__, self.order)])
-            out.append(f"{x!r},{y!r},{self.classes}{self.text}\n")
-        return "".join(out)
-
-
 def read_series_csv(path: str | Path) -> CheckpointSeries:
     """The series of a checkpoint CSV, each field one read-only 2-D table.
 
@@ -873,36 +843,6 @@ def read_series_csv(path: str | Path) -> CheckpointSeries:
     h = float((ys[-1] - ys[0]) / (len(ys) - 1)) if len(ys) > 1 else 0.01
     grid = CheckpointGrid(h=h, n=max(len(ys), 1))
     return CheckpointSeries(q, grid, units, char_labels, data[:, 0].tolist(), ys.tolist(), fields)
-
-
-def _sidecar_path(csv_path: Path) -> Path:
-    return csv_path.with_name(csv_path.stem + ".meta.json")
-
-
-def _read_sidecar(path: Path) -> dict:
-    """A checkpoint's sidecar; ValueError when it is missing or its format is not the int 1, 2 or 3.
-
-    A format-1 sidecar records no races, and its state stores expected_lo
-    None when no segment was folded yet: both read as later formats write
-    them.  JSON true and 1.0 equal 1 in Python, and are refused all the same.
-    """
-    if not path.exists():
-        raise ValueError(f"no sidecar at {path} to resume from")
-    meta = json.loads(path.read_text())
-    if type(meta.get("format")) is not int or meta["format"] not in (1, 2, 3):
-        raise ValueError(f"{path}: sidecar format {meta.get('format')!r} is not 1, 2 or 3")
-    meta.setdefault("races", {})
-    if "state" in meta:
-        meta["state"]["expected_lo"] = meta["state"]["expected_lo"] or 2
-    return meta
-
-
-def _write_sidecar(path: Path, payload: dict) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,20 +1006,6 @@ def accumulate(
         if csv is not None:
             flush(done_idx, complete=completed)
     return TallyResult(series, race_fold and race_fold.summary(grid_x), completed, x_hi)
-
-
-def _truncate_csv(csv_path: Path, rows: int) -> None:
-    """Keep the header and the first rows data lines (crash cleanup).
-
-    Reads the file only up to the end of those lines and cuts it there; a
-    file with nothing past them is not written.
-    """
-    with open(csv_path, "rb+") as fh:
-        for _ in range(1 + rows):
-            if not fh.readline():
-                raise ValueError(f"{csv_path} holds fewer rows than the sidecar claims")
-        if fh.read(1):
-            fh.truncate(fh.tell() - 1)
 
 
 # ---------------------------------------------------------------------------

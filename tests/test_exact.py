@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from primerace.exact import ExactSums, exact, from_hex, rounded, rounded_table, to_hex
+from primerace.exact import ExactSums, exact, from_hex, rounded, to_hex
 
 DATA = Path(__file__).resolve().parent / "data"
 UNIT = Fraction(1, 2**1074)
@@ -152,15 +152,6 @@ def test_limbs_and_python_ints_agree():
         sums = ExactSums(np.zeros(4, dtype=object))
         assert_bits(sums.add(table, range(1, len(table) + 1)), want)
         assert (sums.limbs is not None) == limbs and sums.units() == units
-
-
-@settings(max_examples=300, deadline=None)
-@given(ints=st.lists(st.integers(-(2**200), 2**200) | st.sampled_from([0, 1, -1, 3 << 52, (1 << 53) + 1]),
-                     max_size=8),
-       e=st.integers(-1074, 0))
-def test_rounded_table_is_rounded(ints, e):
-    got = rounded_table(np.array(ints, dtype=object).reshape(len(ints)), e)
-    assert_bits(got, [rounded(n << (e + 1074)) for n in ints])
 
 
 @given(units=st.lists(st.integers(-(2**2090), 2**2090), max_size=6))

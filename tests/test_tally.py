@@ -978,6 +978,17 @@ class TestTallyState:
                 if chi.is_real:
                     assert got.imag.view(np.uint64)[0] == 0, (name, j)
 
+    @pytest.mark.parametrize("q, distinct", [(4, 1), (12, 1), (105, 6), (420, 6)])
+    def test_chi_squared_rows_are_taken_once_each(self, q, distinct):
+        # character j's chi^2 row is distinct row chi2_of[j], first met at
+        # character chi2_first[k], bit for bit; the distinct rows differ
+        layout = tally._layout(q)
+        chi2 = np.ascontiguousarray(layout.chi_tab[:, [a * a % q for a in layout.units]]).view(np.uint64)
+        rows = chi2[layout.chi2_first]
+        assert len(rows) == distinct and len({r.tobytes() for r in rows}) == distinct
+        assert np.array_equal(rows[layout.chi2_of], chi2)
+        assert all(layout.chi2_of[j] == k for k, j in enumerate(layout.chi2_first))
+
     def test_state_that_does_not_meet_the_next_segment_rejected(self, tmp_path):
         grid = CheckpointGrid.from_xmax(20_000, h=0.02)
         path = tmp_path / "bad.csv"
