@@ -21,10 +21,16 @@ Run from the repository root:
 The output holds one set of pairs per --seeds value ("seeds 1-10"): per
 workload, the seeds, the failed and attempted operations of each side, and
 per end-to-end metric each side's values (one per seed), their median and
-quartiles (statistics.quantiles), and in how many pairs the change's value
-is the lower.  When BENCH_<tag>_pairs.json exists, the new set is added to
-it (a set of the same seeds is replaced), provided it was made against the
-same revision and run length.  --how is recorded with the set's label.
+quartiles (statistics.quantiles), in how many pairs the change's value is
+the lower (ties count for neither), the change of the median in percent,
+and "gain": whether the change may claim a gain on that metric, every
+end-to-end metric of BENCHMARK.json being better lower.  It may when it is
+lower in at least nine tenths of the pairs and its median is below the
+parent's by more than the parent's q3 - q1.  When
+BENCH_<tag>_pairs.json exists, the new set is added to it (a set of the
+same seeds is replaced), provided it was made against the same revision
+and run length.  --how is recorded with the set's label.  A line per
+workload and metric goes to stderr at the end.
 """
 from __future__ import annotations
 
@@ -80,6 +86,15 @@ def side(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def compare(parent: list[float], change: list[float]) -> dict:
+    """Both sides of one metric, paired by seed, and the change's verdict against the parent."""
+    p, c = side(parent), side(change)
+    lower = sum(b < a for a, b in zip(parent, change))
+    return {"parent": p, "change": c, "change_lower_in": lower,
+            "median_change_pct": 100 * (c["median"] / p["median"] - 1) if p["median"] else None,
+            "gain": 10 * lower >= 9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="alternating parent/change perfbench pairs")
     parser.add_argument("--rev", required=True, help="the parent revision")
@@ -113,8 +128,7 @@ def main(argv=None) -> int:
             metrics = {}
             for key in runs["parent"][0]["metrics"]:
                 vals = {who: [r["metrics"][key]["value"] for r in runs[who]] for who in runs}
-                metrics[key] = {**{who: side(v) for who, v in vals.items()},
-                                "change_lower_in": sum(c < p for p, c in zip(vals["parent"], vals["change"]))}
+                metrics[key] = compare(vals["parent"], vals["change"])
             result["sets"][label][name] = {
                 "seeds": seed_list,
                 "failed": {who: sum(r["failed"] for r in runs[who]) for who in runs},
@@ -122,6 +136,12 @@ def main(argv=None) -> int:
                 "metrics": metrics,
             }
     out.write_text(json.dumps(result, indent=1) + "\n")
+    for name, res in result["sets"][label].items():
+        for key, m in res["metrics"].items():
+            pct = "n/a" if m["median_change_pct"] is None else f"{m['median_change_pct']:+.1f}%"
+            print(f"{name} {key}: median {m['parent']['median']:.6g} -> {m['change']['median']:.6g} ({pct}), "
+                  f"lower in {m['change_lower_in']} of {len(res['seeds'])}, parent q3-q1 "
+                  f"{m['parent']['q3'] - m['parent']['q1']:.3g}, gain {m['gain']}", file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

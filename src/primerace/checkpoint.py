@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -49,7 +50,7 @@ class _RowWriter:
         # a section's cells, picked in (re, im) pairs from its formatted invsqrt, eulerlog and distinct mertens cells
         pairs = np.arange(4 * layout.nchar + 2 * len(self.first)).reshape(-1, 2)
         inv, eul, mertens = np.split(pairs, [layout.nchar, 2 * layout.nchar])
-        self.order = np.hstack([inv, mertens[layout.chi2_of], eul]).ravel().tolist()
+        self.pick = itemgetter(*np.hstack([inv, mertens[layout.chi2_of], eul]).ravel().tolist())
 
     def lines(self, xs, ys, arrays, changed) -> str:
         """The rows at xs, ys.
@@ -68,7 +69,7 @@ class _RowWriter:
             if folded:
                 cells = [arrays["char_invsqrt"][j], arrays["char_eulerlog"][j], arrays["char_mertens"][j][self.first]]
                 texts = list(map(repr, np.concatenate(cells).view(np.float64).tolist()))
-                self.text = ",".join(["", *map(texts.__getitem__, self.order)])
+                self.text = ",".join(["", *self.pick(texts)])
             out.append(f"{x!r},{y!r},{self.classes}{self.text}\n")
         return "".join(out)
 

@@ -18,11 +18,14 @@ merge does so only at a split on a segment boundary.
 
 Each chunk value is one pairwise np.sum over a slice of one C-contiguous
 row of per-prime terms (see _segment_partial); this reduction contract,
-not the buffers the terms sit in, fixes every bit.  The Euler-log terms of
-all characters sit in one block per class, reduced with a single axis=1
-sum, so a segment costs O(chunks + nonempty class-chunks) numpy calls
-whatever the number of characters; the class-chunks that hold one prime
-take no sum at all, only one gather per class.
+not the buffers the terms sit in, fixes every bit.  The Euler-log term of
+a prime p = a mod q depends on chi only through chi(a), so each class
+builds one row per distinct value of chi(a), not one per character (329
+rows against 2256 mod 105), and each character takes the sum of its
+value's row.  A class's rows sit in one block, reduced with a single
+axis=1 sum, so a segment costs O(chunks + nonempty class-chunks) numpy
+calls whatever the number of characters; the class-chunks that hold one
+prime take no sum at all, only one gather per class.
 
 Every pass over segments (accumulate's, with any re-sieve of a race, and
 range_partial's) draws them from _segments, which sieves and reduces them
@@ -46,10 +49,11 @@ segment's terms.  With one worker, a segment's primes are freed once its
 race terms are folded, before the next segment is sieved.
 
 The grid points of a segment are snapshotted a batch at a time, at most
-_BATCH_CELLS row cells, which bounds a batch's memory for a large modulus.
-A batch's chunks and prime powers are folded in one exact step, each
-point's totals rounded once, and its derived character columns taken in
-products of about _BATCH_CELLS values; char_mertens depends on chi only
+_BATCH_CELLS row cells, which bounds a batch's memory for a large modulus
+and sets how many batches, each with a fixed cost in numpy calls, a pass
+makes.  A batch's chunks and prime powers are folded in one exact step,
+each point's totals rounded once, and its derived character columns taken
+in products of about _BATCH_CELLS values; char_mertens depends on chi only
 through chi^2, so its products run over the distinct rows of chi^2 alone
 (6 of 47 characters mod 105).  A field that nothing was folded into hands
 on the previous point's read-only array object, so the series keeps no
@@ -89,6 +93,7 @@ import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import compress
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -135,7 +140,7 @@ _ROW_FIELDS = ("counts", "invsqrt", "theta", "psi", *(f"char_{f}" for f in _CHAR
 _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
 _SUMMED = ("counts", "invsqrt", "theta", "invp", "char_eulerlog", "psi")  # the fields a prime changes
 _FLUSH_EVERY = 64  # segments between sidecar writes of a persisted run
-_BATCH_CELLS = 4096  # cells of the checkpoint rows snapshotted together, at most
+_BATCH_CELLS = 8192  # cells of the checkpoint rows snapshotted together, at most
 _Powers = Sequence[tuple[int, int, float]]  # (p^k, class slot or -1, log p) per proper prime power, ascending
 
 
@@ -221,14 +226,22 @@ class _Layout:
         # per summed class field, the character column derived from it: (name, chi table, row of each character)
         self.derived = {"invsqrt": ("char_invsqrt", self.chi_class, slice(None)),
                         "invp": ("char_mertens", chi2[self.chi2_first], self.chi2_of)}
-        # per class slot a: the characters with real chi(a), whose Euler-log
-        # terms go through log1p, with -Re chi(a); the rest, with chi(a)
+        # per class slot a, its Euler-log rows: one per bitwise-distinct chi(a),
+        # the real ones first, whose terms go through log1p with -Re chi(a),
+        # then the complex ones, through log with chi(a); character j takes
+        # row of[j] (a dict, as for chi2_of)
         self.euler_rows = []
         for a in self.units:
             z = self.chi_tab[:, a]
             real = z.imag == 0.0
-            self.euler_rows.append(
-                (np.flatnonzero(real), -z.real[real], np.flatnonzero(~real), z[~real]))
+            key = np.where(real, z.real, z).tobytes()  # 16 bytes a character: a real chi(a) by its real part
+            seen = {}  # per distinct key: its row and first character
+            order = np.flatnonzero(real).tolist() + np.flatnonzero(~real).tolist()
+            of = np.empty(self.nchar, np.intp)
+            of[order] = [seen.setdefault(key[16 * j:16 * j + 16], (len(seen), j))[0] for j in order]
+            first = [j for _, j in seen.values()]
+            nreal = np.count_nonzero(real[first])
+            self.euler_rows.append((-z.real[first[:nreal]], z[first[nreal:]], of))
 
 
 _layout = lru_cache(maxsize=None)(_Layout)  # _layout(q): modulus q's tables, built once per process
@@ -310,10 +323,15 @@ def _segment_partial(
     Reduction contract: every chunk value is one pairwise np.sum over a
     slice of one C-contiguous row of per-prime terms, and a chunk's Euler-log
     value adds the per-class values in class order.  The terms are built per
-    class (invsqrt, theta, invp and the Euler-log rows) and each class-chunk
-    of two or more primes is reduced with one axis=1 sum, so a segment costs
-    O(chunks + nonempty class-chunks) numpy calls whatever the number of
-    characters.  Every nonempty class-chunk first takes its last term
+    class: invsqrt, theta, invp and one Euler-log row per distinct chi(a)
+    (_Layout.euler_rows), so a class's work per prime follows its distinct
+    values, not its characters, and it has 3 + (distinct real values) +
+    2 * (distinct complex values) rows.  Each class-chunk of two or more
+    primes is reduced with one axis=1 sum, so a segment costs O(chunks +
+    nonempty class-chunks) numpy calls whatever the number of characters,
+    and each character adds its value's chunk sum, negated, as a row of its
+    own would give it (a real row's with imaginary part +0.0).  Every
+    nonempty class-chunk first takes its last term
     column, in one gather per class, and a chunk of one prime keeps it: a
     one-element np.sum adds its element to +0.0, which returns the element
     for every double but -0.0, and no term is -0.0, so the contract and
@@ -328,9 +346,9 @@ def _segment_partial(
     res *= -q
     res += primes
     sizes = np.bincount(res, minlength=q)[list(units)].tolist() if tally else []
-    # rows per class: invsqrt, theta, invp, the real and (as two) the complex
-    # Euler-log rows; then the race terms, unless a pool's free list holds them
-    need = max([(3 + len(r) + 2 * len(z)) * k for (r, _, _, z), k in zip(layout.euler_rows, sizes)]
+    # rows per class: invsqrt, theta, invp, its distinct real and (as two)
+    # complex Euler-log rows; then the race terms, unless a pool's free list holds them
+    need = max([(3 + len(r) + 2 * len(z)) * k for (r, z, _), k in zip(layout.euler_rows, sizes)]
                + [2 * n + 2 if race and scratch.spare is None else 0])
     flat = scratch.get("flat", n + need, keep=n)
     res, work = flat[:n].view(np.int64), flat[n:]
@@ -345,10 +363,10 @@ def _segment_partial(
             if not sizes[i]:
                 continue
             sel = np.flatnonzero(np.equal(res, a, out=on))
-            real, neg_re, cplx, z = layout.euler_rows[i]
-            # rows: 1/sqrt(p), log p, 1/p, then -log(1 - chi(p)/sqrt(p)) terms
-            k = (3 + len(real)) * sizes[i]
-            terms = work[:k].reshape(3 + len(real), sizes[i])
+            neg_re, z, of = layout.euler_rows[i]
+            # rows: 1/sqrt(p), log p, 1/p, then -log(1 - chi(p)/sqrt(p)) terms, one per distinct chi(p)
+            k = (3 + len(neg_re)) * sizes[i]
+            terms = work[:k].reshape(3 + len(neg_re), sizes[i])
             cterms = work[k:k + 2 * len(z) * sizes[i]].view(np.complex128).reshape(len(z), sizes[i])
             p = terms[2]
             np.take(primes, sel, out=p.view(np.int64), mode="clip")
@@ -375,8 +393,10 @@ def _segment_partial(
                     if len(z):
                         np.add.reduce(cterms[:, e - m:e], axis=1, out=csums[r])
             invsqrt[full, i], theta[full, i], invp[full, i] = sums[:, :3].T
-            ch_eul[np.ix_(full, real)] += -sums[:, 3:]
-            ch_eul[np.ix_(full, cplx)] += -csums
+            # each character adds its row's sum negated, a real one's as -sum + 0j
+            rows = np.empty((len(full), len(neg_re) + len(z)), np.complex128)
+            rows[:, :len(neg_re)], rows[:, len(neg_re):] = -sums[:, 3:], -csums
+            ch_eul[full] += rows[:, of]
         part = _SegmentPartial(lo, hi, nch, counts, invsqrt, theta, invp, ch_eul)
     if race is None:
         return part, None
@@ -765,7 +785,8 @@ class TallyPartial:
         prime = np.append("counts" in self._fresh, counts[:-1].any(axis=1))
         arrays = self._arrays(vals, prime, moved.any(axis=1))
         self._fresh = set(_SUMMED) if counts[-1].any() else set()
-        return arrays, list(zip([np.flatnonzero(m).tolist() for m in moved], prime.tolist())), pw
+        slots = range(moved.shape[1])
+        return arrays, list(zip([list(compress(slots, m)) for m in moved.tolist()], prime.tolist())), pw
 
     def copy(self) -> "TallyPartial":
         return TallyPartial(self.q, self.lo, self.hi, ExactSums(self.sums.ints, self.sums.e))

@@ -19,6 +19,7 @@ import cmath
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -424,26 +425,31 @@ class ScalarFold:
                 "expected_lo": expected_lo}
 
 
+def reference_chunks(primes, boundaries, layout):
+    """reference_segment_partial's chunk sums, read as ScalarFold.fold reads a segment partial."""
+    return SimpleNamespace(**reference_segment_partial(primes, boundaries, layout), nchunks=len(boundaries) + 1)
+
+
 def scalar_tally(grid, q: int, x_hi: int, segment_odds: int, stop: int | None = None):
     """The scalar fold of a tally to x_hi: (rows, state).
 
     rows holds ScalarFold.row() at every grid point, in order.  With stop,
-    the fold ends before segment stop and state is the sidecar state the
-    tally persists there (with next_j and pw_ptr); else state is None.  The
-    chunk sums come from the package's segment reduction, which
-    reference_segment_partial pins; the prime powers from its _power_terms.
+    state is the sidecar state the tally persists before segment stop (with
+    next_j and pw_ptr); else it is None.  The chunk sums come from
+    reference_segment_partial, which builds every character's terms on its
+    own; the prime powers from the package's _power_terms.
     """
     from primerace.sieve import segment_bounds, sieve_segment, simple_sieve
-    from primerace.tally import _Layout, _power_terms, _Scratch, _segment_partial
+    from primerace.tally import _Layout, _power_terms
 
     layout, fold = _Layout(q), ScalarFold(q)
-    powers, pw, rows = _power_terms(layout, 2, x_hi), 0, []
+    powers, pw, rows, state = _power_terms(layout, 2, x_hi), 0, [], None
     base = simple_sieve(math.isqrt(x_hi - 1))
     for k, (a, b) in enumerate(segment_bounds(2, x_hi, segment_odds)):
         if k == stop:
-            return rows, {**fold.state(a), "next_j": len(rows), "pw_ptr": pw}
+            state = {**fold.state(a), "next_j": len(rows), "pw_ptr": pw}
         inside = grid.x[(grid.x >= a) & (grid.x < b)]
-        part, _ = _segment_partial(sieve_segment(a, b, base), a, b, inside, layout, _Scratch(None))
+        part = reference_chunks(sieve_segment(a, b, base), inside, layout)
         for c in range(part.nchunks):
             fold.fold(part, c)
             if c < len(inside):
@@ -452,4 +458,4 @@ def scalar_tally(grid, q: int, x_hi: int, segment_odds: int, stop: int | None = 
                         fold.fold_power(*powers[pw][1:])
                     pw += 1
                 rows.append(fold.row())
-    return rows, None
+    return rows, state

@@ -46,6 +46,7 @@ from oracles import (
     ScalarFold,
     format_row,
     race_jump_weights,
+    reference_chunks,
     reference_segment_partial,
     scalar_tally,
     stream_density_race,
@@ -625,7 +626,7 @@ class TestSegmentReduction:
     # above 128), which the test asserts on the per-class counts
     CHUNKS = (1, 2, 7, 8, 9, 60, 127, 128, 129, 300, 1000, 9000)
 
-    @pytest.mark.parametrize("q", [4, 12, 24, 105])
+    @pytest.mark.parametrize("q", [4, 12, 13, 24, 105])
     def test_matches_the_loop_per_character(self, q):
         primes = sieve_segment(self.LO, self.HI, simple_sieve(1200))
         ends = np.cumsum(self.CHUNKS)
@@ -869,10 +870,11 @@ class TestWorkingSet:
         assert len(alive) == len(tally.segment_bounds(2, res.x_hi, 512)) > 2 * (threads + 3)
         assert 1 <= max(alive) <= threads + 2
 
-    @pytest.mark.parametrize("q, race", [(4, (3, 1)), (105, (2, 1))])
+    @pytest.mark.parametrize("q, race", [(4, (3, 1)), (105, (2, 1)), (105, None)])
     def test_scratch_holds_the_residues_and_one_region(self, monkeypatch, q, race):
         # n_max residues, then one region for a class's term rows or the
-        # race terms: no float copy of the primes or of 1/sqrt(p)
+        # race terms: no float copy of the primes or of 1/sqrt(p), and one
+        # Euler-log row per distinct chi(a), a complex one as two
         made = []
 
         class Recorded(_Scratch):
@@ -885,14 +887,19 @@ class TestWorkingSet:
         grid = CheckpointGrid.from_xmax(x_hi - 1, h=0.02)
         accumulate(grid, q, x_hi=x_hi, segment_odds=odds, race=race)
         layout, base = _Layout(q), simple_sieve(math.isqrt(x_hi))
+        distinct = []
+        for a in layout.units:
+            z = layout.chi_tab[:, a]
+            real = z.imag == 0.0
+            distinct.append(len({v.tobytes() for v in z.real[real]}) + 2 * len({v.tobytes() for v in z[~real]}))
         n_max = rows = 0
         for a, b in segment_bounds(2, x_hi, odds):
             primes = sieve_segment(a, b, base)
             sizes = np.bincount(primes % q, minlength=q)[list(layout.units)].tolist()
             n_max = max(n_max, len(primes))
-            rows = max(rows, *((3 + len(r) + 2 * len(z)) * k for (r, _, _, z), k in zip(layout.euler_rows, sizes)))
+            rows = max(rows, *((3 + d) * k for d, k in zip(distinct, sizes)))
         assert len(made) == 1 and n_max > 1000
-        assert len(made[0].flat) <= n_max + max(rows, 2 * n_max + 2)
+        assert len(made[0].flat) <= n_max + max(rows, 2 * n_max + 2 if race else 0)
 
 
 class TestTallyState:
@@ -988,6 +995,26 @@ class TestTallyState:
         assert len(rows) == distinct and len({r.tobytes() for r in rows}) == distinct
         assert np.array_equal(rows[layout.chi2_of], chi2)
         assert all(layout.chi2_of[j] == k for k, j in enumerate(layout.chi2_first))
+
+    @pytest.mark.parametrize("q, distinct, pairs", [(5, 9, 12), (13, 73, 132), (24, 15, 56),
+                                                    (105, 329, 2256), (420, 665, 9120)])
+    def test_euler_rows_take_each_distinct_value_once(self, q, distinct, pairs):
+        # per class a, one row per bitwise-distinct chi(a): the real values
+        # first, as -Re chi(a), then the complex ones; character j's chi(a)
+        # is its row's value, bit for bit
+        layout = tally._layout(q)
+        total = 0
+        for a, (neg_re, z, of) in zip(layout.units, layout.euler_rows):
+            chi = layout.chi_tab[:, a]
+            assert z.dtype == np.complex128 and np.all(z.imag != 0.0)
+            values = np.concatenate([-neg_re + 0j, z])
+            assert len({v.tobytes() for v in values}) == len(values) == max(of, default=-1) + 1
+            real = of < len(neg_re)
+            assert np.array_equal(real, chi.imag == 0.0)
+            assert np.array_equal(values[of].real.view(np.uint64), chi.real.view(np.uint64))
+            assert np.array_equal(values[of][~real].view(np.uint64), chi[~real].view(np.uint64))
+            total += len(values)
+        assert (total, layout.nchar * layout.nclass) == (distinct, pairs)
 
     def test_state_that_does_not_meet_the_next_segment_rejected(self, tmp_path):
         grid = CheckpointGrid.from_xmax(20_000, h=0.02)
@@ -1443,8 +1470,7 @@ def scalar_reference(q, segment_odds):
     x_max, h, stop = SCALAR_RUNS[segment_odds]
     grid = CheckpointGrid.from_xmax(x_max, h=h)
     x_hi = math.floor(grid.x_max) + 1
-    rows, _ = scalar_tally(grid, q, x_hi, segment_odds)
-    _, state = scalar_tally(grid, q, x_hi, segment_odds, stop)
+    rows, state = scalar_tally(grid, q, x_hi, segment_odds, stop)
     layout = _Layout(q)
     lines = [",".join(tally._csv_columns(layout.units, layout.char_labels)),
              *(format_row(x, y, row) for x, y, row in zip(grid.x.tolist(), grid.y.tolist(), rows))]
@@ -1467,12 +1493,15 @@ class TestScalarFold:
     oracle adds exact() of every chunk sum and rounds every total with
     rounded(), as the tally did before its batches, and derives each
     character column per character, where the tally takes char_mertens on
-    the distinct rows of chi^2.
+    the distinct rows of chi^2.  Its chunk sums come from the per-character
+    loop (reference_segment_partial), where the tally builds one Euler-log
+    row per distinct chi(a); q=13 has complex values in every class but 1
+    and 12.
     """
 
     @pytest.mark.parametrize("q, segment_odds, points", [
-        *((q, 512, points) for q in (4, 12, 105, 420) for points in (1, 2, 3)),
-        *((q, 2**20, 2) for q in (4, 12, 105)),
+        *((q, 512, points) for q in (4, 12, 13, 105, 420) for points in (1, 2, 3)),
+        *((q, 2**20, 2) for q in (4, 12, 13, 105, 420)),
     ])
     def test_series_csv_and_state(self, tmp_path, monkeypatch, q, segment_odds, points):
         # batches of 1-3 grid points; a run cut before segment `stop` and
@@ -1492,8 +1521,8 @@ class TestScalarFold:
         assert back.completed and path.read_bytes() == text
         assert_rows(back.series, rows)
 
-    @pytest.mark.parametrize("q, segment_odds", [(4, 512), (12, 512), (105, 512), (420, 512),
-                                                 (4, 2**20), (12, 2**20), (105, 2**20)])
+    @pytest.mark.parametrize("q, segment_odds", [(4, 512), (12, 512), (13, 512), (105, 512), (420, 512),
+                                                 (4, 2**20), (12, 2**20), (13, 2**20), (105, 2**20)])
     def test_merged_range_partials(self, q, segment_odds):
         # a split on a segment boundary, the upper range on two threads
         x_max, _h, stop = SCALAR_RUNS[segment_odds]
@@ -1501,8 +1530,7 @@ class TestScalarFold:
         fold, layout = ScalarFold(q), _Layout(q)
         base = simple_sieve(math.isqrt(hi))
         for a, b in segment_bounds(2, hi, segment_odds):
-            part, _ = _segment_partial(sieve_segment(a, b, base), a, b, np.empty(0), layout, _Scratch(None))
-            fold.fold(part, 0)
+            fold.fold(reference_chunks(sieve_segment(a, b, base), np.empty(0), layout), 0)
         for _v, slot, lg in _power_terms(layout, 2, hi):
             if slot >= 0:
                 fold.fold_power(slot, lg)
