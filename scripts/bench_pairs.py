@@ -26,7 +26,13 @@ the lower (ties count for neither), the change of the median in percent,
 and "gain": whether the change may claim a gain on that metric, every
 end-to-end metric of BENCHMARK.json being better lower.  It may when it is
 lower in at least nine tenths of the pairs and its median is below the
-parent's by more than the parent's q3 - q1.  When
+parent's by more than the parent's q3 - q1.  Beside it, "within_bound" is
+the no-regression verdict against the metric's relative bound in
+BENCHMARK.json, as perfbench/sweep.py --compare reads it: false when the
+change's median is above the parent's by more than bound times the
+parent's median, and "unresolved" when the parent's q3 - q1 is above bound
+times its median, so that its runs spread too widely to tell, unless every
+change value is below every parent value.  When
 BENCH_<tag>_pairs.json exists, the new set is added to it (a set of the
 same seeds is replaced), provided it was made against the same revision
 and run length.  --how is recorded with the set's label.  A line per
@@ -86,13 +92,21 @@ def side(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def compare(parent: list[float], change: list[float]) -> dict:
-    """Both sides of one metric, paired by seed, and the change's verdict against the parent."""
+def within_bound(p: dict, c: dict, bound: float) -> bool | str:
+    """The no-regression verdict of change side c against parent side p, bound relative to p's median."""
+    if p["q3"] - p["q1"] > bound * p["median"] and max(c["values"]) >= min(p["values"]):
+        return "unresolved"
+    return c["median"] - p["median"] <= bound * p["median"]
+
+
+def compare(parent: list[float], change: list[float], bound: float) -> dict:
+    """Both sides of one metric, paired by seed, and the change's verdicts against the parent."""
     p, c = side(parent), side(change)
     lower = sum(b < a for a, b in zip(parent, change))
     return {"parent": p, "change": c, "change_lower_in": lower,
             "median_change_pct": 100 * (c["median"] / p["median"] - 1) if p["median"] else None,
-            "gain": 10 * lower >= 9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"]}
+            "gain": 10 * lower >= 9 * len(parent) and p["median"] - c["median"] > p["q3"] - p["q1"],
+            "within_bound": within_bound(p, c, bound)}
 
 
 def main(argv=None) -> int:
@@ -106,6 +120,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
     label, seed_list = f"seeds {args.seeds}", seeds(args.seeds)
     out = ROOT / f"BENCH_{args.tag}_pairs.json"
@@ -128,7 +143,7 @@ def main(argv=None) -> int:
             metrics = {}
             for key in runs["parent"][0]["metrics"]:
                 vals = {who: [r["metrics"][key]["value"] for r in runs[who]] for who in runs}
-                metrics[key] = compare(vals["parent"], vals["change"])
+                metrics[key] = compare(vals["parent"], vals["change"], bounds[key])
             result["sets"][label][name] = {
                 "seeds": seed_list,
                 "failed": {who: sum(r["failed"] for r in runs[who]) for who in runs},
@@ -141,7 +156,8 @@ def main(argv=None) -> int:
             pct = "n/a" if m["median_change_pct"] is None else f"{m['median_change_pct']:+.1f}%"
             print(f"{name} {key}: median {m['parent']['median']:.6g} -> {m['change']['median']:.6g} ({pct}), "
                   f"lower in {m['change_lower_in']} of {len(res['seeds'])}, parent q3-q1 "
-                  f"{m['parent']['q3'] - m['parent']['q1']:.3g}, gain {m['gain']}", file=sys.stderr)
+                  f"{m['parent']['q3'] - m['parent']['q1']:.3g}, gain {m['gain']}, "
+                  f"within bound {m['within_bound']}", file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -222,7 +221,7 @@ _OPTIONS = [
      "fraction of the range used for tail fits (default 0.25)"),
     ("T", "T_values", _parse_floats, "comma-separated truncation heights (delta)"),
     ("k", "k_values", _parse_ints, "comma-separated moment orders (moments)"),
-    ("threads", "threads", int, "sieve worker threads (default: PRL_THREADS or 1)"),
+    ("threads", "threads", int, "sieve worker threads (default: 1)"),
     ("segment-odds", "segment_odds", int, "odd numbers per sieve segment"),
     ("out", "out", str, "output directory (default .)"),
 ]
@@ -283,12 +282,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         mchi[label] = order
     cfg.mchi = mchi
 
-    env = os.environ.get("PRL_THREADS", "").strip()
-    if args.threads is None and "threads" not in file_values and env:
-        try:
-            cfg.threads = int(env)
-        except ValueError:
-            raise UsageError(f"PRL_THREADS must be an integer, got {env!r}") from None
     cfg.validate(args.command)
     return cfg
 

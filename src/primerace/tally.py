@@ -1,94 +1,44 @@
-"""Streaming tallies of weighted prime sums on a log-spaced checkpoint grid.
+"""Streaming tallies of weighted prime sums at the points of a checkpoint grid.
 
-One pass over the primes up to x_max populates, for every grid point
+One pass over the primes up to x_max gives, at every grid point
 x_j = exp(y_j), per-residue-class sums (counts, 1/sqrt(p), log p, 1/p, and
-the psi-style sums that also see proper prime powers) and per-character
-sums of -log(1 - chi(p)/sqrt(p)) for the partial Euler product on the
-critical line.  The per-character sums of chi(p)/sqrt(p) and chi(p^2)/p
-are linear in the class sums of 1/sqrt(p) and 1/p, and each snapshot
-derives them from those.
+psi's log p over primes and proper prime powers) and, per nonprincipal
+character, the sum of -log(1 - chi(p)/sqrt(p)) for the partial Euler
+product on the critical line.  The character sums of chi(p)/sqrt(p) and
+chi(p^2)/p are linear in the class sums of 1/sqrt(p) and 1/p, and each
+point derives them from those totals.
 
-Segments are cut into chunks at grid points, each chunk is reduced with
-np.sum, and one TallyPartial adds the per-chunk values exactly (see
-exact.py): every summed total is the correctly rounded exact sum of those
-per-chunk values, and the derived columns are a fixed combination of those
-totals.  Chunks depend on the segment width, so for a fixed segment_odds
-any worker pool and any resumed run reproduce the totals bit for bit; a
-merge does so only at a split on a segment boundary.
+Reduction contract: segments are cut into chunks at grid points, and every
+chunk value is one pairwise np.sum over a slice of one C-contiguous row of
+per-prime terms (_segment_partial).  A class builds one Euler-log row per
+distinct value of chi(a), and each character takes its value's chunk sums.
 
-Each chunk value is one pairwise np.sum over a slice of one C-contiguous
-row of per-prime terms (see _segment_partial); this reduction contract,
-not the buffers the terms sit in, fixes every bit.  The Euler-log term of
-a prime p = a mod q depends on chi only through chi(a), so each class
-builds one row per distinct value of chi(a), not one per character (329
-rows against 2256 mod 105), and each character takes the sum of its
-value's row.  A class's rows sit in one block, reduced with a single
-axis=1 sum, so a segment costs O(chunks + nonempty class-chunks) numpy
-calls whatever the number of characters; the class-chunks that hold one
-prime take no sum at all, only one gather per class.
+Exactness: one TallyPartial adds the chunk values exactly (exact.py) and
+rounds each total once, so every summed total is the correctly rounded
+exact sum of its chunk values, and each derived column is a fixed
+combination of those totals.  The chunks depend only on the segment width:
+for a fixed segment_odds, any worker pool and any resumed run give every
+total bit for bit, and a merge does so only at a split on a segment boundary.
 
-Every pass over segments (accumulate's, with any re-sieve of a race, and
-range_partial's) draws them from _segments, which sieves and reduces them
-on a worker pool, folds their race terms and yields them in order.  A
-segment sieved again only for a race the sidecar did not record gets its
-residues and race terms alone: no class sum or Euler-log row.
+Batch bound: grid points are snapshotted a batch at a time, at most
+_BATCH_CELLS cells of checkpoint rows, which bounds a batch's memory for a
+large modulus; each batch costs a fixed number of numpy calls.
 
-A pass allocates its per-prime arrays once.  Each worker thread keeps one
-_Scratch for the pass: the sieve's mask, which the reduction then uses for
-its class selections, and one float64 block that holds the residues and
-one region, written with out=: each class's terms in turn and then the
-race terms.  A class's rows start from its int primes, converted in place
-into its 1/p row, and its 1/sqrt(p) row is computed from those doubles;
-the race terms take sign/sqrt(p) and w*p from the int primes, promoted
-inside the ufuncs.  So no float copy of the primes and no 1/sqrt(p) row
-of the whole segment is kept, and the block holds n + max(class rows,
-2n + 2) doubles for a segment of n primes.  It grows to the largest
-segment's need and is dropped when the pass ends, so no segment maps
-fresh pages for its temporaries and the peak memory is that of one
-segment's terms.  With one worker, a segment's primes are freed once its
-race terms are folded, before the next segment is sieved.
+A race (a, b) also yields its RaceSummary.  Its terms w = +-1/sqrt(p) are
++0.0 off classes a and b, which leaves every partial sum as it is (none is
+-0.0), and np.cumsum adds sequentially, so the per-segment cumsum seeded
+with the carried sums equals one cumsum over every race prime, bit for bit.
+The sidecar records it, and a resume sieves again only for a race it lacks.
 
-The grid points of a segment are snapshotted a batch at a time, at most
-_BATCH_CELLS row cells, which bounds a batch's memory for a large modulus
-and sets how many batches, each with a fixed cost in numpy calls, a pass
-makes.  A batch's chunks and prime powers are folded in one exact step,
-each point's totals rounded once, and its derived character columns taken
-in products of about _BATCH_CELLS values; char_mertens depends on chi only
-through chi^2, so its products run over the distinct rows of chi^2 alone
-(6 of 47 characters mod 105).  A field that nothing was folded into hands
-on the previous point's read-only array object, so the series keeps no
-table of every grid point.  The row writer formats again only what
-changed, the class blocks of the slots that gained a term and, when a
-prime was folded, the character section, in which each distinct
-char_mertens value is formatted once; it learns what changed from the
-fold, not by comparing rows.  Every output byte is the same as a fold of
-one chunk and one rounding at a time gives (the scalar oracle of the
-tests).
-
-A race (a, b) also yields its RaceSummary: the runs of primes where the
-race leads, and the sums of w = +-1/sqrt(p) and w*p at every grid point.
-Each worker returns its segment's terms w and w*p over all its primes,
-+0.0 off classes a and b, and _segments folds them in order: the carried
-totals go in front of them and one np.cumsum per segment is taken.
-Adding +0.0 leaves every partial sum as it is, since none is -0.0 (the
-carry starts at +0.0 and no w is zero), so the lead runs and the sums at
-the race primes are those of the race primes alone.  np.cumsum adds sequentially, so the
-per-segment cumsum seeded with the carried totals equals the cumsum over
-every race prime at once, bit for bit, whatever the segment width or the
-thread count, and no stream of race primes is ever held.  With one worker
-the race terms live in the scratch block, which the fold has consumed
-before the next segment is reduced; a pool's jobs run ahead of the fold,
-so there each job cuts its race terms from a buffer on _segments' free
-list, which gets the buffer back once they are folded: at most threads + 3
-buffers exist, threads + 2 jobs in flight and the one being folded.  The
-summary is persisted in the sidecar, so a resumed run never sieves again
-for a race it recorded.
+Every output byte equals that of a fold of one chunk and one rounding at a
+time (the scalar oracle of the tests).  The checkpoint files' grid,
+columns, reader and sidecar are in checkpoint.py.  This module stays below
+8192 significant tokens, past which compiling it costs each process about
+0.47 MB more peak memory.
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -99,15 +49,19 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .characters import _values_of, enumerate_characters, race_weight, unit_residues
+from .characters import enumerate_characters, race_weight, unit_residues
 from .checkpoint import (
-    _CHAR_FIELDS,
+    LOG2,
+    _ROW_FIELDS,
+    CheckpointGrid,
+    CheckpointSeries,
     _csv_columns,
     _read_sidecar,
     _RowWriter,
     _sidecar_path,
     _truncate_csv,
     _write_sidecar,
+    read_series_csv,
 )
 from .exact import ExactSums, from_hex, to_hex
 from .sieve import (
@@ -133,10 +87,6 @@ __all__ = [
     "read_series_csv",
 ]
 
-LOG2 = math.log(2.0)
-
-# a checkpoint row's fields, as CheckpointSeries.fields names them
-_ROW_FIELDS = ("counts", "invsqrt", "theta", "psi", *(f"char_{f}" for f in _CHAR_FIELDS))
 _CLASS_FIELDS = ("invsqrt", "theta", "psi", "invp")
 _SUMMED = ("counts", "invsqrt", "theta", "invp", "char_eulerlog", "psi")  # the fields a prime changes
 _FLUSH_EVERY = 64  # segments between sidecar writes of a persisted run
@@ -146,47 +96,6 @@ _Powers = Sequence[tuple[int, int, float]]  # (p^k, class slot or -1, log p) per
 
 class TallyOrderError(RuntimeError):
     """TallyPartial.fold got a segment that does not start where its range ends."""
-
-
-# ---------------------------------------------------------------------------
-# checkpoint grid
-
-
-@dataclass(frozen=True)
-class CheckpointGrid:
-    """Uniform y-grid y_j = log 2 + j*h, j = 0..n-1; checkpoints at x = e^y."""
-
-    h: float
-    n: int
-
-    def __post_init__(self):
-        if not (self.h > 0):
-            raise ValueError(f"grid spacing must be positive, got {self.h}")
-        if self.n < 1:
-            raise ValueError(f"grid needs at least one point, got n={self.n}")
-
-    @classmethod
-    def from_xmax(cls, x_max: float, h: float = 0.01) -> "CheckpointGrid":
-        if x_max < 2:
-            raise ValueError(f"x_max must be at least 2, got {x_max}")
-        n = math.floor((math.log(x_max) - LOG2) / h + 1e-12) + 1
-        return cls(h=h, n=n)
-
-    @property
-    def y(self) -> np.ndarray:
-        return LOG2 + self.h * np.arange(self.n)
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.exp(self.y)
-
-    @property
-    def y_max(self) -> float:
-        return LOG2 + self.h * (self.n - 1)
-
-    @property
-    def x_max(self) -> float:
-        return math.exp(self.y_max)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +114,8 @@ class _Layout:
         self.slot[list(self.units)] = range(self.nclass)
         nonprincipal = chars[1:]
         self.nchar = len(nonprincipal)
-        self.char_labels = tuple(chi.label for chi in nonprincipal)
         # chi(p mod q) lookup, zero off the units
-        self.chi_tab = np.stack([chi.values for chi in nonprincipal]) if self.nchar else np.zeros((0, q), np.complex128)
+        self.chi_tab = np.stack([chi.values for chi in nonprincipal])
         # (nchar, nclass) tables of chi(a) and chi(a)^2 = chi(a^2), C-contiguous
         self.chi_class = np.ascontiguousarray(self.chi_tab[:, self.units])
         chi2 = np.ascontiguousarray(self.chi_tab[:, [a * a % q for a in self.units]])
@@ -453,76 +361,7 @@ def _segments(bounds, layout: _Layout, segment_odds: int, threads: int, grid_x: 
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
-
-
-class CheckpointSeries:
-    """A tally's snapshots, one entry per grid point snapshotted, in grid order.
-
-    x and y are lists of the points' coordinates.  fields maps each row
-    field to its entries: per class counts, invsqrt, theta and psi, and per
-    nonprincipal character char_invsqrt, char_mertens and char_eulerlog.
-    Grid point j is row j of every matrix below.  In a series from
-    accumulate the entries are the read-only arrays TallyPartial.totals()
-    returned, one object for consecutive points that nothing was folded
-    into; in one from read_series_csv each field is the 2-D table parsed
-    from the file.  A series may hold fewer points than its grid, as an
-    interrupted run's does.
-    """
-
-    def __init__(self, q: int, grid: CheckpointGrid, units, char_labels, x, y, fields):
-        self.q = q
-        self.grid = grid
-        self.units = tuple(units)
-        self.char_labels = tuple(char_labels)
-        self.x, self.y = x, y
-        self.fields: dict[str, Sequence[np.ndarray]] = fields
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def _table(self, field: str) -> np.ndarray:
-        """A field's entries as a matrix, row j for point j; with no point, a header-only CSV's (0, width) table."""
-        entries = self.fields[field]
-        if len(entries):
-            return np.asarray(entries)
-        chars = field.startswith("char_")
-        dtype = np.complex128 if chars else np.int64 if field == "counts" else np.float64
-        return np.empty((0, len(self.char_labels if chars else self.units)), dtype=dtype)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._table("counts")
-
-    @property
-    def invsqrt(self) -> np.ndarray:
-        return self._table("invsqrt")
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self._table("theta")
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self._table("psi")
-
-    def char_matrix(self, kind: str) -> np.ndarray:
-        """Per-character sums of kind invsqrt, mertens or eulerlog, one row per point."""
-        return self._table(f"char_{kind}")
-
-    def weighted(self, t, table: str = "invsqrt") -> np.ndarray:
-        """Per-checkpoint weighted class sums of one field, as a complex vector.
-
-        Entry j of weighted(t, "invsqrt") is the sum over p <= x_j of
-        t(p)/sqrt(p); "counts" and "theta" weigh t(p) and t(p) log p, and
-        "psi" sums t(p^k mod q) log p over prime powers p^k <= x_j, so
-        9 = 3*3 counts in the class of 9, not of 3.
-        """
-        q, vals = _values_of(t)
-        if q != self.q:
-            raise ValueError(f"modulus mismatch: tally mod {self.q}, weight mod {q}")
-        w = np.array([vals[a] for a in self.units])
-        return self._table(table).astype(np.complex128) @ w
+# races and results
 
 
 @dataclass(frozen=True, eq=False)
@@ -705,13 +544,6 @@ class TallyPartial:
             self._fresh.add("psi")
         return stop
 
-    def merge(self, other: "TallyPartial") -> "TallyPartial":
-        """Add the sums of the adjacent range just above this one, in place."""
-        self.hi = other.hi
-        self.sums += other.sums
-        self._fresh.update(_SUMMED)
-        return self
-
     def _arrays(self, vals, prime, psi) -> dict:
         """Per field, the read-only array of each point, from its row of vals (points, columns).
 
@@ -731,7 +563,7 @@ class TallyPartial:
                 # sum_a chi(a) row_a, one pairwise sum over the class axis, in products of about
                 # _BATCH_CELLS values: the whole batch for a small chi table, a few rows for a large one
                 name, chi, of = layout.derived[f]
-                step = max(1, _BATCH_CELLS // max(1, chi.size))
+                step = max(1, _BATCH_CELLS // chi.size)
                 tables[name] = np.vstack([np.add.reduce(chi * tables[f][i:i + step, None, :], axis=2)
                                           for i in range(0, max(1, len(tables[f])), step)])[:, of]
             if "counts" in tables:
@@ -821,52 +653,6 @@ def _power_terms(layout: _Layout, lo: int, hi: int) -> _Powers:
 
 
 # ---------------------------------------------------------------------------
-# persistence
-
-
-def read_series_csv(path: str | Path) -> CheckpointSeries:
-    """The series of a checkpoint CSV, each field one read-only 2-D table.
-
-    Every row must hold one cell per header column.  A header with no rows
-    reads as an empty series on a one-point grid: a series may hold fewer
-    points than its grid, as an interrupted run's does.
-    """
-    path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        has_rows = any(map(str.strip, fh))
-    units = [int(c[2:]) for c in header if c.startswith("n_")]
-    char_labels = [c[len("chi_"):-len("_invsqrt_re")] for c in header
-                   if c.startswith("chi_") and c.endswith("_invsqrt_re")]
-    if not units:
-        raise ValueError(f"{path}: no per-class columns found")
-    q = int(char_labels[0].split(".")[0]) if char_labels else max(units) + 1
-    # numpy parses each cell to the double float() gives, -0.0 included, and
-    # warns on a file with no rows
-    data = (np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) if has_rows
-            else np.empty((0, len(header))))
-    if data.shape[1] != len(header):
-        raise ValueError(f"{path}: rows hold {data.shape[1]} cells, but the header has {len(header)} columns")
-    col = {name: k for k, name in enumerate(header)}
-
-    def columns(names) -> np.ndarray:
-        return np.ascontiguousarray(data[:, [col[n] for n in names]])
-
-    # per field, its column for every class, or its (re, im) pair for every character
-    fields = {f: columns(f"{f}_{a}" for a in units) for f in ("invsqrt", "theta", "psi")}
-    fields["counts"] = columns(f"n_{a}" for a in units).astype(np.int64)  # exact below 2^53
-    for f in _CHAR_FIELDS:
-        fields[f"char_{f}"] = columns(f"chi_{label}_{f}_{part}" for label in char_labels
-                                      for part in ("re", "im")).view(np.complex128)
-    for table in fields.values():
-        table.flags.writeable = False
-    ys = data[:, 1]
-    h = float((ys[-1] - ys[0]) / (len(ys) - 1)) if len(ys) > 1 else 0.01
-    grid = CheckpointGrid(h=h, n=max(len(ys), 1))
-    return CheckpointSeries(q, grid, units, char_labels, data[:, 0].tolist(), ys.tolist(), fields)
-
-
-# ---------------------------------------------------------------------------
 # drivers
 
 
@@ -932,7 +718,7 @@ def accumulate(
     next_j = pw_ptr = 0  # next grid point to snapshot; prime powers folded
     first = start_idx = 0  # first segment to sieve, first to tally: an unrecorded race re-sieves those between
     # every grid point snapshotted, flushed ones too
-    series = CheckpointSeries(q, grid, layout.units, layout.char_labels, [], [], {f: [] for f in _ROW_FIELDS})
+    series = CheckpointSeries(q, grid, [], [], {f: [] for f in _ROW_FIELDS})
 
     # the run's identity in its sidecar; race is deliberately absent: any
     # race may be requested on resume, and one the sidecar did not record
@@ -976,7 +762,7 @@ def accumulate(
         series.fields = {f: list(table) for f, table in stored.fields.items()}
     elif csv_path is not None:
         with open(csv_path, "w") as fh:
-            fh.write(",".join(_csv_columns(layout.units, layout.char_labels)) + "\n")
+            fh.write(",".join(_csv_columns(q)) + "\n")
     powers = _power_terms(layout, 2, x_hi)
 
     rows = _RowWriter(layout)  # the first point changes every class: nothing was handed on yet
@@ -1074,4 +860,7 @@ def merge(left: TallyPartial, right: TallyPartial) -> TallyPartial:
         raise ValueError(
             f"ranges are not adjacent: [{left.lo}, {left.hi}) then [{right.lo}, {right.hi})"
         )
-    return left.copy().merge(right)
+    out = left.copy()  # every field fresh
+    out.hi = right.hi
+    out.sums += right.sums
+    return out

@@ -65,14 +65,11 @@ class TestRunConfig:
         assert main([*argv, "--dry-run"]) == 2
         assert fragment in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("PRL_THREADS", "7")
-        assert config_of(["bias"]).threads == 7
-        assert config_of(["bias", "--threads", "2"]).threads == 2
-        monkeypatch.setenv("PRL_THREADS", "not-a-number")
-        assert config_of(["bias", "--threads", "2"]).threads == 2
-        with pytest.raises(UsageError, match="PRL_THREADS"):
-            config_of(["bias"])
+    def test_threads_env_is_not_read(self, monkeypatch):
+        for env in ("7", "not-a-number"):
+            monkeypatch.setenv("PRL_THREADS", env)
+            assert config_of(["bias"]).threads == 1
+            assert config_of(["bias", "--threads", "2"]).threads == 2
 
     def test_mchi_flag_parsing(self):
         cfg = config_of(["bias", "--mchi", "4.1=1", "--mchi", "4.0=2"])
@@ -139,8 +136,7 @@ class TestConfigFile:
         assert sorted(self.SAMPLES) == sorted(key for key, *_ in cli._OPTIONS)
 
     @pytest.mark.parametrize("key", [key for key, *_ in cli._OPTIONS])
-    def test_flag_and_file_key_agree(self, tmp_path, monkeypatch, key):
-        monkeypatch.delenv("PRL_THREADS", raising=False)
+    def test_flag_and_file_key_agree(self, tmp_path, key):
         value = self.SAMPLES[key]
         from_flag = config_of(["bias", f"--{key}", value])
         from_file = config_of(["bias", "--config", self.write(tmp_path, f"{key} = {value}\n")])

@@ -1214,7 +1214,7 @@ class TestPersistence:
 
 def oracle_csv(series) -> bytes:
     """A checkpoint CSV with every cell formatted by the oracle."""
-    header = ",".join(tally._csv_columns(series.units, series.char_labels))
+    header = ",".join(tally._csv_columns(series.q))
     return "".join(f"{line}\n" for line in [header, *(format_row(*r) for r in rows(series))]).encode()
 
 
@@ -1316,12 +1316,50 @@ class TestCsvRows:
         # 8 rows of 6 cells under q=4's 16 columns: 48 cells, which would
         # otherwise re-cut into 3 rows of 16
         path = tmp_path / "narrow.csv"
-        layout = _Layout(4)
-        header = ",".join(tally._csv_columns(layout.units, layout.char_labels))
+        header = ",".join(tally._csv_columns(4))
         assert header.count(",") == 15
         path.write_text(header + "\n" + "".join(f"{2.0 + k},0.{k},1,0.5,0.25,0.125\n" for k in range(8)))
         with pytest.raises(ValueError, match=r"narrow\.csv: rows hold 6 cells, but the header has 16 columns"):
             read_series_csv(path)
+
+    @pytest.mark.parametrize("edit", ["renamed", "dropped", "swapped"])
+    def test_a_header_unlike_the_writers_is_refused(self, tmp_path, edit):
+        # the reader cuts fields by position, so a header must be the writer's exactly
+        path = tmp_path / "edited.csv"
+        accumulate(CheckpointGrid.from_xmax(2e3, h=0.05), 12, persist=path)
+        lines = [line.split(",") for line in path.read_text().splitlines()]
+        k = lines[0].index("theta_5")
+        if edit == "renamed":
+            lines[0][k] = "theta_6"
+        elif edit == "dropped":  # with its cells, so every row still fits the header
+            lines = [line[:k] + line[k + 1:] for line in lines]
+        else:
+            lines[0][k], lines[0][k + 1] = lines[0][k + 1], lines[0][k]
+        path.write_text("".join(",".join(line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match=r"edited\.csv: the header is not the checkpoint columns"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("header, modulus", [("x,y,n_1,invsqrt_1,theta_1,psi_1", "none"),
+                                                 ("x,y,chi_x.1_invsqrt_re", "x"),
+                                                 ("x,y,chi_2.1_invsqrt_re", "2"),
+                                                 ("x,y,chi_1000000007.1_invsqrt_re", "1000000007")])
+    def test_a_header_without_a_checkpoint_modulus_is_refused(self, tmp_path, header, modulus):
+        # a modulus past len(header)**2 is refused before its characters are built
+        path = tmp_path / "odd.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=rf"odd\.csv: .* first chi_ column names \({modulus}\)"):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize("stop", [3, None])
+    def test_a_resume_reads_the_csv_once_through_tally(self, tmp_path, monkeypatch, stop):
+        # perfbench counts checkpoint reads by wrapping tally.read_series_csv
+        grid = CheckpointGrid.from_xmax(20_000, h=0.02)
+        path = tmp_path / "run.csv"
+        accumulate(grid, 12, segment_odds=512, persist=path, max_segments=stop)
+        calls, read = [], tally.read_series_csv
+        monkeypatch.setattr(tally, "read_series_csv", lambda p: calls.append(p) or read(p))
+        assert accumulate(grid, 12, segment_odds=512, persist=path, resume=True).completed
+        assert calls == [path]
 
 
 class TestCheckpointOps:
@@ -1471,8 +1509,7 @@ def scalar_reference(q, segment_odds):
     grid = CheckpointGrid.from_xmax(x_max, h=h)
     x_hi = math.floor(grid.x_max) + 1
     rows, state = scalar_tally(grid, q, x_hi, segment_odds, stop)
-    layout = _Layout(q)
-    lines = [",".join(tally._csv_columns(layout.units, layout.char_labels)),
+    lines = [",".join(tally._csv_columns(q)),
              *(format_row(x, y, row) for x, y, row in zip(grid.x.tolist(), grid.y.tolist(), rows))]
     return grid, rows, state, "".join(f"{line}\n" for line in lines).encode()
 
@@ -1544,12 +1581,13 @@ class TestScalarFold:
                 assert np.array_equal(totals[name].view(np.uint64), want[name].view(np.uint64)), name
 
 
-def test_tally_module_stays_below_the_compile_threshold():
+@pytest.mark.parametrize("module", sorted(p.name for p in Path(tally.__file__).parent.glob("*.py")))
+def test_module_stays_below_the_compile_threshold(module):
     # significant tokens: every token but comments, blank lines, the encoding
     # and the end marker.  Past 8192 of them, CPython 3.11's compile() of
-    # tally.py peaks about 0.47 MB higher, which every process that imports
-    # it from source pays
+    # tally.py peaked about 0.47 MB higher, which every process that imports
+    # a module from source pays
     skip = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
-    with open(tally.__file__, "rb") as fh:
+    with open(Path(tally.__file__).parent / module, "rb") as fh:
         count = sum(token.type not in skip for token in tokenize.tokenize(fh.readline))
     assert count < 8192, count
