@@ -3,7 +3,9 @@
 A character is stored as a table of exact root-of-unity exponents over the
 exponent n of the unit group: chi(a) = zeta_n ** exp[a].  Multiplication and
 conjugation are integer arithmetic on exponents, so multiplicativity holds
-exactly; the cached complex value table is derived from the exponents once.
+exactly; the cached complex value table is derived from the exponents once,
+from a table of roots of unity whose entry n - k is (Re, 0.0 - Im) of entry
+k, so a conjugate character's values are its conjugate's, bit for bit.
 
 Characters are labeled "q.k".  The index k is a mixed-radix encoding of the
 discrete-log exponent vector of the character on a fixed generator set of
@@ -213,10 +215,17 @@ def enumerate_characters(q: int) -> tuple[Character, ...]:
     dlog = _discrete_logs(q)
     phi = euler_phi(q)
     n = math.lcm(*orders) if orders else 1
-    roots = np.exp(2j * math.pi * np.arange(n) / n)
+    half = n // 2 + 1
+    roots = np.empty(n, dtype=np.complex128)
+    head = roots[:half]  # roots[k] for k <= n/2
+    head[:] = np.exp(2j * math.pi * np.arange(half) / n)
     # snap the axis values so real characters are exactly +-1 and +-1j
-    roots.real[np.abs(roots.real) < 1e-14] = 0.0
-    roots.imag[np.abs(roots.imag) < 1e-14] = 0.0
+    head.real[np.abs(head.real) < 1e-14] = 0.0
+    head.imag[np.abs(head.imag) < 1e-14] = 0.0
+    # roots[n - k] is (Re, 0.0 - Im) of roots[k], so that a conjugate
+    # character's values are its conjugate's, bit for bit
+    roots[half:] = roots[n - half:0:-1]
+    np.subtract(0.0, roots.imag[half:], out=roots.imag[half:])
     chars = []
     for index in range(phi):
         kvec = _index_to_vector(index, orders)

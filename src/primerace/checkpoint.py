@@ -206,19 +206,33 @@ class _RowWriter:
     what TallyPartial.snapshots says changed: the class blocks of the slots
     whose sums moved, and the character section when a prime was folded,
     the only fold that moves a character column; it compares no rows.  A
-    character section formats each distinct char_mertens value once (one
-    per distinct chi^2) and places its text at every character that shares
-    it.
+    character section calls repr only on the columns of _Layout.pairs'
+    representatives: per field, each character that is its own
+    representative or the first of a conjugate pair, and for char_mertens
+    one character per distinct chi^2 up to conjugation.  It places that
+    text at every character that shares it, and a conjugate's imaginary
+    cell is its representative's text negated: "0.0" for a zero, else the
+    sign flipped, which is repr(0.0 - v) for every finite double v.
     """
+
+    _FIELDS = tuple(f"char_{f}" for f in _CHAR_FIELDS)
 
     def __init__(self, layout: "_Layout"):
         self.blocks = [""] * layout.nclass
         self.classes = self.text = ""
-        self.first = layout.chi2_first
-        # a section's cells, picked in (re, im) pairs from its formatted invsqrt, eulerlog and distinct mertens cells
-        pairs = np.arange(4 * layout.nchar + 2 * len(self.first)).reshape(-1, 2)
-        inv, eul, mertens = np.split(pairs, [layout.nchar, 2 * layout.nchar])
-        self.pick = itemgetter(*np.hstack([inv, mertens[layout.chi2_of], eul]).ravel().tolist())
+        self.cols = [layout.pairs[f][0] for f in self._FIELDS]
+        # the formatted cells are (re, im) pairs, each field's representatives in turn, then
+        # the negated texts of the imaginary cells in flipped, one per conjugate cell
+        start = np.cumsum([0, *map(len, self.cols)]).tolist()
+        cells, self.flipped = [], []
+        for j in range(layout.nchar):
+            for f, first in zip(self._FIELDS, start):
+                _, of, flip = layout.pairs[f]
+                k = 2 * (first + int(of[j]))
+                cells += [k, 2 * start[-1] + len(self.flipped) if flip[j] else k + 1]
+                if flip[j]:
+                    self.flipped.append(k + 1)
+        self.pick = itemgetter(*cells)
 
     def lines(self, xs, ys, arrays, changed) -> str:
         """The rows at xs, ys.
@@ -235,8 +249,10 @@ class _RowWriter:
                     self.blocks[i] = f"{n[i]},{s[i]!r},{t[i]!r},{p[i]!r}"
                 self.classes = ",".join(self.blocks)
             if folded:
-                cells = [arrays["char_invsqrt"][j], arrays["char_eulerlog"][j], arrays["char_mertens"][j][self.first]]
+                cells = [arrays[f][j][cols] for f, cols in zip(self._FIELDS, self.cols)]
                 texts = list(map(repr, np.concatenate(cells).view(np.float64).tolist()))
+                texts += [t[1:] if t[0] == "-" else t if t == "0.0" else "-" + t
+                          for t in map(texts.__getitem__, self.flipped)]
                 self.text = ",".join(["", *self.pick(texts)])
             out.append(f"{x!r},{y!r},{self.classes}{self.text}\n")
         return "".join(out)

@@ -8,10 +8,19 @@ product on the critical line.  The character sums of chi(p)/sqrt(p) and
 chi(p^2)/p are linear in the class sums of 1/sqrt(p) and 1/p, and each
 point derives them from those totals.
 
+Conjugate pairs: chi-bar's values are chi's conjugates bit for bit
+(characters.py), so each of its sums is the conjugate of chi's.  The tally
+sums and derives each pair once, for its representative, the lower-indexed
+of chi and chi-bar (a real character is its own), and writes the other's
+columns as (Re, 0.0 - Im) of the representative's, which is the direct
+sum's value bit for bit, +0.0 included (_unfold).  Mod 105 that is 27 of
+the 47 nonprincipal characters.
+
 Reduction contract: segments are cut into chunks at grid points, and every
 chunk value is one pairwise np.sum over a slice of one C-contiguous row of
 per-prime terms (_segment_partial).  A class builds one Euler-log row per
-distinct value of chi(a), and each character takes its value's chunk sums.
+distinct value of chi(a) among the representatives, and each takes its
+value's chunk sums.
 
 Exactness: one TallyPartial adds the chunk values exactly (exact.py) and
 rounds each total once, so every summed total is the correctly rounded
@@ -126,30 +135,69 @@ class _Layout:
         seen = {}  # per distinct row's bytes: its index among them and its first character
         self.chi2_of = np.array([seen.setdefault(row.tobytes(), (len(seen), j))[0] for j, row in enumerate(chi2)], np.intp)
         self.chi2_first = np.array([j for _, j in seen.values()], np.intp)
+        # each character column up to conjugation, per character field: (cols, of, flip).  The
+        # characters in cols are the representatives: character j holds representative of[j]'s
+        # value, as (Re, 0.0 - Im) where flip[j].  char_mertens pairs the distinct chi^2 rows
+        self.reps, of, flip = _conjugate_pairs(self.chi_class)
+        reps2, of2, flip2 = _conjugate_pairs(chi2[self.chi2_first])
+        self.pairs = {"char_invsqrt": (self.reps, of, flip), "char_eulerlog": (self.reps, of, flip),
+                      "char_mertens": (self.chi2_first[reps2], of2[self.chi2_of], flip2[self.chi2_of])}
         n = self.nclass
         # the columns of TallyPartial's sums: counts and each class field, then
-        # char_eulerlog's real and imaginary part of each character in turn
+        # char_eulerlog's real and imaginary part of each representative in turn
         self.columns = {**{f: slice(i * n, i * n + n) for i, f in enumerate(("counts", *_CLASS_FIELDS))},
                         "char_eulerlog": slice(5 * n, None)}
-        # per summed class field, the character column derived from it: (name, chi table, row of each character)
-        self.derived = {"invsqrt": ("char_invsqrt", self.chi_class, slice(None)),
-                        "invp": ("char_mertens", chi2[self.chi2_first], self.chi2_of)}
-        # per class slot a, its Euler-log rows: one per bitwise-distinct chi(a),
-        # the real ones first, whose terms go through log1p with -Re chi(a),
-        # then the complex ones, through log with chi(a); character j takes
-        # row of[j] (a dict, as for chi2_of)
+        # per summed class field, the character column derived from it and the chi table of its representatives
+        self.derived = {"invsqrt": ("char_invsqrt", self.chi_class[self.reps]),
+                        "invp": ("char_mertens", chi2[self.pairs["char_mertens"][0]])}
+        # per class slot a, its Euler-log rows: one per bitwise-distinct chi(a)
+        # of the representatives, the real ones first, whose terms go through
+        # log1p with -Re chi(a), then the complex ones, through log with
+        # chi(a); representative r takes row of[r] (a dict, as for chi2_of)
         self.euler_rows = []
         for a in self.units:
-            z = self.chi_tab[:, a]
+            z = self.chi_tab[self.reps, a]
             real = z.imag == 0.0
             key = np.where(real, z.real, z).tobytes()  # 16 bytes a character: a real chi(a) by its real part
             seen = {}  # per distinct key: its row and first character
             order = np.flatnonzero(real).tolist() + np.flatnonzero(~real).tolist()
-            of = np.empty(self.nchar, np.intp)
+            of = np.empty(len(z), np.intp)
             of[order] = [seen.setdefault(key[16 * j:16 * j + 16], (len(seen), j))[0] for j in order]
             first = [j for _, j in seen.values()]
             nreal = np.count_nonzero(real[first])
             self.euler_rows.append((-z.real[first[:nreal]], z[first[nreal:]], of))
+
+
+def _conjugate_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct complex rows up to conjugation: (reps, of, flip).
+
+    reps indexes the representatives, every real row and the first row of
+    each conjugate pair; row i is representative of[i]'s row, as
+    (Re, 0.0 - Im) where flip[i].
+    """
+    reps, of, flip, first = [], [], [], {}  # first: per representative's bytes, its index among them
+    for i, row in enumerate(rows):
+        conj = row.copy()
+        np.subtract(0.0, conj.imag, out=conj.imag)
+        k = first.get(conj.tobytes())
+        flip.append(k is not None)
+        if k is None:
+            k = first[row.tobytes()] = len(reps)
+            reps.append(i)
+        of.append(k)
+    return np.array(reps, np.intp), np.array(of, np.intp), np.array(flip)
+
+
+def _unfold(table: np.ndarray, of: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """Every character's column of a complex table of representative columns: table[:, of], (Re, 0.0 - Im) where flip.
+
+    0.0 - Im keeps a zero +0.0, as a direct sum gives it; np.conj would
+    make it -0.0.
+    """
+    out = np.take(table, of, axis=1)
+    if flip.any():
+        np.subtract(0.0, out.imag, out=out.imag, where=flip)
+    return out
 
 
 _layout = lru_cache(maxsize=None)(_Layout)  # _layout(q): modulus q's tables, built once per process
@@ -166,7 +214,7 @@ class _SegmentPartial:
     invsqrt: np.ndarray  # (nchunks, nclass) float64
     theta: np.ndarray
     invp: np.ndarray
-    char_eulerlog: np.ndarray  # (nchunks, nchar) complex128
+    char_eulerlog: np.ndarray  # (nchunks, representatives) complex128
 
 
 class _Scratch(threading.local):
@@ -237,8 +285,9 @@ def _segment_partial(
     2 * (distinct complex values) rows.  Each class-chunk of two or more
     primes is reduced with one axis=1 sum, so a segment costs O(chunks +
     nonempty class-chunks) numpy calls whatever the number of characters,
-    and each character adds its value's chunk sum, negated, as a row of its
-    own would give it (a real row's with imaginary part +0.0).  Every
+    and each representative character adds its value's chunk sum, negated,
+    as a row of its own would give it (a real row's with imaginary part
+    +0.0); char_eulerlog holds the representatives' columns alone.  Every
     nonempty class-chunk first takes its last term
     column, in one gather per class, and a chunk of one prime keeps it: a
     one-element np.sum adds its element to +0.0, which returns the element
@@ -265,7 +314,7 @@ def _segment_partial(
         nch = len(boundaries) + 1
         counts = np.zeros((nch, len(units)), dtype=np.int64)
         invsqrt, theta, invp = np.zeros((3, nch, len(units)))
-        ch_eul = np.zeros((nch, layout.nchar), dtype=np.complex128)
+        ch_eul = np.zeros((nch, len(layout.reps)), dtype=np.complex128)
         on = scratch.get("mask", n)
         for i, a in enumerate(units):
             if not sizes[i]:
@@ -467,14 +516,18 @@ class TallyPartial:
     exact sum (exact.ExactSums) per column that _Layout.columns names: one
     per class for counts (exact as doubles below 2**53), invsqrt, theta, psi
     and invp, and for char_eulerlog the real and the imaginary part of each
-    character in turn, as the float64 view of a complex128 array lays them
-    out.  The two character sums that
+    representative (_Layout.reps: every real character and the lower-indexed
+    of each conjugate pair) in turn, as the float64 view of a complex128
+    array lays them out: 5 * nclass + 2 * len(reps) columns, 294 mod 105.
+    The two character sums that
     are linear in the class sums are derived, not summed: each point's
     char_invsqrt = sum_a chi(a) invsqrt_a and char_mertens = sum_a chi(a)^2
     invp_a are one np.sum over the class axis of a C-contiguous table of chi
-    values times the point's row, so no BLAS call sets their bits;
-    char_mertens takes it on the distinct rows of chi^2 only
-    (_Layout.derived).
+    values times the point's row, so no BLAS call sets their bits.
+    char_invsqrt takes it for the representatives, char_mertens for the
+    distinct rows of chi^2 up to conjugation (_Layout.derived).  Every
+    other character's column of the three is its representative's
+    (Re, 0.0 - Im), through _Layout.pairs.
 
     Chunks and prime powers fold a batch at a time, in one vectorised step
     (ExactSums.add), which rounds each sum it changes once.  totals() and
@@ -504,7 +557,7 @@ class TallyPartial:
 
     @classmethod
     def empty(cls, q: int, at: int = 2) -> "TallyPartial":
-        return cls(q, at, at, ExactSums(np.zeros(5 * _layout(q).nclass + 2 * _layout(q).nchar, object)))
+        return cls(q, at, at, ExactSums(np.zeros(5 * _layout(q).nclass + 2 * len(_layout(q).reps), object)))
 
     def _deltas(self, part: _SegmentPartial, a: int, b: int) -> np.ndarray:
         """Chunks a .. b - 1 of a segment in the columns of sums: psi takes theta's chunk sums."""
@@ -562,13 +615,15 @@ class TallyPartial:
             for f in layout.derived.keys() & fields:
                 # sum_a chi(a) row_a, one pairwise sum over the class axis, in products of about
                 # _BATCH_CELLS values: the whole batch for a small chi table, a few rows for a large one
-                name, chi, of = layout.derived[f]
+                name, chi = layout.derived[f]
                 step = max(1, _BATCH_CELLS // chi.size)
-                tables[name] = np.vstack([np.add.reduce(chi * tables[f][i:i + step, None, :], axis=2)
-                                          for i in range(0, max(1, len(tables[f])), step)])[:, of]
+                tables[name] = _unfold(np.vstack([np.add.reduce(chi * tables[f][i:i + step, None, :], axis=2)
+                                                  for i in range(0, max(1, len(tables[f])), step)]),
+                                       *layout.pairs[name][1:])
             if "counts" in tables:
                 tables["counts"] = tables["counts"].astype(np.int64)  # exact: below 2**53
-                tables["char_eulerlog"] = tables["char_eulerlog"].view(np.complex128)
+                tables["char_eulerlog"] = _unfold(tables["char_eulerlog"].view(np.complex128),
+                                                  *layout.pairs["char_eulerlog"][1:])
             at = np.cumsum(new).tolist()  # each point's entry of arrays
             for f, rows in tables.items():
                 rows.flags.writeable = False
@@ -624,13 +679,19 @@ class TallyPartial:
         return TallyPartial(self.q, self.lo, self.hi, ExactSums(self.sums.ints, self.sums.e))
 
     def to_state(self) -> dict:
-        """The exact sums as the sidecar's JSON "state" (format 3), in units of 2**-1074."""
-        hexes, cols = list(map(to_hex, self.sums.units())), _layout(self.q).columns
-        eul = hexes[cols["char_eulerlog"]]
+        """The exact sums as the sidecar's JSON "state" (format 3), in units of 2**-1074.
+
+        It holds char_eulerlog for every character: a representative's
+        conjugate's imaginary part is the exact negation of its own.
+        """
+        units, layout = self.sums.units(), _layout(self.q)
+        eul = units[layout.columns["char_eulerlog"]]
+        _, of, flip = layout.pairs["char_eulerlog"]
         return {
             "counts": self.counts,
-            "class": {f: hexes[cols[f]] for f in _CLASS_FIELDS},
-            "char": {"eulerlog": [eul[k:k + 2] for k in range(0, len(eul), 2)]},
+            "class": {f: list(map(to_hex, units[layout.columns[f]])) for f in _CLASS_FIELDS},
+            "char": {"eulerlog": [[to_hex(eul[2 * r]), to_hex(-eul[2 * r + 1] if f else eul[2 * r + 1])]
+                                  for r, f in zip(of.tolist(), flip.tolist())]},
             "expected_lo": self.hi,
         }
 
@@ -638,11 +699,12 @@ class TallyPartial:
     def from_state(cls, state: Mapping, q: int) -> "TallyPartial":
         """Inverse of to_state, for a range that starts at 2.
 
-        Formats 1 and 2 also hold exact char invsqrt and mertens sums, which
-        totals() derives and this does not read.
+        It reads char_eulerlog of the representatives alone.  Formats 1 and
+        2 also hold exact char invsqrt and mertens sums, which totals()
+        derives and this does not read.
         """
         units = [int(c) << 1074 for c in state["counts"]] + [from_hex(h) for f in _CLASS_FIELDS for h in state["class"][f]]
-        units += [from_hex(h) for pair in state["char"]["eulerlog"] for h in pair]
+        units += [from_hex(h) for j in _layout(q).reps.tolist() for h in state["char"]["eulerlog"][j]]
         return cls(q, 2, state["expected_lo"], ExactSums.from_units(units))
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 import tokenize
 import tracemalloc
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from primerace import tally
 from primerace.analysis import density_race, euler_series, mean_values
@@ -22,6 +23,7 @@ from primerace.characters import (
     enumerate_characters,
     race_weight,
 )
+from primerace.exact import from_hex
 from primerace.sieve import segment_bounds, simple_sieve, sieve_segment
 from primerace.tally import (
     LOG2,
@@ -39,6 +41,7 @@ from primerace.tally import (
     _power_terms,
     _segment_partial,
     _truncate_csv,
+    _unfold,
 )
 
 from oracles import (
@@ -602,6 +605,11 @@ def assert_segment_matches_reference(primes, lo, hi, boundaries, q, scratch=None
     want = reference_segment_partial(primes, boundaries, layout, race)
     for name in SEGMENT_FIELDS:
         a, b = getattr(got, name), want[name]
+        if name == "char_eulerlog":
+            # the representatives' columns: each other character's is its
+            # representative's (Re, 0.0 - Im), bit for bit
+            assert a.shape == (len(b), len(layout.reps)), name
+            a = _unfold(a, *layout.pairs[name][1:])
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), name
     # the race terms: every prime of the segment, w and w*p behind the carry
@@ -806,6 +814,7 @@ class TestScratchReuse:
         base = simple_sieve(math.isqrt(hi))
         for lo, b in segment_bounds(2, hi, odds):
             ref = reference_segment_partial(sieve_segment(lo, b, base), np.empty(0), layout)
+            ref["char_eulerlog"] = ref["char_eulerlog"][:, layout.reps]  # a tally sums the representatives'
             want.fold(_SegmentPartial(lo, b, 1, *(ref[f] for f in SEGMENT_FIELDS)), 0)
         want.fold_powers(_power_terms(layout, 2, hi), 0, hi)
         m = 2 + 7 * 2 * odds
@@ -889,7 +898,7 @@ class TestWorkingSet:
         layout, base = _Layout(q), simple_sieve(math.isqrt(x_hi))
         distinct = []
         for a in layout.units:
-            z = layout.chi_tab[:, a]
+            z = layout.chi_tab[layout.reps, a]  # the representatives' values
             real = z.imag == 0.0
             distinct.append(len({v.tobytes() for v in z.real[real]}) + 2 * len({v.tobytes() for v in z[~real]}))
         n_max = rows = 0
@@ -999,13 +1008,15 @@ class TestTallyState:
     @pytest.mark.parametrize("q, distinct, pairs", [(5, 9, 12), (13, 73, 132), (24, 15, 56),
                                                     (105, 329, 2256), (420, 665, 9120)])
     def test_euler_rows_take_each_distinct_value_once(self, q, distinct, pairs):
-        # per class a, one row per bitwise-distinct chi(a): the real values
-        # first, as -Re chi(a), then the complex ones; character j's chi(a)
-        # is its row's value, bit for bit
+        # per class a, one row per bitwise-distinct chi(a) of the
+        # representatives: the real values first, as -Re chi(a), then the
+        # complex ones; representative r's chi(a) is its row's value, bit for
+        # bit.  The rows and their conjugates (Re, 0.0 - Im) are every
+        # character's values, which distinct and pairs count
         layout = tally._layout(q)
-        total = 0
+        total = rows = 0
         for a, (neg_re, z, of) in zip(layout.units, layout.euler_rows):
-            chi = layout.chi_tab[:, a]
+            chi = layout.chi_tab[layout.reps, a]
             assert z.dtype == np.complex128 and np.all(z.imag != 0.0)
             values = np.concatenate([-neg_re + 0j, z])
             assert len({v.tobytes() for v in values}) == len(values) == max(of, default=-1) + 1
@@ -1013,8 +1024,13 @@ class TestTallyState:
             assert np.array_equal(real, chi.imag == 0.0)
             assert np.array_equal(values[of].real.view(np.uint64), chi.real.view(np.uint64))
             assert np.array_equal(values[of][~real].view(np.uint64), chi[~real].view(np.uint64))
-            total += len(values)
+            conj = values.copy()
+            conj.imag = 0.0 - conj.imag
+            every = {v.tobytes() for v in np.concatenate([values, conj])}
+            assert every == {v.tobytes() for v in layout.chi_tab[:, a]}
+            total, rows = total + len(every), rows + len(values)
         assert (total, layout.nchar * layout.nclass) == (distinct, pairs)
+        assert rows <= total
 
     def test_state_that_does_not_meet_the_next_segment_rejected(self, tmp_path):
         grid = CheckpointGrid.from_xmax(20_000, h=0.02)
@@ -1253,6 +1269,82 @@ class TestTruncateCsv:
         assert path.read_bytes() == b"".join(self.ROWS)
 
 
+class TestConjugatePairs:
+    """Each conjugate pair of characters summed, derived and formatted once.
+
+    The tally sums char_eulerlog for its representatives (_Layout.reps):
+    every real character and the lower-indexed of each pair.  Every other
+    character's column is its representative's (Re, 0.0 - Im), as the
+    per-character sums give it, bit for bit.
+    """
+
+    @pytest.mark.parametrize("q, reps, columns", [(4, 1, 12), (5, 2, 24), (13, 6, 72), (24, 7, 54),
+                                                  (105, 27, 294), (420, 55, 590)])
+    def test_exact_sums_hold_the_representatives(self, q, reps, columns):
+        layout = _Layout(q)
+        chars = enumerate_characters(q)[1:]
+        assert layout.reps.tolist() == [j for j, chi in enumerate(chars) if chi.index <= chi.conjugate_index]
+        assert len(layout.reps) == reps
+        assert len(TallyPartial.empty(q).sums.vals) == 5 * layout.nclass + 2 * reps == columns
+
+    @pytest.mark.parametrize("q", [13, 17, 105])
+    def test_conjugate_columns_match_the_oracle(self, tmp_path, q):
+        # every conjugate's column, in the series and in the CSV text, is the
+        # per-character scalar fold's, bit for bit.  To 1e4, q=17 has 82
+        # cells of char_invsqrt and 82 of char_eulerlog whose imaginary sum is
+        # +0.0 for chi and chi-bar alike (chi of order 4 has chi(2) = -1), 41
+        # of each in the conjugates' columns, where np.conj would give -0.0
+        grid = CheckpointGrid.from_xmax(1e4, h=0.01)
+        want, _ = scalar_tally(grid, q, math.floor(grid.x_max) + 1, tally.DEFAULT_SEGMENT_ODDS)
+        path = tmp_path / "run.csv"
+        res = accumulate(grid, q, persist=path)
+        chars = enumerate_characters(q)[1:]
+        conj = [j for j, chi in enumerate(chars) if chi.index > chi.conjugate_index]
+        assert len(conj) == len(chars) - len(_Layout(q).reps) > 0
+        for name in ("char_invsqrt", "char_mertens", "char_eulerlog"):
+            got = np.take(matrix(res.series, name), conj, axis=1)
+            oracle = np.take(np.array([row[name] for row in want]), conj, axis=1)
+            assert np.array_equal(got.view(np.uint64), oracle.view(np.uint64)), name
+        zeros = [np.count_nonzero(matrix(res.series, name)[:, conj].imag == 0.0)
+                 for name in ("char_invsqrt", "char_eulerlog")]
+        assert zeros == ([41, 41] if q == 17 else [0, 0])
+        labels = {chars[j].label for j in conj}
+        cols = [k for k, name in enumerate(tally._csv_columns(q))
+                if name.startswith("chi_") and name.split("_")[1] in labels]
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == len(want) == grid.n
+        for line, x, y, row in zip(lines, grid.x.tolist(), grid.y.tolist(), want):
+            cells, oracle = line.split(","), format_row(x, y, row).split(",")
+            assert [cells[k] for k in cols] == [oracle[k] for k in cols]
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(2.225073858507201e-308)
+    @example(sys.float_info.max)
+    @example(-sys.float_info.max)
+    def test_a_conjugates_imaginary_text_is_repr_of_the_negation(self, v):
+        # the row writer formats the representatives' cells alone; every
+        # conjugate's imaginary cell must read repr(0.0 - v) for the
+        # representative's v.  q=13 has conjugates in all three fields
+        layout = _Layout(13)
+        writer = tally._RowWriter(layout)
+        point = np.full(layout.nchar, complex(0.25, v))
+        fields = ("char_invsqrt", "char_eulerlog", "char_mertens")
+        line = writer.lines([2.0], [LOG2], {f: [point] for f in fields}, [([], True)])
+        x, y, empty, *cells = line.rstrip("\n").split(",")
+        assert (x, y, empty) == ("2.0", repr(LOG2), "") and len(cells) == 6 * layout.nchar
+        for k, name in enumerate(("char_invsqrt", "char_mertens", "char_eulerlog")):
+            flip = layout.pairs[name][2]
+            assert flip.any()
+            for j in range(layout.nchar):
+                re, im = cells[6 * j + 2 * k:6 * j + 2 * k + 2]
+                assert re == "0.25" and im == repr(0.0 - v if flip[j] else v), (name, j)
+
+
 class TestCsvRows:
     """The checkpoint CSV's bytes against format_row, which formats every cell."""
 
@@ -1461,7 +1553,18 @@ class TestCrossVersionResume:
         accumulate(CheckpointGrid.from_xmax(20_000, h=0.1), 4,
                    segment_odds=512, persist="resume_q4_race.csv",
                    race=(3, 1), max_segments=5)
+
+    tests/data/resume_q13.* (format 3) was written by the release before a
+    conjugate character's values were its conjugate's bit for bit (commit
+    131d9b1) by
+
+        accumulate(CheckpointGrid.from_xmax(20_000, h=0.1), 13,
+                   segment_odds=512, persist="resume_q13.csv", max_segments=5)
     """
+
+    # the largest difference of a complex character's cell in a row after
+    # the resume point from a fresh run's: 5.9e-15 measured
+    CONJUGATE_BOUND = 1e-14
 
     def resume(self, tmp_path, name, q, race):
         """Resume a copy of fixture name; return the result, a fresh run, the work directory."""
@@ -1496,6 +1599,53 @@ class TestCrossVersionResume:
         assert_same_summary(res.race, direct.race)
         # complete, the two sidecars hold the same race and the same counts
         assert (work / "resume_q4_race.meta.json").read_bytes() == (work / "fresh.meta.json").read_bytes()
+
+
+    def test_format_3_sidecar_of_complex_characters_resumes(self, tmp_path):
+        # the fixture's complex-character cells and its sums of both
+        # characters of each conjugate pair carry the old values' last bits.
+        # A resume reads each pair's representative and writes both: the
+        # fixture's rows stay as written, and every later row is a fresh
+        # run's, bit for bit in the class and real-character columns and
+        # within CONJUGATE_BOUND in the complex ones
+        grid, q = CheckpointGrid.from_xmax(20_000, h=0.1), 13
+        meta = json.loads((DATA / "resume_q13.meta.json").read_text())
+        assert meta["format"] == 3 and not meta["complete"] and meta["rows_written"] == 79
+        for suffix in (".csv", ".meta.json"):
+            shutil.copy(DATA / ("resume_q13" + suffix), tmp_path / ("resume_q13" + suffix))
+        path = tmp_path / "resume_q13.csv"
+        # a partial sidecar stays format 3, with one Euler-log entry per
+        # character: a conjugate's imaginary part is its representative's negated
+        accumulate(grid, q, segment_odds=512, persist=path, resume=True, max_segments=2)
+        meta = json.loads(tally._sidecar_path(path).read_text())
+        assert meta["format"] == 3 and not meta["complete"]
+        eul = meta["state"]["char"]["eulerlog"]
+        chars = enumerate_characters(q)[1:]
+        assert len(eul) == len(chars)
+        for j, chi in enumerate(chars):
+            conj = eul[chi.conjugate_index - 1]
+            assert conj[0] == eul[j][0] and from_hex(conj[1]) == -from_hex(eul[j][1]), chi.label
+        res = accumulate(grid, q, segment_odds=512, persist=path, resume=True)
+        fresh = accumulate(grid, q, segment_odds=512, persist=tmp_path / "fresh.csv")
+        assert res.completed
+        old = (DATA / "resume_q13.csv").read_bytes().decode().splitlines()
+        got, new = path.read_text().splitlines(), (tmp_path / "fresh.csv").read_text().splitlines()
+        assert len(old) == 80 and len(got) == len(new) == grid.n + 1 and got[:80] == old
+        header = new[0].split(",")
+        labels = {chi.label for chi in chars if not chi.is_real}
+        complex_cols = [name.startswith("chi_") and name.split("_")[1] in labels for name in header]
+        assert sum(complex_cols) == 6 * len(labels) == 60
+        moved = 0
+        for a, b in zip(got[80:], new[80:]):
+            for name, is_complex, u, v in zip(header, complex_cols, a.split(","), b.split(",")):
+                if is_complex:
+                    assert abs(float(u) - float(v)) <= self.CONJUGATE_BOUND, name
+                    moved += u != v
+                else:
+                    assert u == v, name
+        assert moved > 0
+        # the series: the fixture's rows as read, then the resumed ones, as in the CSV
+        assert oracle_csv(res.series) == path.read_bytes()
 
 
 # the scalar-fold runs, per segment width: x_max, h and the segment a run is cut before
