@@ -54,11 +54,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def seeds(text: str) -> list[int]:
-    """"1-10" or "1,3,5" as a list of seeds."""
+    """"1-10" or "1,3,5" as a list of seeds; ValueError for a reversed range or fewer than two seeds.
+
+    The quartiles of each side need at least two values.
+    """
     if "-" in text:
         lo, hi = map(int, text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(s) for s in text.split(",")]
+        if hi < lo:
+            raise ValueError(f"seed range {text} is reversed")
+        out = list(range(lo, hi + 1))
+    else:
+        out = [int(s) for s in text.split(",")]
+    if len(out) < 2:
+        raise ValueError(f"seeds {text} name one seed; the quartiles need at least two")
+    return out
 
 
 def merged(out: Path, how: str) -> dict:
@@ -122,7 +131,10 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-    label, seed_list = f"seeds {args.seeds}", seeds(args.seeds)
+    try:
+        label, seed_list = f"seeds {args.seeds}", seeds(args.seeds)
+    except ValueError as exc:  # before any export or run
+        parser.error(str(exc))
     out = ROOT / f"BENCH_{args.tag}_pairs.json"
     result = merged(out, f"alternating perfbench/run.py --seconds {seconds:g} --trace 0 runs, parent first on "
                          f"odd seeds; parent = {args.rev} (git archive), change = the working tree")

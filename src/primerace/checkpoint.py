@@ -263,15 +263,22 @@ def _sidecar_path(csv_path: Path) -> Path:
 
 
 def _read_sidecar(path: Path) -> dict:
-    """A checkpoint's sidecar; ValueError when it is missing or its format is not the int 1, 2 or 3.
+    """A checkpoint's sidecar, or a ValueError that names path.
 
-    A format-1 sidecar records no races, and its state stores expected_lo
-    None when no segment was folded yet: both read as later formats write
-    them.  JSON true and 1.0 equal 1 in Python, and are refused all the same.
+    The sidecar is refused when it is missing, when it is not a JSON
+    object and when its format is not the int 1, 2 or 3.  JSON true and 1.0
+    equal 1 in Python, and are refused all the same.  A format-1 sidecar
+    records no races, and its state stores expected_lo None when no segment
+    was folded yet: both read as later formats write them.
     """
     if not path.exists():
         raise ValueError(f"no sidecar at {path} to resume from")
-    meta = json.loads(path.read_text())
+    try:
+        meta = json.loads(path.read_text())
+    except ValueError as exc:  # undecodable text or JSON
+        raise ValueError(f"{path}: sidecar is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: sidecar holds a {type(meta).__name__}, not a JSON object")
     if type(meta.get("format")) is not int or meta["format"] not in (1, 2, 3):
         raise ValueError(f"{path}: sidecar format {meta.get('format')!r} is not 1, 2 or 3")
     meta.setdefault("races", {})

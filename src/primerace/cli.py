@@ -3,8 +3,10 @@
 Every subcommand reads one effective configuration assembled from (in
 rising precedence) built-in defaults, an optional key=value config file,
 and command-line flags.  Reports are CSV/JSON only and deterministic:
-identical configuration and inputs give byte-identical files regardless
-of the thread count, so no timestamps, hostnames, or paths are embedded.
+identical configuration and inputs give byte-identical files, so no
+timestamps, hostnames, or paths are embedded.  --threads (the threads key)
+is still accepted and validated, for the command lines that pass it, but
+nothing reads it: the tally runs on one thread.
 
 Exit codes: 0 success, 1 computation failure, 2 usage error.
 """
@@ -81,7 +83,7 @@ class RunConfig:
     tail_fraction: float = 0.25
     T_values: tuple[float, ...] = ()
     k_values: tuple[int, ...] = (1, 2, 3)
-    threads: int = 1
+    threads: int = 1  # accepted and checked (>= 1), read by nothing
     segment_odds: int = DEFAULT_SEGMENT_ODDS
     out: str = "."
     resume: bool = False
@@ -142,10 +144,11 @@ class RunConfig:
     def public_dict(self, command: str) -> dict:
         """The settings command reads that determine the mathematics.
 
-        They are echoed into the command's reports.  Thread count, output
-        directory, and resume mode are excluded on purpose: none of them may
-        change a single output byte.  Settings the command never reads are
-        left out too, so they cannot change its reports either.
+        They are echoed into the command's reports.  Thread count (read by
+        nothing), output directory, and resume mode are excluded on purpose:
+        none of them may change a single output byte.  Settings the command
+        never reads are left out too, so they cannot change its reports
+        either.
         """
         settings = {
             "q": self.q, "a": self.a, "b": self.b,
@@ -221,7 +224,7 @@ _OPTIONS = [
      "fraction of the range used for tail fits (default 0.25)"),
     ("T", "T_values", _parse_floats, "comma-separated truncation heights (delta)"),
     ("k", "k_values", _parse_ints, "comma-separated moment orders (moments)"),
-    ("threads", "threads", int, "sieve worker threads (default: 1)"),
+    ("threads", "threads", int, "accepted for compatibility; has no effect (default: 1)"),
     ("segment-odds", "segment_odds", int, "odd numbers per sieve segment"),
     ("out", "out", str, "output directory (default .)"),
 ]
@@ -393,7 +396,6 @@ def _run_tally(cfg: RunConfig, race=None):
     return accumulate(
         grid, cfg.q,
         segment_odds=cfg.segment_odds,
-        threads=cfg.threads,
         race=race,
         persist=persist,
         resume=cfg.resume,

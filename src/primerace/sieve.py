@@ -2,9 +2,8 @@
 
 The workhorse is an odd-only boolean sieve over fixed-width segments.
 segment_bounds tiles a range [lo, hi) with segments anchored at lo, without
-gaps or overlaps.  Segments are independent of one another, so they can be
-sieved by a worker pool; ordered_map hands their results back in ascending
-order regardless of the worker count.
+gaps or overlaps, and each segment is sieved on its own, given the base
+primes up to the square root of its end.
 
 Default segment width is 2**20 odd entries (2**21 integers), which keeps the
 working set inside L2-ish cache territory while amortizing setup cost.
@@ -21,10 +20,7 @@ mask for all of them, so no segment allocates its own.
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,7 +30,6 @@ __all__ = [
     "segment_bounds",
     "sieve_segment",
     "prime_powers",
-    "ordered_map",
 ]
 
 DEFAULT_SEGMENT_ODDS = 1 << 20
@@ -123,29 +118,6 @@ def sieve_segment(a: int, b: int, base: np.ndarray, mask: np.ndarray | None = No
     if a <= 2 < b:
         primes = np.concatenate(([2], primes))
     return primes
-
-
-def ordered_map(fn, jobs: Sequence[tuple], threads: int) -> Iterator:
-    """Map fn over argument tuples on a worker pool, yielding results in job order.
-
-    At most threads + 2 jobs are in flight besides the one whose result is
-    awaited, so memory stays bounded however long the job list is.  No
-    reference to a yielded result is kept, so the caller frees it when it
-    drops it.  concurrent.futures is imported only here, when a pool is
-    used: importing it costs about 10 ms, which every run would pay.
-    """
-    if threads <= 1 or len(jobs) <= 1:
-        for job in jobs:
-            yield fn(*job)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        it = iter(jobs)
-        pending = deque(pool.submit(fn, *job) for job in islice(it, threads + 2))
-        while pending:
-            pending.extend(pool.submit(fn, *job) for job in islice(it, 1))
-            yield pending.popleft().result()
 
 
 def prime_powers(x_max: int) -> list[tuple[int, int, int]]:

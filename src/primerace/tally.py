@@ -26,8 +26,8 @@ Exactness: one TallyPartial adds the chunk values exactly (exact.py) and
 rounds each total once, so every summed total is the correctly rounded
 exact sum of its chunk values, and each derived column is a fixed
 combination of those totals.  The chunks depend only on the segment width:
-for a fixed segment_odds, any worker pool and any resumed run give every
-total bit for bit, and a merge does so only at a split on a segment boundary.
+for a fixed segment_odds, any resumed run gives every total bit for bit, and
+a merge does so only at a split on a segment boundary.
 
 Batch bound: grid points are snapshotted a batch at a time, at most
 _BATCH_CELLS cells of checkpoint rows, which bounds a batch's memory for a
@@ -48,7 +48,6 @@ columns, reader and sidecar are in checkpoint.py.  This module stays below
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -75,7 +74,6 @@ from .checkpoint import (
 from .exact import ExactSums, from_hex, to_hex
 from .sieve import (
     DEFAULT_SEGMENT_ODDS,
-    ordered_map,
     prime_powers,
     segment_bounds,
     sieve_segment,
@@ -217,24 +215,18 @@ class _SegmentPartial:
     char_eulerlog: np.ndarray  # (nchunks, representatives) complex128
 
 
-class _Scratch(threading.local):
-    """One thread's buffers, reused from segment to segment and dropped with the object.
+class _Scratch:
+    """A pass's buffers, reused from segment to segment and dropped with the object.
 
     _segments makes one per pass.  mask takes the sieve and then the
     reduction's class selections; flat, one float64 block, holds every
     per-prime array of _segment_partial: the residues, then one region for
-    a class's term rows and, after the class loop, the race terms.  Both
-    grow to the largest segment seen.  As a threading.local, it gives each
-    worker thread of a pool its own buffers.  spare is None when jobs run
-    one at a time, so that the fold consumes a job's race terms before the
-    next job and they may live in flat.  Under a pool it is _segments' free list of race-term buffers:
-    a job takes one (a fresh one if it is too short), and _segments puts it
-    back once its terms are folded.  It starts with one empty buffer per
-    job that can be in flight or folding, so it is never found empty.
+    a class's term rows and, after the class loop, the race terms, which
+    the fold consumes before the next segment is sieved.  Both grow to the
+    largest segment seen.
     """
 
-    def __init__(self, spare: list | None):
-        self.spare = spare
+    def __init__(self):
         self.mask = np.empty(0, dtype=bool)
         self.flat = np.empty(0)
 
@@ -269,9 +261,8 @@ def _segment_partial(
 
     Every per-prime array is written with out= into scratch's flat block:
     the residues first, then one class's terms at a time and, after the
-    reduction, the race terms (into a buffer of scratch.spare instead, when
-    that is a list).  A class's rows start from its selected int primes,
-    converted in place into its 1/p row, and 1/sqrt(p) is computed from
+    reduction, the race terms.  A class's rows start from its selected int
+    primes, converted in place into its 1/p row, and 1/sqrt(p) is computed from
     those doubles; the race terms take w = sign/sqrt(p) and w*p from the int
     primes, each promoted inside its ufunc.  So the block holds n + max(class
     rows, 2n + 2) doubles for a segment of n primes, and no float copy of the
@@ -304,9 +295,9 @@ def _segment_partial(
     res += primes
     sizes = np.bincount(res, minlength=q)[list(units)].tolist() if tally else []
     # rows per class: invsqrt, theta, invp, its distinct real and (as two)
-    # complex Euler-log rows; then the race terms, unless a pool's free list holds them
+    # complex Euler-log rows; then the race terms
     need = max([(3 + len(r) + 2 * len(z)) * k for (r, z, _), k in zip(layout.euler_rows, sizes)]
-               + [2 * n + 2 if race and scratch.spare is None else 0])
+               + [2 * n + 2 if race else 0])
     flat = scratch.get("flat", n + need, keep=n)
     res, work = flat[:n].view(np.int64), flat[n:]
     part = None
@@ -357,10 +348,7 @@ def _segment_partial(
         part = _SegmentPartial(lo, hi, nch, counts, invsqrt, theta, invp, ch_eul)
     if race is None:
         return part, None
-    buf = work if scratch.spare is None else scratch.spare.pop()
-    if len(buf) < 2 * n + 2:
-        buf = np.empty(2 * n + 2)
-    terms = buf[:2 * n + 2].reshape(2, -1)
+    terms = work[:2 * n + 2].reshape(2, -1)
     w, wp = terms[:, 1:]
     sign = np.zeros(q)
     sign[list(race)] = 1.0, -1.0
@@ -375,35 +363,27 @@ def _segment_partial(
     return part, (primes, terms, np.searchsorted(primes, np.floor(boundaries).astype(np.int64), side="right"))
 
 
-def _segments(bounds, layout: _Layout, segment_odds: int, threads: int, grid_x: np.ndarray,
+def _segments(bounds, layout: _Layout, segment_odds: int, grid_x: np.ndarray,
               race: tuple[int, int] | None = None, race_fold: _RaceFold | None = None,
               skip: int = 0) -> Iterator[_SegmentPartial]:
     """Each segment of bounds sieved and reduced, chunks split at grid_x, as its _SegmentPartial, in order.
 
-    The sieving primes are found as the pass starts, each worker thread
-    keeps one _Scratch and ordered_map runs the jobs.  With a race, each
-    segment's race terms are folded into race_fold before it is yielded, and
-    dropped then, so that a segment's primes are freed before the next job
-    sieves when jobs run one at a time.  The first skip segments are sieved
-    only for the race: their class sums are not reduced and nothing is
-    yielded for them.
+    The sieving primes are found as the pass starts, and one _Scratch
+    serves every segment.  With a race, each segment's race terms are
+    folded into race_fold before it is yielded, and dropped then, so that a
+    segment's primes are freed before the next one sieves.  The first skip
+    segments are sieved only for the race: their class sums are not
+    reduced and nothing is yielded for them.
     """
     base = simple_sieve(math.isqrt(bounds[-1][1] - 1)) if bounds else None
-    # a pool's race-term buffers: one per job in flight (ordered_map holds
-    # threads + 2) and one for the job being folded, allocated at first use
-    spare = None if threads <= 1 else [np.empty(0)] * (threads + 3)
-    scratch = _Scratch(spare)
-
-    def job(a: int, b: int, tally: bool) -> tuple:
+    scratch = _Scratch()
+    for k, (a, b) in enumerate(bounds):
         primes = sieve_segment(a, b, base, scratch.get("mask", segment_odds))
         inside = grid_x[np.searchsorted(grid_x, a):np.searchsorted(grid_x, b)]  # grid points in [a, b)
-        return _segment_partial(primes, a, b, inside, layout, scratch, race, tally)
-
-    for part, terms in ordered_map(job, [(a, b, k >= skip) for k, (a, b) in enumerate(bounds)], threads):
+        part, terms = _segment_partial(primes, a, b, inside, layout, scratch, race, k >= skip)
+        del primes
         if terms is not None:
             race_fold.fold(terms)
-            if spare is not None:
-                spare.append(terms[1].base)  # the buffer they were cut from, free again
             del terms
         if part is not None:
             yield part
@@ -724,7 +704,6 @@ def accumulate(
     *,
     x_hi: int | None = None,
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    threads: int = 1,
     race: tuple[int, int] | None = None,
     persist: str | Path | None = None,
     resume: bool = False,
@@ -732,15 +711,15 @@ def accumulate(
 ) -> TallyResult:
     """Single pass over the primes, snapshotting the tally at every grid point.
 
-    The segments come from _segments, on a worker pool whose size never
-    changes the output.  Each segment's chunks (split at grid points) fold
-    into one TallyPartial, and the series takes its totals at every grid
-    point, a batch of points at a time (TallyPartial.snapshots): read-only
-    arrays, shared by consecutive points that nothing was folded into.
+    The segments come from _segments, one after another.  Each segment's
+    chunks (split at grid points) fold into one TallyPartial, and the
+    series takes its totals at every grid point, a batch of points at a
+    time (TallyPartial.snapshots): read-only arrays, shared by consecutive
+    points that nothing was folded into.
     race = (a, b), two distinct unit classes mod q, adds the race's
     RaceSummary over the primes below x_hi, equal bit for bit to the one a
-    single cumsum over every race prime gives, for any segment_odds, thread
-    count or resume point.  persist writes the checkpoint CSV, a batch of
+    single cumsum over every race prime gives, for any segment_odds or
+    resume point.  persist writes the checkpoint CSV, a batch of
     rows at a time, plus a JSON sidecar as the run goes, with the summary of
     the race, keyed by its reduced classes: format 3 while the run is
     partial, and format 2 once it is complete, since a complete sidecar
@@ -813,7 +792,7 @@ def accumulate(
                     f"{meta['rows_written']} for a grid of {grid.n} points"
                 )
             if first < start_idx:
-                for _ in _segments(bounds, layout, segment_odds, threads, grid_x, race, race_fold, start_idx):
+                for _ in _segments(bounds, layout, segment_odds, grid_x, race, race_fold, start_idx):
                     pass
                 meta["format"] = 2
                 meta["races"][race_key] = race_fold.to_state()
@@ -849,7 +828,7 @@ def accumulate(
     done_idx = start_idx
     with open(csv_path, "a") if csv_path is not None else nullcontext() as csv:
         # the segments tallied before are sieved again only for the race
-        for part in _segments(bounds[first:stop], layout, segment_odds, threads, grid_x, race, race_fold,
+        for part in _segments(bounds[first:stop], layout, segment_odds, grid_x, race, race_fold,
                               start_idx - first):
             # the segment's grid points, which end all chunks but the last,
             # are snapshotted and written a batch of rows at a time
@@ -887,7 +866,6 @@ def range_partial(
     q: int,
     *,
     segment_odds: int = DEFAULT_SEGMENT_ODDS,
-    threads: int = 1,
 ) -> TallyPartial:
     """Tally sums over primes in [lo, hi), folded per segment in order."""
     bounds = segment_bounds(lo, hi, segment_odds)
@@ -895,7 +873,7 @@ def range_partial(
     out = TallyPartial.empty(q, lo)
     powers = _power_terms(layout, lo, hi)
     pw_ptr = 0
-    for part in _segments(bounds, layout, segment_odds, threads, np.empty(0)):
+    for part in _segments(bounds, layout, segment_odds, np.empty(0)):
         out.fold(part, 0)
         pw_ptr = out.fold_powers(powers, pw_ptr, part.hi - 1)
     return out

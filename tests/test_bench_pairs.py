@@ -68,3 +68,26 @@ def test_a_parent_spread_past_the_bound_leaves_the_verdict_unresolved(shift, ver
 def test_a_parent_median_of_zero_is_within_bound_only_unchanged():
     assert bench_pairs.compare([0.0] * 10, [0.0] * 10, BOUND)["within_bound"] is True
     assert bench_pairs.compare([0.0] * 10, [0.1] * 10, BOUND)["within_bound"] is False
+
+
+@pytest.mark.parametrize("text, want", [("1-10", list(range(1, 11))), ("4-5", [4, 5]), ("1,3,5", [1, 3, 5])])
+def test_seeds_read_a_range_or_a_list(text, want):
+    assert bench_pairs.seeds(text) == want
+
+
+@pytest.mark.parametrize("text, message", [("3", "one seed"), ("5-5", "one seed"), ("10-1", "reversed")])
+def test_seeds_reject_a_reversed_range_or_one_seed(text, message):
+    with pytest.raises(ValueError, match=message):
+        bench_pairs.seeds(text)
+
+
+def test_bad_seeds_exit_before_any_export_or_run(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("nothing may be exported or run")
+
+    monkeypatch.setattr(bench_pairs, "export", refuse)
+    monkeypatch.setattr(bench_pairs, "run", refuse)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--rev", "HEAD", "--tag", "never", "--seeds", "10-1"])
+    assert exit_.value.code == 2 and "reversed" in capsys.readouterr().err
+    assert not (bench_pairs.ROOT / "BENCH_never_pairs.json").exists()

@@ -360,6 +360,27 @@ class TestDeterminismAndResume:
         for name in one:
             assert one[name] == four[name], f"{name} differs between thread counts"
 
+    def test_threads_option_starts_no_thread(self, tmp_path):
+        # --threads is accepted but unused: a fresh interpreter running a
+        # tally of several segments at --threads 4 starts no thread and
+        # never imports concurrent.futures
+        argv = ["bias", "--q", "4", "--xmax", "2e4", "--segment-odds", "2048"]
+        code = ("import sys, threading; started = []; start = threading.Thread.start\n"
+                "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+                "from primerace.cli import main\n"
+                f"rc = main({argv + ['--threads', '4', '--out', str(tmp_path / 'four')]!r})\n"
+                "print(rc, len(started), 'concurrent.futures' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                             cwd=tmp_path, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1].split() == ["0", "0", "False"]
+        assert main(argv + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+        four, one = ({p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())} for d in ("four", "one"))
+        assert four.keys() == one.keys() and len(four) > 2
+        for name in one:
+            assert four[name] == one[name], f"{name} differs between --threads 4 and 1"
+
     def test_resume_of_finished_run_is_identical(self, tmp_path):
         out = tmp_path / "run"
         first = self.run_into(out)

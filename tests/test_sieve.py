@@ -13,7 +13,6 @@ import pytest
 import primerace
 from primerace.sieve import (
     DEFAULT_SEGMENT_ODDS,
-    ordered_map,
     prime_powers,
     segment_bounds,
     sieve_segment,
@@ -23,14 +22,10 @@ from primerace.sieve import (
 import oracles
 
 
-def sieved(lo, hi, segment_odds=DEFAULT_SEGMENT_ODDS, threads=1):
+def sieved(lo, hi, segment_odds=DEFAULT_SEGMENT_ODDS):
     """(a, b, primes in [a, b)) for each segment of [lo, hi), in order, as the tally sieves them."""
     base = simple_sieve(math.isqrt(hi - 1))
-
-    def job(a, b):
-        return a, b, sieve_segment(a, b, base)
-
-    return list(ordered_map(job, segment_bounds(lo, hi, segment_odds), threads))
+    return [(a, b, sieve_segment(a, b, base)) for a, b in segment_bounds(lo, hi, segment_odds)]
 
 
 def primes_of(segments):
@@ -99,12 +94,6 @@ class TestSegmentation:
     def test_event_multiset_independent_of_segment_size(self, segment_odds):
         primes = primes_of(sieved(2, 30000, segment_odds=segment_odds))
         assert primes == list(oracles.primes_upto(29999))
-
-    def test_threaded_stream_matches_sequential(self):
-        seq = primes_of(sieved(2, 10**6, segment_odds=1 << 14))
-        par = primes_of(sieved(2, 10**6, segment_odds=1 << 14, threads=4))
-        assert seq == par
-        assert len(seq) == 78498  # pi(10**6)
 
     def test_segment_arrays_are_sorted_and_in_bounds(self):
         for a, b, seg in sieved(2, 200000, segment_odds=1 << 10):
@@ -194,8 +183,8 @@ class TestPreSieve:
 
 class TestOrderedMapImport:
     def test_cli_import_leaves_the_pool_module_unloaded(self):
-        # ordered_map imports concurrent.futures only when it starts a pool;
-        # at module level it would add about 10 ms to the start of every run
+        # no module imports concurrent.futures: it would add about 10 ms to
+        # the start of every run
         src = str(Path(primerace.__file__).resolve().parents[1])
         code = "import sys, primerace.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -273,22 +273,6 @@ class TestGrid:
             accumulate(grid, 4, x_hi=500)
 
 
-class TestThreadInvariance:
-    def test_bit_exact_across_pool_sizes(self):
-        grid = CheckpointGrid.from_xmax(100_000, h=0.02)
-        r1 = accumulate(grid, 4, segment_odds=1 << 12, threads=1)
-        r4 = accumulate(grid, 4, segment_odds=1 << 12, threads=4)
-        assert len(r1.series) == len(r4.series) == grid.n
-        for attr in ALL_ARRAYS:
-            assert np.array_equal(matrix(r1.series, attr), matrix(r4.series, attr)), attr
-
-    def test_jumps_identical(self):
-        grid = CheckpointGrid.from_xmax(30_000, h=0.1)
-        r1 = accumulate(grid, 4, threads=1, segment_odds=777, race=(1, 3))
-        r3 = accumulate(grid, 4, threads=3, segment_odds=777, race=(1, 3))
-        assert_same_summary(r1.race, r3.race)
-
-
 def oracle_stream(x_hi, q, a, b):
     """The race stream of classes a and b below x_hi, by the argsort merge."""
     primes = simple_sieve(x_hi - 1)
@@ -323,7 +307,7 @@ class TestRaceStream:
 
     The tally folds the race per segment; seeding each segment's cumsum with
     the carried sums must give the summary of the whole stream bit for bit,
-    fresh, resumed and at any thread count.
+    fresh and resumed.
     """
 
     @pytest.mark.parametrize("q, a, b", RACES)
@@ -335,8 +319,7 @@ class TestRaceStream:
     def test_matches_the_merged_oracle(self, q, a, b, segment_odds, x_hi):
         grid = CheckpointGrid.from_xmax(x_hi - 1, h=0.05)
         for race in ((a, b), (b, a)):
-            runs = [accumulate(grid, q, x_hi=x_hi, segment_odds=segment_odds,
-                               threads=threads, race=race) for threads in (1, 2)]
+            runs = [accumulate(grid, q, x_hi=x_hi, segment_odds=segment_odds, race=race)]
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "stop.csv"
                 accumulate(grid, q, x_hi=x_hi, segment_odds=segment_odds, persist=path,
@@ -355,8 +338,7 @@ class TestRaceStream:
         grid = CheckpointGrid.from_xmax(20_000, h=0.05)
         path = tmp_path / "race.csv"
         accumulate(grid, q, segment_odds=512, persist=path, max_segments=stop)
-        res = accumulate(grid, q, segment_odds=512, persist=path, resume=True,
-                         threads=3, race=(a, b))
+        res = accumulate(grid, q, segment_odds=512, persist=path, resume=True, race=(a, b))
         assert res.completed
         assert_same_summary(res.race, oracle_summary(res.x_hi, q, a, b, grid.x))
 
@@ -449,9 +431,8 @@ class TestRaceResume:
         assert_same_summary(res.race, direct)
         assert_same_summary(again.race, direct)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("stop", [3, None])
-    def test_unrecorded_race_resieve_reduces_no_class_sums(self, tmp_path, monkeypatch, threads, stop):
+    def test_unrecorded_race_resieve_reduces_no_class_sums(self, tmp_path, monkeypatch, stop):
         # the segments tallied before are sieved again for the race alone:
         # a _SegmentPartial is made only for each segment still to tally
         grid = CheckpointGrid.from_xmax(20_000, h=0.05)
@@ -464,10 +445,10 @@ class TestRaceResume:
             return make(*args)
 
         monkeypatch.setattr(tally, "_SegmentPartial", counted)
-        res = accumulate(grid, 105, segment_odds=512, persist=path, resume=True, threads=threads, race=(2, 1))
+        res = accumulate(grid, 105, segment_odds=512, persist=path, resume=True, race=(2, 1))
         bounds = tally.segment_bounds(2, res.x_hi, 512)
         assert res.completed and len(bounds) > 4
-        assert sorted(made) == ([] if stop is None else bounds[stop:])  # a pool makes them in any order
+        assert made == ([] if stop is None else bounds[stop:])
         monkeypatch.undo()
         fresh = accumulate(grid, 105, segment_odds=512, race=(2, 1))
         assert_same_summary(res.race, fresh.race)
@@ -601,7 +582,7 @@ def assert_segment_matches_reference(primes, lo, hi, boundaries, q, scratch=None
     layout = _Layout(q)
     race = (layout.units[1], layout.units[0])
     got, (p, terms, cut) = _segment_partial(primes, lo, hi, boundaries, layout,
-                                            scratch or _Scratch(None), race)
+                                            scratch or _Scratch(), race)
     want = reference_segment_partial(primes, boundaries, layout, race)
     for name in SEGMENT_FIELDS:
         a, b = getattr(got, name), want[name]
@@ -656,7 +637,7 @@ class TestSegmentReduction:
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            part, _ = _segment_partial(primes, lo, hi, np.empty(0), layout, _Scratch(None))
+            part, _ = _segment_partial(primes, lo, hi, np.empty(0), layout, _Scratch())
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -703,24 +684,11 @@ def growing_bounds(lo, hi, segment_odds):
     return out
 
 
-def halving_bounds(lo, hi, segment_odds):
-    """Segments of [lo, hi), each half as wide as the one before, the last 2 integers wide.
-
-    hi - lo must be 2^k - 2.  Each segment holds fewer primes than the one before, or none.
-    """
-    out, width = [], (hi - lo + 2) // 2
-    while lo < hi:
-        out.append((lo, lo + width))
-        lo, width = lo + width, width // 2
-    return out
-
-
 class TestScratchReuse:
-    """Every worker reuses one scratch from segment to segment, growing it as needed.
+    """A pass reuses one scratch from segment to segment, growing it as needed.
 
     No entry a segment leaves in it may reach the next segment's sums, its
-    race terms or another modulus's, and a job's race terms must outlive the
-    jobs a pool runs ahead of the fold.
+    race terms or another modulus's.
     """
 
     @pytest.mark.parametrize("q, a, b", [(4, 3, 1), (24, 5, 1), (105, 2, 1), (105, 4, 104)])
@@ -729,8 +697,7 @@ class TestScratchReuse:
         x_hi = 60_000
         grid = CheckpointGrid.from_xmax(x_hi - 1, h=0.02)
         assert len(growing_bounds(2, x_hi, 0)) == 15
-        runs = [accumulate(grid, q, x_hi=x_hi, threads=threads, race=(a, b), persist=tmp_path / f"{threads}.csv")
-                for threads in (1, 2, 3)]
+        runs = [accumulate(grid, q, x_hi=x_hi, race=(a, b), persist=tmp_path / "one.csv")]
         # snapshots taken one to three grid points at a time give the same arrays
         monkeypatch.setattr(tally, "_BATCH_CELLS", 50)
         runs.append(accumulate(grid, q, x_hi=x_hi, race=(a, b), persist=tmp_path / "batch.csv"))
@@ -742,49 +709,13 @@ class TestScratchReuse:
                 got, first = matrix(run.series, name), matrix(runs[0].series, name)
                 assert np.array_equal(got.view(np.uint64), first.view(np.uint64)), name
         text = oracle_csv(runs[0].series)
-        for name in ("1", "2", "3", "batch"):
+        for name in ("one", "batch"):
             assert (tmp_path / f"{name}.csv").read_bytes() == text
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_pool_allocates_race_terms_once_per_job_in_flight(self, tmp_path, monkeypatch, threads):
-        # each segment holds fewer primes than the one before, so a buffer
-        # the fold hands back always fits the next job: the pool allocates
-        # at most one for each of its first threads + 3 jobs and no more,
-        # where a fresh array per job makes one per segment; the same holds
-        # for the re-sieve of a race a finished checkpoint did not record
-        monkeypatch.setattr(tally, "segment_bounds", halving_bounds)
-        buffers = []
-        fold = _RaceFold.fold
-
-        def recording(self, terms):
-            owner = terms[1] if terms[1].base is None else terms[1].base  # the array holding the terms
-            if not any(b is owner for b in buffers):
-                buffers.append(owner)
-            fold(self, terms)
-
-        monkeypatch.setattr(_RaceFold, "fold", recording)
-        x_hi = 2**16
-        grid = CheckpointGrid.from_xmax(x_hi - 1, h=0.02)
-        bounds = halving_bounds(2, x_hi, 0)
-        counts = [len(simple_sieve(b - 1)) - len(simple_sieve(a - 1)) for a, b in bounds]
-        assert bounds[-1] == (x_hi - 2, x_hi) and len(bounds) > 2 * (threads + 3)
-        assert counts == sorted(counts, reverse=True)
-        got = accumulate(grid, 4, x_hi=x_hi, threads=threads, race=(3, 1))
-        assert 1 <= len(buffers) <= threads + 3
-        want = oracle_summary(x_hi, 4, 3, 1, grid.x)
-        assert_same_summary(got.race, want)
-        path = tmp_path / "done.csv"
-        accumulate(grid, 4, x_hi=x_hi, threads=threads, persist=path)
-        assert buffers and not json.loads(tally._sidecar_path(path).read_text()).get("races")
-        buffers.clear()
-        again = accumulate(grid, 4, x_hi=x_hi, threads=threads, race=(3, 1), persist=path, resume=True)
-        assert 1 <= len(buffers) <= threads + 3
-        assert_same_summary(again.race, want)
 
     def test_one_scratch_across_moduli_and_sizes(self):
         # segments of growing and falling prime count, mod 4, 105, 4 and 12
         # in turn, all through one scratch, each against the oracle
-        scratch = _Scratch(None)
+        scratch = _Scratch()
         base = simple_sieve(1200)
         for q, lo, hi in [(4, 1_000_001, 1_001_001), (105, 1_000_001, 1_200_001), (4, 2, 3000),
                           (12, 1_100_001, 1_400_001), (105, 5, 400), (4, 1_000_001, 1_000_101)]:
@@ -804,8 +735,7 @@ class TestScratchReuse:
             assert np.array_equal(matrix(again.series, name).view(np.uint64),
                                   matrix(first.series, name).view(np.uint64)), name
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_range_partials_and_merge_match_the_oracle(self, threads):
+    def test_range_partials_and_merge_match_the_oracle(self):
         # each segment reduced by the loop-per-character oracle and folded
         # exactly; the split sits on a segment boundary
         q, hi, odds = 105, 150_000, 4096
@@ -818,9 +748,9 @@ class TestScratchReuse:
             want.fold(_SegmentPartial(lo, b, 1, *(ref[f] for f in SEGMENT_FIELDS)), 0)
         want.fold_powers(_power_terms(layout, 2, hi), 0, hi)
         m = 2 + 7 * 2 * odds
-        for got in (range_partial(2, hi, q, segment_odds=odds, threads=threads),
-                    merge(range_partial(2, m, q, segment_odds=odds, threads=threads),
-                          range_partial(m, hi, q, segment_odds=odds, threads=threads))):
+        for got in (range_partial(2, hi, q, segment_odds=odds),
+                    merge(range_partial(2, m, q, segment_odds=odds),
+                          range_partial(m, hi, q, segment_odds=odds))):
             assert (got.lo, got.hi) == (2, hi)
             assert got.counts == want.counts
             for name, arr in want.totals().items():
@@ -852,33 +782,6 @@ class TestWorkingSet:
         assert len(refs) == len(tally.segment_bounds(2, res.x_hi, 512)) > 4
         assert alive == []
 
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_a_pool_holds_only_the_jobs_in_flight(self, monkeypatch, threads):
-        # while a segment is folded, the primes alive are those of the jobs
-        # ordered_map keeps in flight, at most threads + 2: the folded
-        # segment's own are dropped with its race terms, and no future of a
-        # yielded result is kept
-        refs, alive = [], []
-
-        def recording(*args):
-            primes = sieve_segment(*args)
-            refs.append(weakref.ref(primes))
-            return primes
-
-        fold = TallyPartial.fold
-
-        def counting(self, part, c):
-            if c == 0:
-                alive.append(sum(ref() is not None for ref in refs))
-            fold(self, part, c)
-
-        monkeypatch.setattr(tally, "sieve_segment", recording)
-        monkeypatch.setattr(TallyPartial, "fold", counting)
-        grid = CheckpointGrid.from_xmax(40_000, h=0.05)
-        res = accumulate(grid, 4, segment_odds=512, race=(3, 1), threads=threads)
-        assert len(alive) == len(tally.segment_bounds(2, res.x_hi, 512)) > 2 * (threads + 3)
-        assert 1 <= max(alive) <= threads + 2
-
     @pytest.mark.parametrize("q, race", [(4, (3, 1)), (105, (2, 1)), (105, None)])
     def test_scratch_holds_the_residues_and_one_region(self, monkeypatch, q, race):
         # n_max residues, then one region for a class's term rows or the
@@ -887,8 +790,8 @@ class TestWorkingSet:
         made = []
 
         class Recorded(_Scratch):
-            def __init__(self, spare):
-                super().__init__(spare)
+            def __init__(self):
+                super().__init__()
                 made.append(self)
 
         monkeypatch.setattr(tally, "_Scratch", Recorded)
@@ -947,7 +850,7 @@ class TestTallyState:
         for lo, hi in ((2, 2050), (2050, 10_001)):
             primes = sieve_segment(lo, hi, simple_sieve(200))
             x = grid.x[(grid.x >= lo) & (grid.x < hi)]
-            part, _ = _segment_partial(primes, lo, hi, x, layout, _Scratch(None))
+            part, _ = _segment_partial(primes, lo, hi, x, layout, _Scratch())
             for c, end in enumerate([*x, hi - 1]):
                 state.fold(part, c)
                 pw = state.fold_powers(powers, pw, end)
@@ -1200,6 +1103,23 @@ class TestPersistence:
                 accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=race)
         assert (path.read_bytes(), meta_path.read_bytes()) == files
 
+    @pytest.mark.parametrize("stop", [2, None])
+    @pytest.mark.parametrize("cut, message", [(lambda text: text[:len(text) // 2], "is not valid JSON"),
+                                              (lambda text: "[1]", "holds a list, not a JSON object")],
+                             ids=["truncated", "list"])
+    def test_malformed_sidecar_rejected(self, tmp_path, stop, cut, message):
+        # a sidecar cut short, or one whose top level is no object, is a
+        # ValueError that names it; the files are left as they were
+        grid = self.grid()
+        path = tmp_path / "bad.csv"
+        accumulate(grid, 4, segment_odds=512, persist=path, race=(3, 1), max_segments=stop)
+        meta_path = tally._sidecar_path(path)
+        meta_path.write_text(cut(meta_path.read_text()))
+        files = path.read_bytes(), meta_path.read_bytes()
+        with pytest.raises(ValueError, match=rf"bad\.meta\.json: sidecar {message}"):
+            accumulate(grid, 4, segment_odds=512, persist=path, resume=True, race=(3, 1))
+        assert (path.read_bytes(), meta_path.read_bytes()) == files
+
     def test_real_characters_persist_no_imaginary_partials(self, tmp_path):
         grid = CheckpointGrid.from_xmax(20_000, h=0.1)
         path = tmp_path / "q12.csv"
@@ -1349,13 +1269,12 @@ class TestCsvRows:
     """The checkpoint CSV's bytes against format_row, which formats every cell."""
 
     @pytest.mark.parametrize("q", [4, 12, 24, 105])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_rows_match_the_oracle(self, tmp_path, monkeypatch, q, threads):
+    def test_rows_match_the_oracle(self, tmp_path, monkeypatch, q):
         # h=0.02 to 2e4 over 5 segments, flushed 2 at a time: many grid
         # points gain no prime, some gain only a prime power
         grid = CheckpointGrid.from_xmax(20_000, h=0.02)
         monkeypatch.setattr(tally, "_FLUSH_EVERY", 2)
-        kw = dict(segment_odds=2048, threads=threads)
+        kw = dict(segment_odds=2048)
         path = tmp_path / "run.csv"
         res = accumulate(grid, q, persist=path, **kw)
         want = oracle_csv(res.series)
@@ -1691,27 +1610,25 @@ class TestScalarFold:
         *((q, 2**20, 2) for q in (4, 12, 13, 105, 420)),
     ])
     def test_series_csv_and_state(self, tmp_path, monkeypatch, q, segment_odds, points):
-        # batches of 1-3 grid points; a run cut before segment `stop` and
-        # resumed at the other thread count; two threads for 2-point batches
+        # batches of 1-3 grid points; a run cut before segment `stop` and resumed
         layout = _Layout(q)
         monkeypatch.setattr(tally, "_BATCH_CELLS", points * (4 * layout.nclass + 6 * layout.nchar))
         grid, rows, state, text = scalar_reference(q, segment_odds)
         stop = SCALAR_RUNS[segment_odds][2]
-        threads = 2 if points == 2 else 1
-        fresh = accumulate(grid, q, segment_odds=segment_odds, threads=threads, persist=tmp_path / "fresh.csv")
+        fresh = accumulate(grid, q, segment_odds=segment_odds, persist=tmp_path / "fresh.csv")
         assert (tmp_path / "fresh.csv").read_bytes() == text
         assert_rows(fresh.series, rows)
         path = tmp_path / "cut.csv"
-        accumulate(grid, q, segment_odds=segment_odds, threads=threads, persist=path, max_segments=stop)
+        accumulate(grid, q, segment_odds=segment_odds, persist=path, max_segments=stop)
         assert json.loads(tally._sidecar_path(path).read_text())["state"] == state
-        back = accumulate(grid, q, segment_odds=segment_odds, threads=3 - threads, persist=path, resume=True)
+        back = accumulate(grid, q, segment_odds=segment_odds, persist=path, resume=True)
         assert back.completed and path.read_bytes() == text
         assert_rows(back.series, rows)
 
     @pytest.mark.parametrize("q, segment_odds", [(4, 512), (12, 512), (13, 512), (105, 512), (420, 512),
                                                  (4, 2**20), (12, 2**20), (13, 2**20), (105, 2**20)])
     def test_merged_range_partials(self, q, segment_odds):
-        # a split on a segment boundary, the upper range on two threads
+        # a split on a segment boundary
         x_max, _h, stop = SCALAR_RUNS[segment_odds]
         hi, m = int(x_max), 2 + 2 * segment_odds * stop
         fold, layout = ScalarFold(q), _Layout(q)
@@ -1724,7 +1641,7 @@ class TestScalarFold:
         want = fold.row()
         for got in (range_partial(2, hi, q, segment_odds=segment_odds),
                     merge(range_partial(2, m, q, segment_odds=segment_odds),
-                          range_partial(m, hi, q, segment_odds=segment_odds, threads=2))):
+                          range_partial(m, hi, q, segment_odds=segment_odds))):
             totals = got.totals()
             assert got.counts == fold.counts
             for name in ALL_ARRAYS:
